@@ -11,8 +11,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/group_dp_engine.hpp"
-#include "core/pipeline.hpp"
+#include "core/compiled_disclosure.hpp"
 
 int main() {
   using namespace gdp;
@@ -30,29 +29,24 @@ int main() {
   common::TextTable table({"phase1_frac", "level1_max_weight", "RER_L4",
                            "RER_L6", "RER_L7"});
   for (const double p1 : phase1_fractions) {
-    core::DisclosureConfig cfg;
-    cfg.epsilon_g = kEps;
-    cfg.phase1_fraction = p1;
-    cfg.depth = 9;
-    cfg.include_group_counts = false;
-    cfg.validate_hierarchy = false;
+    core::SessionSpec spec;
+    spec.budget.epsilon_g = kEps;
+    spec.budget.phase1_fraction = p1;
+    spec.hierarchy.depth = 9;
+    spec.hierarchy.validate_hierarchy = false;
+    spec.exec.include_group_counts = false;
     common::Rng rng(static_cast<std::uint64_t>(p1 * 1e6) + 5);
-    const core::DisclosureResult built = core::RunDisclosure(g, cfg, rng);
+    const auto compiled = core::CompiledDisclosure::Compile(g, spec, rng);
 
-    core::ReleaseConfig rel;
-    rel.epsilon_g = kEps * (1.0 - p1);
-    rel.include_group_counts = false;
-    const core::GroupDpEngine engine(rel);
     const auto mean_rer = [&](int lvl) {
       double total = 0.0;
       for (int t = 0; t < kTrials; ++t) {
-        total +=
-            engine.ReleaseLevel(g, built.hierarchy.level(lvl), lvl, rng).TotalRer();
+        total += compiled->Release(spec.budget, rng).level(lvl).TotalRer();
       }
       return total / kTrials;
     };
     table.AddRow({common::FormatDouble(p1, 2),
-                  std::to_string(built.hierarchy.level(1).MaxGroupDegreeSum(g)),
+                  std::to_string(compiled->hierarchy().level(1).MaxGroupDegreeSum(g)),
                   common::FormatPercent(mean_rer(4), 3),
                   common::FormatPercent(mean_rer(6), 3),
                   common::FormatPercent(mean_rer(7), 3)});

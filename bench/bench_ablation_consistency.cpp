@@ -36,6 +36,7 @@ int main() {
   rel.epsilon_g = 0.999;
   rel.include_group_counts = true;
   const core::GroupDpEngine engine(rel);
+  const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
 
   constexpr int kTrials = 10;
   const int levels = built.hierarchy.num_levels();
@@ -46,7 +47,7 @@ int main() {
 
   common::Rng rng(23);
   for (int t = 0; t < kTrials; ++t) {
-    const auto raw = engine.ReleaseAll(g, built.hierarchy, rng);
+    const auto raw = engine.Release(plan, rng);
     const auto adj = core::EnforceHierarchicalConsistency(built.hierarchy, raw);
     for (int lvl = 0; lvl < levels; ++lvl) {
       raw_rer[static_cast<std::size_t>(lvl)] += raw.level(lvl).TotalRer();

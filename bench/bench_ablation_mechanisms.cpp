@@ -27,6 +27,7 @@ int main() {
   const hier::Specializer spec(scfg);
   common::Rng srng(13);
   const auto built = spec.BuildHierarchy(g, srng);
+  const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
 
   const std::vector<core::NoiseKind> kinds{
       core::NoiseKind::kGaussian, core::NoiseKind::kAnalyticGaussian,
@@ -53,8 +54,7 @@ int main() {
     for (const int lvl : levels) {
       double total = 0.0;
       for (int t = 0; t < kTrials; ++t) {
-        total +=
-            engine.ReleaseLevel(g, built.hierarchy.level(lvl), lvl, rng).TotalRer();
+        total += engine.Release(plan, rng).level(lvl).TotalRer();
       }
       row.push_back(common::FormatPercent(total / kTrials, 3));
     }

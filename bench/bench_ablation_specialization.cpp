@@ -56,11 +56,11 @@ int main() {
     rel.epsilon_g = 0.999;
     rel.include_group_counts = false;
     const core::GroupDpEngine engine(rel);
+    const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
     const auto mean_rer = [&](int lvl) {
       double total = 0.0;
       for (int t = 0; t < kTrials; ++t) {
-        total +=
-            engine.ReleaseLevel(g, built.hierarchy.level(lvl), lvl, rng).TotalRer();
+        total += engine.Release(plan, rng).level(lvl).TotalRer();
       }
       return total / kTrials;
     };

@@ -55,6 +55,8 @@ int main() {
     rel.epsilon_g = 0.999;
     rel.include_group_counts = false;
     const core::GroupDpEngine engine(rel);
+    const core::ReleasePlan plan =
+        core::ReleasePlan::Build(projected.graph, built.hierarchy);
 
     // Bias: the projection's deterministic undercount of the TRUE total.
     const double projected_total =
@@ -64,9 +66,8 @@ int main() {
     double noise_rer = 0.0;
     double total_rer = 0.0;
     for (int t = 0; t < kTrials; ++t) {
-      const auto lr = engine.ReleaseLevel(projected.graph,
-                                          built.hierarchy.level(kLevel),
-                                          kLevel, rng);
+      const auto release = engine.Release(plan, rng);
+      const core::LevelRelease& lr = release.level(kLevel);
       noise_rer += std::fabs(lr.noisy_total - projected_total) / projected_total;
       total_rer += std::fabs(lr.noisy_total - true_total) / true_total;
     }

@@ -29,13 +29,13 @@ int main() {
   constexpr double kEps = 0.999;
   constexpr int kTrials = 25;
 
-  core::DisclosureConfig cfg;
-  cfg.epsilon_g = kEps;
-  cfg.depth = 9;
-  cfg.include_group_counts = false;
-  cfg.validate_hierarchy = false;
+  core::SessionSpec spec;
+  spec.budget.epsilon_g = kEps;
+  spec.hierarchy.depth = 9;
+  spec.hierarchy.validate_hierarchy = false;
+  spec.exec.include_group_counts = false;
   common::Rng rng(31);
-  const core::DisclosureResult built = core::RunDisclosure(g, cfg, rng);
+  const core::DisclosureResult built = core::RunDisclosure(g, spec, rng);
 
   const int kTargetLevel = 6;
   const double group_weight = static_cast<double>(
@@ -95,11 +95,12 @@ int main() {
     rel.epsilon_g = kEps;
     rel.include_group_counts = false;
     const core::GroupDpEngine engine(rel);
+    const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
     double rer = 0.0;
     double sigma = 0.0;
     for (int t = 0; t < kTrials; ++t) {
-      const auto lr = engine.ReleaseLevel(
-          g, built.hierarchy.level(kTargetLevel), kTargetLevel, rng);
+      const auto release = engine.Release(plan, rng);
+      const core::LevelRelease& lr = release.level(kTargetLevel);
       rer += lr.TotalRer();
       sigma = lr.noise_stddev;
     }

@@ -18,8 +18,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/group_dp_engine.hpp"
-#include "core/pipeline.hpp"
+#include "core/compiled_disclosure.hpp"
 
 namespace {
 
@@ -51,29 +50,28 @@ int main() {
   for (const double eps : eps_values) {
     // The full pipeline per eps: Phase 1 consumes a fraction of eps_g to
     // build the hierarchy, Phase 2 perturbs each level with the remainder.
-    core::DisclosureConfig cfg;
-    cfg.epsilon_g = eps;
-    cfg.depth = kDepth;
-    cfg.arity = kArity;
-    cfg.include_group_counts = false;
-    cfg.validate_hierarchy = false;  // O(V*depth) check skipped at bench scale
+    core::SessionSpec spec;
+    spec.budget.epsilon_g = eps;
+    spec.hierarchy.depth = kDepth;
+    spec.hierarchy.arity = kArity;
+    // O(V*depth) check skipped at bench scale.
+    spec.hierarchy.validate_hierarchy = false;
+    spec.exec.include_group_counts = false;
     common::Rng rng(1000 + static_cast<std::uint64_t>(eps * 1e4));
-    const core::DisclosureResult built = core::RunDisclosure(g, cfg, rng);
+    const auto compiled = core::CompiledDisclosure::Compile(g, spec, rng);
 
-    // Average RER per level over repeated Phase-2 noise draws.
-    core::ReleaseConfig rel;
-    rel.epsilon_g = eps * (1.0 - cfg.phase1_fraction);
-    rel.include_group_counts = false;
-    const core::GroupDpEngine engine(rel);
-    std::vector<std::string> row{common::FormatDouble(eps, 3)};
-    for (int lvl = 0; lvl <= kMaxShownLevel; ++lvl) {
-      double total_rer = 0.0;
-      for (int t = 0; t < kTrials; ++t) {
-        total_rer += engine
-                         .ReleaseLevel(g, built.hierarchy.level(lvl), lvl, rng)
-                         .TotalRer();
+    // Average RER per level over repeated Phase-2 releases from the plan.
+    std::vector<double> total_rer(kMaxShownLevel + 1, 0.0);
+    for (int t = 0; t < kTrials; ++t) {
+      const core::MultiLevelRelease release =
+          compiled->Release(spec.budget, rng);
+      for (int lvl = 0; lvl <= kMaxShownLevel; ++lvl) {
+        total_rer[static_cast<std::size_t>(lvl)] += release.level(lvl).TotalRer();
       }
-      row.push_back(common::FormatPercent(total_rer / kTrials, 3));
+    }
+    std::vector<std::string> row{common::FormatDouble(eps, 3)};
+    for (const double total : total_rer) {
+      row.push_back(common::FormatPercent(total / kTrials, 3));
     }
     table.AddRow(std::move(row));
     std::cout << "# eps_g=" << eps << " done\n" << std::flush;

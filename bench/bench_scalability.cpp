@@ -97,30 +97,8 @@ void BM_LevelSensitivities(benchmark::State& state) {
 BENCHMARK(BM_LevelSensitivities)->Arg(10'000)->Arg(100'000)->Arg(640'000)
     ->Unit(benchmark::kMillisecond);
 
-// The legacy-vs-planned pair: identical output (parallel_release_test pins
-// bit-parity), different scan counts.  Legacy rescans the node set up to
-// three times per level; planned performs one scan + a parent-pointer rollup.
-void BM_ReleaseAll_Legacy(benchmark::State& state) {
-  const auto g = MakeGraph(state.range(0));
-  hier::SpecializationConfig cfg;
-  cfg.depth = 9;
-  cfg.validate_hierarchy = false;
-  const hier::Specializer spec(cfg);
-  common::Rng rng(5);
-  const auto built = spec.BuildHierarchy(g, rng);
-  core::ReleaseConfig rel;
-  rel.epsilon_g = 0.999;
-  rel.include_group_counts = true;
-  const core::GroupDpEngine engine(rel);
-  for (auto _ : state) {
-    auto release = engine.ReleaseAllLegacy(g, built.hierarchy, rng);
-    benchmark::DoNotOptimize(release.num_levels());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ReleaseAll_Legacy)->Arg(10'000)->Arg(100'000)->Arg(640'000)
-    ->Unit(benchmark::kMillisecond);
-
+// One full release from the plan, with the plan's node scan and rollup
+// inside the loop: the end-to-end cost of a release from a graph.
 void BM_ReleaseAll_Planned(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
   hier::SpecializationConfig cfg;
@@ -134,8 +112,8 @@ void BM_ReleaseAll_Planned(benchmark::State& state) {
   rel.include_group_counts = true;
   const core::GroupDpEngine engine(rel);
   for (auto _ : state) {
-    // Plan built inside the loop: the comparison with Legacy is end-to-end.
-    auto release = engine.ReleaseAll(g, built.hierarchy, rng);
+    auto release =
+        engine.Release(core::ReleasePlan::Build(g, built.hierarchy), rng);
     benchmark::DoNotOptimize(release.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -160,9 +138,11 @@ void BM_BuildReleasePlan(benchmark::State& state) {
 BENCHMARK(BM_BuildReleasePlan)->Arg(10'000)->Arg(100'000)->Arg(640'000)
     ->Unit(benchmark::kMillisecond);
 
-// Thread sweep at the acceptance configuration (640k edges, depth 9): plan
-// and pool are prebuilt, so this isolates the noise stage's multicore
-// scaling.  Arg pair = {edges, threads}.
+// Thread sweep of GroupDpEngine::Release (depth 9): plan and pool are
+// prebuilt, so this isolates the noise stage — per-level streams plus the
+// chunked within-level draw (one RNG substream per 8192-group chunk) — and
+// its multicore scaling.  Output is identical at every thread count.
+// Arg pair = {edges, threads}.
 void BM_ParallelReleaseAll(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
   hier::SpecializationConfig cfg;
@@ -178,47 +158,14 @@ void BM_ParallelReleaseAll(benchmark::State& state) {
   const auto plan = core::ReleasePlan::Build(g, built.hierarchy);
   common::ThreadPool pool(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto release = engine.ParallelReleaseAll(plan, rng, pool);
+    auto release = engine.Release(plan, rng, &pool);
     benchmark::DoNotOptimize(release.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ParallelReleaseAll)
-    ->Args({640'000, 0})  // 0 = hardware concurrency (the --threads 0 config)
-    ->Args({640'000, 1})
-    ->Args({640'000, 2})
-    ->Args({640'000, 4})
-    ->Args({640'000, 8})
-    ->Unit(benchmark::kMillisecond);
-
-// Within-level scaling: the level-0 per-group vector draw is the single
-// largest noise cost of a release (one sample per node), and per-level
-// parallelism cannot split it.  This sweeps threads over just that draw via
-// the chunked path (one RNG substream per 8192-group chunk — output is
-// identical at every thread count).  Arg pair = {edges, threads}.
-void BM_ParallelLevel0Noise(benchmark::State& state) {
-  const auto g = MakeGraph(state.range(0));
-  hier::SpecializationConfig cfg;
-  cfg.depth = 9;
-  cfg.validate_hierarchy = false;
-  const hier::Specializer spec(cfg);
-  common::Rng rng(5);
-  const auto built = spec.BuildHierarchy(g, rng);
-  core::ReleaseConfig rel;
-  rel.epsilon_g = 0.999;
-  rel.include_group_counts = true;
-  const core::GroupDpEngine engine(rel);
-  const auto plan = core::ReleasePlan::Build(g, built.hierarchy);
-  common::ThreadPool pool(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    auto release =
-        engine.ReleaseLevelFromPlan(plan, 0, rel.epsilon_g, rng, &pool);
-    benchmark::DoNotOptimize(release.noisy_group_counts.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ParallelLevel0Noise)
     ->Args({10'000, 2})  // small point: CI smoke + small-graph trajectory
+    ->Args({640'000, 0})  // 0 = hardware concurrency (the --threads 0 config)
     ->Args({640'000, 1})
     ->Args({640'000, 2})
     ->Args({640'000, 4})
@@ -308,16 +255,15 @@ const std::vector<double>& SweepEpsilons() {
 
 void BM_RebuildPerEpsilon(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
-  core::DisclosureConfig cfg;
-  cfg.depth = 9;
-  cfg.include_group_counts = true;
-  cfg.validate_hierarchy = false;
+  core::SessionSpec spec;
+  spec.hierarchy.depth = 9;
+  spec.hierarchy.validate_hierarchy = false;
   std::uint64_t seed = 300;
   for (auto _ : state) {
     common::Rng rng(++seed);
     for (const double eps : SweepEpsilons()) {
-      cfg.epsilon_g = eps;
-      auto result = core::RunDisclosure(g, cfg, rng);
+      spec.budget.epsilon_g = eps;
+      auto result = core::RunDisclosure(g, spec, rng);
       benchmark::DoNotOptimize(result.release.num_levels());
     }
   }
@@ -422,14 +368,14 @@ BENCHMARK(BM_MultiTenantServe)
 
 void BM_EndToEndDisclosure(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
-  core::DisclosureConfig cfg;
-  cfg.depth = 9;
-  cfg.include_group_counts = false;
-  cfg.validate_hierarchy = false;
+  core::SessionSpec spec;
+  spec.hierarchy.depth = 9;
+  spec.exec.include_group_counts = false;
+  spec.hierarchy.validate_hierarchy = false;
   std::uint64_t seed = 100;
   for (auto _ : state) {
     common::Rng rng(++seed);
-    auto result = core::RunDisclosure(g, cfg, rng);
+    auto result = core::RunDisclosure(g, spec, rng);
     benchmark::DoNotOptimize(result.release.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -4,7 +4,7 @@
 //   2. Open a DisclosureSession (Phase 1 + release plan, once) and release.
 //   3. Hand each privilege tier its level view and compare accuracy.
 //
-// The one-shot wrapper core::RunDisclosure(graph, config, rng) does steps
+// The one-shot wrapper core::RunDisclosure(graph, spec, rng) does steps
 // 2a+2b in a single call and is bit-identical; the session form shown here
 // is what you keep when you'll release more than once (see
 // examples/epsilon_sweep.cpp).

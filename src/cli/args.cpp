@@ -61,8 +61,16 @@ double Args::GetDouble(const std::string& name, double fallback) const {
     return fallback;
   }
   std::size_t consumed = 0;
-  const double value = std::stod(*raw, &consumed);
-  if (consumed != raw->size()) {
+  double value = 0.0;
+  try {
+    value = std::stod(*raw, &consumed);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("flag '--" + name + "': number '" + *raw +
+                                "' is out of range");
+  } catch (const std::invalid_argument&) {
+    consumed = 0;
+  }
+  if (consumed == 0 || consumed != raw->size()) {
     throw std::invalid_argument("flag '--" + name + "': bad number '" + *raw +
                                 "'");
   }
@@ -75,8 +83,16 @@ std::int64_t Args::GetInt(const std::string& name, std::int64_t fallback) const 
     return fallback;
   }
   std::size_t consumed = 0;
-  const std::int64_t value = std::stoll(*raw, &consumed);
-  if (consumed != raw->size()) {
+  std::int64_t value = 0;
+  try {
+    value = std::stoll(*raw, &consumed);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("flag '--" + name + "': integer '" + *raw +
+                                "' is out of range");
+  } catch (const std::invalid_argument&) {
+    consumed = 0;
+  }
+  if (consumed == 0 || consumed != raw->size()) {
     throw std::invalid_argument("flag '--" + name + "': bad integer '" + *raw +
                                 "'");
   }

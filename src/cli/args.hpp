@@ -28,7 +28,8 @@ class Args {
   [[nodiscard]] std::string GetOr(const std::string& name,
                                   const std::string& fallback) const;
 
-  // Typed accessors with validation.
+  // Typed accessors with validation: a non-numeric or out-of-range value
+  // throws std::invalid_argument naming the flag.
   [[nodiscard]] double GetDouble(const std::string& name, double fallback) const;
   [[nodiscard]] std::int64_t GetInt(const std::string& name,
                                     std::int64_t fallback) const;

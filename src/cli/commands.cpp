@@ -8,6 +8,7 @@
 #include <csignal>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -95,6 +96,42 @@ gdp::dp::AccountingPolicy ParseAccountingFlag(const std::string& value,
   strict = value.compare(0, kPrefixLen, kPrefix) == 0;
   return gdp::dp::ParseAccountingPolicy(strict ? value.substr(kPrefixLen)
                                                : value);
+}
+
+// An int-typed flag: GetInt's int64 must fit, or the value would narrow
+// silently (--depth 4294967301 compiling depth 5).
+int GetIntFlag(const Args& args, const std::string& name, int fallback) {
+  const std::int64_t value = args.GetInt(name, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("flag '--" + name + "': " +
+                                std::to_string(value) +
+                                " is outside the int range");
+  }
+  return static_cast<int>(value);
+}
+
+// The publication flags pack, disclose and serve share.  One parser, so the
+// three commands build the same SessionSpec from the same flags: a snapshot
+// packed with --compile is adopted by serve only when the fingerprints of
+// the two specs agree.  The caps are the one-shot grant: εg in total, 2δ of
+// per-level headroom.
+gdp::core::SessionSpec ParseSessionSpec(const Args& args) {
+  gdp::core::SessionSpec spec;
+  spec.budget.epsilon_g = args.GetDouble("eps", spec.budget.epsilon_g);
+  spec.budget.delta = args.GetDouble("delta", spec.budget.delta);
+  spec.hierarchy.depth = GetIntFlag(args, "depth", spec.hierarchy.depth);
+  spec.hierarchy.arity = GetIntFlag(args, "arity", spec.hierarchy.arity);
+  spec.exec.num_threads = GetIntFlag(args, "threads", spec.exec.num_threads);
+  const std::int64_t grain = args.GetInt(
+      "noise-grain", static_cast<std::int64_t>(spec.exec.noise_chunk_grain));
+  if (grain <= 0) {
+    throw std::invalid_argument("--noise-grain must be > 0");
+  }
+  spec.exec.noise_chunk_grain = static_cast<std::size_t>(grain);
+  spec.epsilon_cap = spec.budget.epsilon_g;
+  spec.delta_cap = spec.budget.delta * 2.0;
+  return spec;
 }
 
 bool IsCommentOrBlank(const std::string& line) {
@@ -508,22 +545,10 @@ int RunDisclose(const Args& args, std::ostream& out) {
   }
   const std::string release_path = Require(args, "release");
 
-  gdp::core::DisclosureConfig config;
-  config.epsilon_g = args.GetDouble("eps", 0.999);
-  config.delta = args.GetDouble("delta", 1e-5);
-  config.depth = static_cast<int>(args.GetInt("depth", 9));
-  config.arity = static_cast<int>(args.GetInt("arity", 4));
-  config.enforce_consistency = args.HasSwitch("consistent");
-  config.num_threads = static_cast<int>(args.GetInt("threads", 1));
-  config.accounting = ParseAccountingFlag(args.GetOr("accounting", "sequential"),
-                                          config.strict_level_charging);
-  const std::int64_t grain = args.GetInt(
-      "noise-grain",
-      static_cast<std::int64_t>(gdp::core::DisclosureConfig{}.noise_chunk_grain));
-  if (grain <= 0) {
-    throw std::invalid_argument("--noise-grain must be > 0");
-  }
-  config.noise_chunk_grain = static_cast<std::size_t>(grain);
+  gdp::core::SessionSpec spec = ParseSessionSpec(args);
+  spec.exec.enforce_consistency = args.HasSwitch("consistent");
+  spec.accounting = ParseAccountingFlag(args.GetOr("accounting", "sequential"),
+                                        spec.strict_level_charging);
 
   // --sweep ε1,ε2,…: parse before touching the filesystem.
   std::vector<std::pair<std::string, double>> sweep;
@@ -542,11 +567,10 @@ int RunDisclose(const Args& args, std::ostream& out) {
     // shows the whole spend against the whole grant.
     std::vector<gdp::core::BudgetSpec> points;
     points.reserve(sweep.size());
-    gdp::core::SessionSpec spec = config.ToSessionSpec();
     spec.epsilon_cap = spec.budget.phase1_epsilon();
-    spec.delta_cap = config.delta * static_cast<double>(sweep.size()) * 2.0;
+    spec.delta_cap = spec.budget.delta * static_cast<double>(sweep.size()) * 2.0;
     for (const auto& entry : sweep) {
-      gdp::core::BudgetSpec point = config.ToBudgetSpec();
+      gdp::core::BudgetSpec point = spec.budget;
       point.epsilon_g = entry.second;
       spec.epsilon_cap += point.phase2_epsilon();
       points.push_back(point);
@@ -576,7 +600,7 @@ int RunDisclose(const Args& args, std::ostream& out) {
     return 0;
   }
 
-  const auto result = gdp::core::RunDisclosure(graph, config, rng);
+  const auto result = gdp::core::RunDisclosure(graph, spec, rng);
   gdp::core::WriteReleaseFile(
       strip ? result.release.StripTruth() : result.release, release_path);
   out << "disclosed " << graph.Summary() << '\n';
@@ -680,22 +704,10 @@ int RunServe(const Args& args, std::ostream& out) {
     throw std::invalid_argument("--registry-capacity must be > 0");
   }
 
-  gdp::core::DisclosureConfig config;
-  config.epsilon_g = args.GetDouble("eps", 0.999);
-  config.delta = args.GetDouble("delta", 1e-5);
-  config.depth = static_cast<int>(args.GetInt("depth", 9));
-  config.arity = static_cast<int>(args.GetInt("arity", 4));
-  config.num_threads = static_cast<int>(args.GetInt("threads", 1));
-  const std::int64_t grain = args.GetInt(
-      "noise-grain",
-      static_cast<std::int64_t>(gdp::core::DisclosureConfig{}.noise_chunk_grain));
-  if (grain <= 0) {
-    throw std::invalid_argument("--noise-grain must be > 0");
-  }
-  config.noise_chunk_grain = static_cast<std::size_t>(grain);
+  gdp::core::SessionSpec spec = ParseSessionSpec(args);
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 42));
   const gdp::dp::AccountingPolicy default_accounting = ParseAccountingFlag(
-      args.GetOr("accounting", "sequential"), config.strict_level_charging);
+      args.GetOr("accounting", "sequential"), spec.strict_level_charging);
 
   const double dataset_eps_cap = args.GetDouble("dataset-eps-cap", 0.0);
   const double dataset_delta_cap = args.GetDouble("dataset-delta-cap", 0.0);
@@ -715,7 +727,7 @@ int RunServe(const Args& args, std::ostream& out) {
   std::optional<gdp::serve::Dataset> dataset;
   if (graph_path) {
     dataset.emplace(gdp::serve::Dataset{gdp::graph::ReadEdgeListFile(*graph_path),
-                                        config.ToSessionSpec(), seed, {}, {}});
+                                        spec, seed, {}, {}});
     out << "serving " << dataset->graph.Summary();
   } else {
     // Nothing is read here: the snapshot is mmap'd and validated by the
@@ -741,7 +753,7 @@ int RunServe(const Args& args, std::ostream& out) {
       svc.catalog().Register(dataset_name, std::move(*dataset));
     } else {
       svc.catalog().RegisterSnapshot(dataset_name, *snapshot_path,
-                                     config.ToSessionSpec(), seed);
+                                     spec, seed);
     }
     for (const auto& [id, profile] : tenants) {
       try {
@@ -806,7 +818,7 @@ int RunServe(const Args& args, std::ostream& out) {
   std::size_t granted = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const ServeRequest& req = requests[i];
-    gdp::core::BudgetSpec budget = config.ToBudgetSpec();
+    gdp::core::BudgetSpec budget = spec.budget;
     budget.epsilon_g = req.epsilon_g;
     if (req.delta > 0.0) {
       budget.delta = req.delta;
@@ -1142,22 +1154,10 @@ int RunPack(const Args& args, std::ostream& out) {
   const bool compile = args.HasSwitch("compile");
   const bool verify = args.HasSwitch("verify");
 
-  // Pack flags mirror serve's spec flags exactly: the fingerprint stored
-  // with --compile is Fingerprint(ToSessionSpec(), seed), so a serve run
-  // with the SAME flags adopts the embedded plan and skips Phase-1.
-  gdp::core::DisclosureConfig config;
-  config.epsilon_g = args.GetDouble("eps", 0.999);
-  config.delta = args.GetDouble("delta", 1e-5);
-  config.depth = static_cast<int>(args.GetInt("depth", 9));
-  config.arity = static_cast<int>(args.GetInt("arity", 4));
-  config.num_threads = static_cast<int>(args.GetInt("threads", 1));
-  const std::int64_t grain = args.GetInt(
-      "noise-grain",
-      static_cast<std::int64_t>(gdp::core::DisclosureConfig{}.noise_chunk_grain));
-  if (grain <= 0) {
-    throw std::invalid_argument("--noise-grain must be > 0");
-  }
-  config.noise_chunk_grain = static_cast<std::size_t>(grain);
+  // The fingerprint stored with --compile is Fingerprint(spec, seed) of the
+  // shared spec parser's output, so a serve run with the SAME flags adopts
+  // the embedded plan and skips Phase-1.
+  const gdp::core::SessionSpec spec = ParseSessionSpec(args);
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 42));
 
   // Two-pass streaming read: identical graph to ReadEdgeListFile, but the
@@ -1169,7 +1169,6 @@ int RunPack(const Args& args, std::ostream& out) {
   contents.graph = &graph;
   std::shared_ptr<const gdp::core::CompiledDisclosure> compiled;
   if (compile) {
-    const gdp::core::SessionSpec spec = config.ToSessionSpec();
     gdp::common::Rng rng(seed);
     compiled = gdp::core::CompiledDisclosure::Compile(graph, spec, rng);
     contents.hierarchy = &compiled->hierarchy();

@@ -169,8 +169,7 @@ std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::FromPrecompiled(
           std::to_string(level) + " group count does not match the hierarchy");
     }
   }
-  // Same pool policy as Compile: the exec spec, not the plan's provenance,
-  // decides the release draw-order contract.
+  // Same pool policy as Compile (the pool changes wall time only).
   std::unique_ptr<gdp::common::ThreadPool> pool;
   if (spec.exec.num_threads != 1) {
     pool = std::make_unique<gdp::common::ThreadPool>(spec.exec.num_threads);
@@ -273,9 +272,7 @@ MultiLevelRelease CompiledDisclosure::DrawRelease(const BudgetSpec& budget,
   rel.noise_chunk_grain = spec_.exec.noise_chunk_grain;
 
   const GroupDpEngine engine(rel, &mech_cache_);
-  MultiLevelRelease release =
-      pool_ != nullptr ? engine.ParallelReleaseAll(plan_, rng, *pool_)
-                       : engine.ReleaseAll(plan_, rng);
+  MultiLevelRelease release = engine.Release(plan_, rng, pool_.get());
   if (spec_.exec.enforce_consistency) {
     release = EnforceHierarchicalConsistency(hierarchy_, release);
   }

@@ -81,20 +81,18 @@ struct BudgetSpec {
 };
 
 // How work is executed and post-processed.  Fixed for the artifact's
-// lifetime; none of it is privacy-relevant (threads and grain change the
-// draw order contract, consistency/clamping are post-processing).
+// lifetime; none of it is privacy-relevant (the grain is part of the output
+// contract, consistency/clamping are post-processing).
 struct ExecSpec {
-  // Phase-2 worker threads.  1 (default) releases levels sequentially —
-  // bit-identical to the pre-plan pipeline.  Any other value builds an
-  // owned ThreadPool at Compile: the plan's node scan is sharded across it
-  // and releases use ParallelReleaseAll (per-level forked RNG streams plus
-  // chunked within-level vector noise) — seed-deterministic for ANY thread
-  // count, but a different (documented) draw order; 0 selects the hardware
-  // concurrency.
+  // Worker threads.  1 (default) runs everything on the calling thread; any
+  // other value builds an owned ThreadPool at Compile that shards Phase 1,
+  // the plan's node scan and every release's level/chunk draws; 0 selects
+  // the hardware concurrency.  Wall time only: the released values are
+  // bit-identical at every thread count.
   int num_threads{1};
-  // Groups per chunk for the within-level noise draw on the parallel path.
-  // Part of the reproducibility contract (one RNG substream per chunk):
-  // changing it changes the released values; thread count never does.
+  // Groups per chunk of a level's vector noise draw (GroupDpEngine's one
+  // draw order).  Part of the output contract: one RNG substream per chunk,
+  // so changing it changes the released values; thread count never does.
   std::size_t noise_chunk_grain{8192};
   // Also release per-group noisy counts at every level.
   bool include_group_counts{true};
@@ -284,7 +282,7 @@ class CompiledDisclosure {
   SessionSpec spec_;
   gdp::hier::GroupHierarchy hierarchy_;
   ReleasePlan plan_;
-  std::unique_ptr<gdp::common::ThreadPool> pool_;  // null on sequential path
+  std::unique_ptr<gdp::common::ThreadPool> pool_;  // null at num_threads == 1
   // One calibration cache for the artifact's lifetime, shared by every
   // tenant: repeated releases at an already-seen (kind, ε, δ, Δ) skip
   // calibration.  Internally mutex-guarded.

@@ -1,9 +1,11 @@
 #include "core/group_dp_engine.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "common/thread_pool.hpp"
-#include "core/group_sensitivity.hpp"
 #include "dp/discrete_gaussian.hpp"
 #include "dp/gaussian.hpp"
 #include "dp/geometric.hpp"
@@ -118,10 +120,6 @@ GroupDpEngine::GroupDpEngine(ReleaseConfig config, MechanismCache* shared_cache)
   // Validate eagerly so a bad config fails at construction, not mid-release.
   (void)gdp::dp::Epsilon(config_.epsilon_g);
   (void)gdp::dp::Delta(config_.delta);
-  if (config_.sensitivity_override && !(*config_.sensitivity_override > 0.0)) {
-    throw std::invalid_argument(
-        "GroupDpEngine: sensitivity_override must be > 0");
-  }
   if (config_.noise_chunk_grain == 0) {
     throw std::invalid_argument(
         "GroupDpEngine: noise_chunk_grain must be > 0");
@@ -134,91 +132,43 @@ double GroupDpEngine::NoiseStddevFor(double sensitivity) const {
       .NoiseStddev();
 }
 
-LevelRelease GroupDpEngine::ReleaseLevel(const BipartiteGraph& graph,
-                                         const Partition& level, int level_index,
-                                         gdp::common::Rng& rng) const {
-  return ReleaseLevelWithEpsilon(graph, level, level_index, config_.epsilon_g,
-                                 rng);
+MultiLevelRelease GroupDpEngine::Release(const ReleasePlan& plan,
+                                         gdp::common::Rng& rng,
+                                         gdp::common::ThreadPool* pool) const {
+  const auto n = static_cast<std::size_t>(plan.num_levels());
+  // One stream per level, forked in level order before any draw: level ℓ's
+  // noise depends only on (rng state, ℓ, grain), never on who draws it.
+  std::vector<gdp::common::Rng> streams = rng.ForkStreams(n);
+  std::vector<LevelRelease> levels(n);
+  const auto draw = [&](std::size_t i) {
+    levels[i] = DrawLevel(plan, static_cast<int>(i), streams[i], pool);
+  };
+  if (pool != nullptr) {
+    // Each level's chunks nest on the same pool; caller participation in
+    // ParallelForChunked makes the nesting deadlock-free.
+    pool->ParallelFor(n, draw);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      draw(i);
+    }
+  }
+  return MultiLevelRelease(std::move(levels));
 }
 
-LevelRelease GroupDpEngine::ReleaseLevelWithEpsilon(const BipartiteGraph& graph,
-                                                    const Partition& level,
-                                                    int level_index,
-                                                    double epsilon,
-                                                    gdp::common::Rng& rng) const {
-  LevelRelease out;
-  out.level = level_index;
-  out.true_total = static_cast<double>(graph.num_edges());
-
-  const double computed_sensitivity =
-      static_cast<double>(CountSensitivity(graph, level));
-  out.sensitivity = config_.sensitivity_override.value_or(computed_sensitivity);
-
-  if (computed_sensitivity == 0.0) {
-    // Edgeless graph: nothing to protect, release exactly.  This holds even
-    // under a sensitivity_override — a vector mechanism cannot be calibrated
-    // for Δℓ = 0 (VectorSensitivity throws), and there is no association for
-    // the override to bound, so the recorded sensitivity is the computed 0.
-    out.sensitivity = 0.0;
-    out.noisy_total = out.true_total;
-    if (config_.include_group_counts) {
-      out.true_group_counts.assign(level.num_groups(), 0.0);
-      out.noisy_group_counts.assign(level.num_groups(), 0.0);
-    }
-    return out;
-  }
-
-  const auto& scalar_mechanism =
-      cache().Get(config_.noise, epsilon, config_.delta, out.sensitivity);
-  out.noise_stddev = scalar_mechanism.NoiseStddev();
-  out.noisy_total = scalar_mechanism.AddNoise(out.true_total, rng);
-
-  if (config_.include_group_counts) {
-    const std::vector<gdp::graph::EdgeCount> sums = level.GroupDegreeSums(graph);
-    out.true_group_counts.reserve(sums.size());
-    for (const auto s : sums) {
-      out.true_group_counts.push_back(static_cast<double>(s));
-    }
-    // Per-group vector: one group's change moves its own entry by up to Δℓ
-    // and opposite-side entries by up to Δℓ in total, so calibrate with the
-    // sqrt(2)·Δℓ L2 bound (see group_sensitivity.hpp).  Served from the
-    // same cache as the plan path — the calibration key is identical.
-    const auto& vector_mechanism =
-        cache().Get(config_.noise, epsilon, config_.delta,
-                    VectorSensitivity(graph, level).value());
-    out.group_noise_stddev = vector_mechanism.NoiseStddev();
-    out.noisy_group_counts =
-        vector_mechanism.AddNoise(out.true_group_counts, rng);
-  }
-
-  if (config_.clamp_nonnegative) {
-    out.noisy_total = std::max(0.0, out.noisy_total);
-    for (double& c : out.noisy_group_counts) {
-      c = std::max(0.0, c);
-    }
-  }
-  return out;
-}
-
-LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
-    const ReleasePlan& plan, int level_index, double epsilon,
-    gdp::common::Rng& rng, gdp::common::ThreadPool* pool) const {
+LevelRelease GroupDpEngine::DrawLevel(const ReleasePlan& plan, int level_index,
+                                      gdp::common::Rng& rng,
+                                      gdp::common::ThreadPool* pool) const {
   LevelRelease out;
   out.level = level_index;
   out.true_total = static_cast<double>(plan.num_edges());
-
-  const gdp::graph::EdgeCount computed = plan.CountSensitivity(level_index);
-  out.sensitivity =
-      config_.sensitivity_override.value_or(static_cast<double>(computed));
+  out.sensitivity = static_cast<double>(plan.CountSensitivity(level_index));
 
   const std::span<const gdp::graph::EdgeCount> sums =
       plan.GroupDegreeSums(level_index);
 
-  if (computed == 0) {
-    // Edgeless graph: release exactly, even under a sensitivity_override
-    // (same contract as the per-level path — nothing to protect, and Δℓ = 0
-    // cannot calibrate the vector mechanism).
-    out.sensitivity = 0.0;
+  if (out.sensitivity == 0.0) {
+    // Edgeless graph: nothing to protect, release exactly (and Δℓ = 0
+    // cannot calibrate a mechanism).
     out.noisy_total = out.true_total;
     if (config_.include_group_counts) {
       out.true_group_counts.assign(sums.size(), 0.0);
@@ -227,40 +177,45 @@ LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
     return out;
   }
 
-  const auto& scalar_mechanism =
-      cache().Get(config_.noise, epsilon, config_.delta, out.sensitivity);
+  const auto& scalar_mechanism = cache().Get(
+      config_.noise, config_.epsilon_g, config_.delta, out.sensitivity);
   out.noise_stddev = scalar_mechanism.NoiseStddev();
   out.noisy_total = scalar_mechanism.AddNoise(out.true_total, rng);
 
   if (config_.include_group_counts) {
-    out.true_group_counts.reserve(sums.size());
-    for (const auto s : sums) {
-      out.true_group_counts.push_back(static_cast<double>(s));
-    }
-    // Same sqrt(2)·Δℓ bound as the per-level path; Δℓ here is the computed
-    // (not overridden) scalar, matching the legacy calibration exactly.
-    const auto& vector_mechanism = cache().Get(
-        config_.noise, epsilon, config_.delta, plan.VectorSensitivity(level_index));
+    out.true_group_counts.assign(sums.begin(), sums.end());
+    // Per-group vector: one group's change moves its own entry by up to Δℓ
+    // and opposite-side entries by up to Δℓ in total, so calibrate with the
+    // sqrt(2)·Δℓ L2 bound (see group_sensitivity.hpp).
+    const auto& vector_mechanism =
+        cache().Get(config_.noise, config_.epsilon_g, config_.delta,
+                    plan.VectorSensitivity(level_index));
     out.group_noise_stddev = vector_mechanism.NoiseStddev();
 
     const std::size_t grain = config_.noise_chunk_grain;
     const std::size_t n = out.true_group_counts.size();
-    if (pool != nullptr && n > grain) {
-      // Within-level parallel draw.  Chunk layout depends only on (n, grain)
-      // and the substreams are forked in chunk order BEFORE dispatch, so the
-      // released values are bit-identical for any thread count or schedule.
+    if (n > grain) {
+      // Chunk layout depends only on (n, grain), and the substreams are
+      // forked in chunk order before dispatch, so the pool (if any) cannot
+      // change the released values.
       const std::size_t num_chunks = (n + grain - 1) / grain;
       std::vector<gdp::common::Rng> streams = rng.ForkStreams(num_chunks);
       out.noisy_group_counts.resize(n);
-      pool->ParallelForChunked(
-          n, grain,
-          [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-            gdp::common::Rng& chunk_rng = streams[chunk];
-            for (std::size_t i = begin; i < end; ++i) {
-              out.noisy_group_counts[i] =
-                  vector_mechanism.AddNoise(out.true_group_counts[i], chunk_rng);
-            }
-          });
+      const auto draw_chunk = [&](std::size_t chunk, std::size_t begin,
+                                  std::size_t end) {
+        gdp::common::Rng& chunk_rng = streams[chunk];
+        for (std::size_t i = begin; i < end; ++i) {
+          out.noisy_group_counts[i] =
+              vector_mechanism.AddNoise(out.true_group_counts[i], chunk_rng);
+        }
+      };
+      if (pool != nullptr) {
+        pool->ParallelForChunked(n, grain, draw_chunk);
+      } else {
+        for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
+          draw_chunk(chunk, chunk * grain, std::min(n, (chunk + 1) * grain));
+        }
+      }
     } else {
       out.noisy_group_counts =
           vector_mechanism.AddNoise(out.true_group_counts, rng);
@@ -274,94 +229,6 @@ LevelRelease GroupDpEngine::ReleaseLevelFromPlan(
     }
   }
   return out;
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAll(const BipartiteGraph& graph,
-                                            const GroupHierarchy& hierarchy,
-                                            gdp::common::Rng& rng) const {
-  return ReleaseAll(ReleasePlan::Build(graph, hierarchy), rng);
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAll(const ReleasePlan& plan,
-                                            gdp::common::Rng& rng) const {
-  std::vector<LevelRelease> levels;
-  levels.reserve(static_cast<std::size_t>(plan.num_levels()));
-  for (int i = 0; i < plan.num_levels(); ++i) {
-    levels.push_back(ReleaseLevelFromPlan(plan, i, config_.epsilon_g, rng));
-  }
-  return MultiLevelRelease(std::move(levels));
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAllLegacy(const BipartiteGraph& graph,
-                                                  const GroupHierarchy& hierarchy,
-                                                  gdp::common::Rng& rng) const {
-  std::vector<LevelRelease> levels;
-  levels.reserve(static_cast<std::size_t>(hierarchy.num_levels()));
-  for (int i = 0; i < hierarchy.num_levels(); ++i) {
-    levels.push_back(ReleaseLevel(graph, hierarchy.level(i), i, rng));
-  }
-  return MultiLevelRelease(std::move(levels));
-}
-
-MultiLevelRelease GroupDpEngine::ParallelReleaseAll(
-    const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-    gdp::common::Rng& rng, int num_threads) const {
-  gdp::common::ThreadPool pool(num_threads);
-  // Shard the plan's single node scan across the same pool (exactly equal
-  // to the sequential Build — integer sums over disjoint node shards).
-  const ReleasePlan plan = ReleasePlan::Build(graph, hierarchy, pool);
-  return ParallelReleaseAll(plan, rng, pool);
-}
-
-MultiLevelRelease GroupDpEngine::ParallelReleaseAll(
-    const ReleasePlan& plan, gdp::common::Rng& rng,
-    gdp::common::ThreadPool& pool) const {
-  const int n = plan.num_levels();
-  // Fork one decorrelated child stream per level BEFORE dispatch, in level
-  // order: the fork sequence depends only on the incoming rng state, so the
-  // released values are identical whatever the thread count or schedule.
-  std::vector<gdp::common::Rng> streams =
-      rng.ForkStreams(static_cast<std::size_t>(n));
-  std::vector<LevelRelease> levels(static_cast<std::size_t>(n));
-  pool.ParallelFor(static_cast<std::size_t>(n), [&](std::size_t i) {
-    // Nested use of the same pool: each large level's vector draw is split
-    // into chunks (caller participation in ParallelForChunked makes the
-    // nesting deadlock-free).
-    levels[i] = ReleaseLevelFromPlan(plan, static_cast<int>(i),
-                                     config_.epsilon_g, streams[i], &pool);
-  });
-  return MultiLevelRelease(std::move(levels));
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAllWithBudgets(
-    const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-    std::span<const double> per_level_epsilon, gdp::common::Rng& rng) const {
-  if (per_level_epsilon.size() !=
-      static_cast<std::size_t>(hierarchy.num_levels())) {
-    throw std::invalid_argument(
-        "ReleaseAllWithBudgets: one epsilon required per level");
-  }
-  return ReleaseAllWithBudgets(ReleasePlan::Build(graph, hierarchy),
-                               per_level_epsilon, rng);
-}
-
-MultiLevelRelease GroupDpEngine::ReleaseAllWithBudgets(
-    const ReleasePlan& plan, std::span<const double> per_level_epsilon,
-    gdp::common::Rng& rng) const {
-  if (per_level_epsilon.size() != static_cast<std::size_t>(plan.num_levels())) {
-    throw std::invalid_argument(
-        "ReleaseAllWithBudgets: one epsilon required per level");
-  }
-  for (const double eps : per_level_epsilon) {
-    (void)gdp::dp::Epsilon(eps);  // validates
-  }
-  std::vector<LevelRelease> levels;
-  levels.reserve(static_cast<std::size_t>(plan.num_levels()));
-  for (int i = 0; i < plan.num_levels(); ++i) {
-    levels.push_back(ReleaseLevelFromPlan(
-        plan, i, per_level_epsilon[static_cast<std::size_t>(i)], rng));
-  }
-  return MultiLevelRelease(std::move(levels));
 }
 
 }  // namespace gdp::core

@@ -6,34 +6,21 @@
 // Gaussian/Laplace mechanism guarantee, each level's release satisfies
 // εg-group-DP with respect to level-ℓ group adjacency.
 //
-// RELEASE PATHS: multi-level releases are plan-based — a ReleasePlan computes
-// every level's statistics in one O(V + total groups) sweep (see
-// release_plan.hpp), and the engine consumes the cached values.  The
-// pre-plan per-level path (up to three node scans per level) is retained as
-// ReleaseAllLegacy: it is the bench comparator and the parity oracle —
-// plan-based output is bit-identical to it under the same seed.
-// ParallelReleaseAll releases levels concurrently on a ThreadPool with one
-// forked RNG stream per level, and additionally splits each large level's
-// per-group vector noise into fixed-size chunks with one RNG substream per
-// chunk (forked in chunk order before dispatch).  Output is therefore
-// seed-deterministic for every thread count — the chunk layout depends only
-// on the group count and ReleaseConfig::noise_chunk_grain — but
-// intentionally differs from the sequential draw order.
+// ONE RELEASE PATH, ONE DRAW ORDER: GroupDpEngine::Release consumes a
+// ReleasePlan (every level's statistics from one node sweep, see
+// release_plan.hpp) and draws in the same order with or without a
+// ThreadPool, so the output is a function of (rng state, grain) alone.
 //
 // SENSITIVITY CAVEAT (documented honestly): following the paper, Δℓ is
 // computed from the dataset's own hierarchy, i.e. it is a *local* rather
 // than worst-case-global sensitivity.  The hierarchy itself was produced by
 // the DP Exponential Mechanism in Phase 1, which is the paper's argument for
-// treating the level structure as safe metadata.  A deployment wanting
-// worst-case guarantees can pass an explicit sensitivity bound via
-// ReleaseConfig::sensitivity_override.
+// treating the level structure as safe metadata.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -76,14 +63,9 @@ struct ReleaseConfig {
   // Post-processing: clamp noisy counts at 0 (counts cannot be negative).
   // Off by default to match the paper's raw-RER measurements.
   bool clamp_nonnegative{false};
-  // When set, use this Δ for every level instead of the computed one.
-  // A level whose COMPUTED Δℓ is 0 (edgeless graph) is still released
-  // exactly: there are no associations to protect, so the override cannot
-  // manufacture noise for it.
-  std::optional<double> sensitivity_override;
-  // Groups per chunk for the within-level parallel vector noise draw (pool
-  // paths only).  Part of the output's reproducibility contract: one RNG
-  // substream is forked per chunk, so changing the grain re-splits the
+  // Groups per chunk of a level's per-group vector noise draw.  Part of the
+  // output's reproducibility contract: a level with more groups than this
+  // forks one RNG substream per chunk, so changing the grain re-splits the
   // stream and changes the released values — thread count never does.
   std::size_t noise_chunk_grain{8192};
 };
@@ -146,71 +128,21 @@ class GroupDpEngine {
   GroupDpEngine(const GroupDpEngine&) = delete;
   GroupDpEngine& operator=(const GroupDpEngine&) = delete;
 
-  // Release one level.  `level_index` is recorded in the artifact.
-  // A level whose sensitivity is zero (edgeless graph) is released exactly —
-  // there are no associations to protect.  Per-level node scans (no plan).
-  [[nodiscard]] LevelRelease ReleaseLevel(const BipartiteGraph& graph,
-                                          const Partition& level,
-                                          int level_index,
-                                          gdp::common::Rng& rng) const;
-
-  // Release every level of the hierarchy with the configured εg per level
-  // (the paper's scheme: each level carries its own εg-group-DP guarantee
-  // under its own adjacency relation).  Builds a ReleasePlan internally:
-  // one node scan total, bit-identical to ReleaseAllLegacy.
-  [[nodiscard]] MultiLevelRelease ReleaseAll(const BipartiteGraph& graph,
-                                             const GroupHierarchy& hierarchy,
-                                             gdp::common::Rng& rng) const;
-
-  // Same, from a caller-owned plan (amortise the sweep across repeated
-  // releases of one graph/hierarchy pair).
-  [[nodiscard]] MultiLevelRelease ReleaseAll(const ReleasePlan& plan,
-                                             gdp::common::Rng& rng) const;
-
-  // The pre-plan path: every level rescans the node set (CountSensitivity,
-  // group counts, VectorSensitivity) and calibrates fresh mechanisms.  Kept
-  // as the benchmark comparator and the parity oracle for the plan path.
-  [[nodiscard]] MultiLevelRelease ReleaseAllLegacy(
-      const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-      gdp::common::Rng& rng) const;
-
-  // Release levels concurrently.  Each level draws from its own child RNG
-  // stream forked from `rng` in level order before dispatch, so the output
-  // depends only on the seed — NOT on the thread count or schedule.
-  // num_threads <= 0 selects the hardware concurrency.
-  [[nodiscard]] MultiLevelRelease ParallelReleaseAll(
-      const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-      gdp::common::Rng& rng, int num_threads = 0) const;
-
-  // Same, from a caller-owned plan and pool (servers reuse both).
-  [[nodiscard]] MultiLevelRelease ParallelReleaseAll(
+  // Release every level of the plan with the configured εg per level (the
+  // paper's scheme: each level carries its own εg-group-DP guarantee under
+  // its own adjacency relation).  Level ℓ draws from the ℓ-th stream of
+  // rng.ForkStreams(plan.num_levels()); a level with more than
+  // noise_chunk_grain groups draws chunk c of its vector noise from the c-th
+  // stream its level stream forks.  Every stream is forked before any work
+  // is dispatched, so levels and chunks run inline without a pool and across
+  // `pool` with one, bit-identically for every pool size; and level ℓ's
+  // noise depends on nothing but (rng state, ℓ, grain), so drawing one level
+  // equals slicing the full release.  A level whose sensitivity is zero
+  // (edgeless graph) is released exactly: there are no associations to
+  // protect.
+  [[nodiscard]] MultiLevelRelease Release(
       const ReleasePlan& plan, gdp::common::Rng& rng,
-      gdp::common::ThreadPool& pool) const;
-
-  // Release with an explicit per-level budget (one epsilon per hierarchy
-  // level, e.g. from PlanLevelBudgets).  Summing the epsilons gives the
-  // sequential-composition cost of protecting every level simultaneously —
-  // the stronger guarantee bench_ablation_planned_budgets quantifies.
-  // Requires per_level_epsilon.size() == hierarchy.num_levels(), all > 0.
-  [[nodiscard]] MultiLevelRelease ReleaseAllWithBudgets(
-      const BipartiteGraph& graph, const GroupHierarchy& hierarchy,
-      std::span<const double> per_level_epsilon, gdp::common::Rng& rng) const;
-
-  [[nodiscard]] MultiLevelRelease ReleaseAllWithBudgets(
-      const ReleasePlan& plan, std::span<const double> per_level_epsilon,
-      gdp::common::Rng& rng) const;
-
-  // Plan path for one level: all statistics are cached lookups; mechanisms
-  // are memoized.  When `pool` is non-null and the level has more groups
-  // than config().noise_chunk_grain, the per-group vector noise is drawn in
-  // fixed-size chunks across the pool, one RNG substream per chunk forked
-  // from `rng` in chunk order BEFORE dispatch — bit-identical for any pool
-  // size (and to the pool == nullptr draw order only when the level fits in
-  // a single chunk).  Public so per-level services and benches can release
-  // one level without paying for the rest.
-  [[nodiscard]] LevelRelease ReleaseLevelFromPlan(
-      const ReleasePlan& plan, int level_index, double epsilon,
-      gdp::common::Rng& rng, gdp::common::ThreadPool* pool = nullptr) const;
+      gdp::common::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const ReleaseConfig& config() const noexcept { return config_; }
 
@@ -218,20 +150,17 @@ class GroupDpEngine {
   // expected-error analysis and tests).  Served from the mechanism cache.
   [[nodiscard]] double NoiseStddevFor(double sensitivity) const;
 
-  // Number of distinct calibrations memoized so far (tests assert that the
-  // legacy and plan paths share cache entries instead of re-deriving).
+  // Number of distinct calibrations memoized so far (tests assert repeat
+  // releases hit the cache instead of re-deriving).
   [[nodiscard]] std::size_t MechanismCacheSize() const {
     return cache().size();
   }
 
  private:
-  // Per-level node-scan path (the seed implementation), served from the
-  // same mechanism cache as the plan path.
-  [[nodiscard]] LevelRelease ReleaseLevelWithEpsilon(const BipartiteGraph& graph,
-                                                     const Partition& level,
-                                                     int level_index,
-                                                     double epsilon,
-                                                     gdp::common::Rng& rng) const;
+  // Level `level_index` of Release, drawn from its own level stream.
+  [[nodiscard]] LevelRelease DrawLevel(const ReleasePlan& plan, int level_index,
+                                       gdp::common::Rng& level_rng,
+                                       gdp::common::ThreadPool* pool) const;
 
   // The shared cache when one was given, else the owned one.
   [[nodiscard]] MechanismCache& cache() const noexcept {

@@ -1,9 +1,9 @@
 // ReleasePlan: the precomputed statistics Phase 2 needs, for every level at
 // once.
 //
-// The legacy release path rescanned the node set up to three times per level
-// (CountSensitivity, the per-group count pass, VectorSensitivity), i.e.
-// O(levels · V) for a full multi-level release.  A plan performs ONE node
+// Computing each level's statistics from the graph directly takes up to three
+// node scans per level (CountSensitivity, the per-group count pass,
+// VectorSensitivity), i.e. O(levels · V) per release.  A plan performs ONE node
 // scan — the singleton-level group degree sums, which are just the node
 // degrees — and rolls sums up the hierarchy through the finer levels' parent
 // pointers, O(V + total groups) overall.  Everything the engine consumes per
@@ -18,11 +18,11 @@
 // level_offsets[ℓ+1])), so the whole plan serializes as three flat columns —
 // exactly the GDPSNAP01 plan sections — and FromColumns can adopt them
 // zero-copy out of an mmap'd snapshot.  The rollup is exact integer
-// arithmetic over the same disjoint unions of nodes, so a plan-based release
-// is bit-identical to the per-level path, and a snapshot-adopted plan is
+// arithmetic over the same disjoint unions of nodes, so the plan's statistics
+// equal core/group_sensitivity's direct scans, and a snapshot-adopted plan is
 // bit-identical to a freshly built one (release_plan_test / snapshot_test
 // assert this).  Plans are immutable after Build and safe to share across
-// threads (ParallelReleaseAll reads one concurrently).
+// threads (GroupDpEngine::Release reads one from every pool worker).
 #pragma once
 
 #include <cstdint>

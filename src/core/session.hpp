@@ -16,9 +16,8 @@
 // DETERMINISM: a session adds no randomness of its own.  Open consumes the
 // caller's Rng exactly as the one-shot pipeline's Phase 1 did, and each
 // Release draws only from the Rng passed to it, so a release is bit-identical
-// to the corresponding one-shot RunDisclosure under the same seed — on the
-// sequential path and, with ExecSpec::num_threads != 1, on the parallel path
-// for ANY thread count (ExecSpec::noise_chunk_grain is part of the output
+// to the corresponding one-shot RunDisclosure under the same seed, at every
+// ExecSpec::num_threads (ExecSpec::noise_chunk_grain is part of the output
 // contract; thread count never is).  A tenant served from a registry-cached
 // artifact is bit-identical to a fresh session at the same seeds.
 //

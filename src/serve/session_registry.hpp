@@ -3,8 +3,8 @@
 // The registry caches CompiledDisclosure artifacts keyed by
 // (dataset, graph shape, fingerprint) where the fingerprint canonically
 // encodes every spec input the compiled bits depend on: hierarchy shape,
-// opening budget, the exec contract (threads change the draw-order
-// contract, grain is part of the output), and the compile seed.  The graph's
+// opening budget, the exec contract (grain is part of the output; the
+// thread count is not), and the compile seed.  The graph's
 // node/edge counts are folded into the key as a cheap identity proxy, so a
 // dataset name rebound to a different graph misses instead of serving stale
 // statistics.  Two tenants asking for the same
@@ -57,9 +57,9 @@ class SessionRegistry {
   explicit SessionRegistry(std::size_t capacity);
 
   // The canonical identity of a compiled artifact: every spec field that
-  // changes the compiled bits or the release draw-order contract, plus the
-  // compile seed.  Caps are EXCLUDED — they are per-tenant grants, not part
-  // of the artifact.
+  // changes the compiled bits or the released values, plus the compile
+  // seed.  Caps are EXCLUDED — they are per-tenant grants, not part of the
+  // artifact — and so is the thread count, which changes wall time only.
   [[nodiscard]] static std::string Fingerprint(
       const gdp::core::SessionSpec& spec, std::uint64_t compile_seed);
 

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "common/error.hpp"
@@ -151,15 +153,15 @@ TEST(CliDispatchTest, DiscloseRejectsMalformedSweepList) {
 
 TEST_F(CliRoundTripTest, ThreadedDiscloseMatchesAnyThreadCount) {
   // --threads T with a fixed seed and grain: the artifact is identical for
-  // every T (the within-level chunk layout is thread-count independent).
+  // every T, 1 (no pool) included — the pool only changes who draws.
   std::ostringstream out;
   ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "400",
                       "--right", "400", "--edges", "2500", "--seed", "9"},
                      out),
             0);
-  std::string artifacts[2];
-  const char* thread_args[] = {"2", "8"};
-  for (int i = 0; i < 2; ++i) {
+  std::string artifacts[3];
+  const char* thread_args[] = {"1", "2", "8"};
+  for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(Dispatch({"disclose", "--graph", graph_path_, "--release",
                         release_path_, "--depth", "4", "--seed", "11",
                         "--threads", thread_args[i], "--noise-grain", "128"},
@@ -170,6 +172,7 @@ TEST_F(CliRoundTripTest, ThreadedDiscloseMatchesAnyThreadCount) {
                         std::istreambuf_iterator<char>());
   }
   EXPECT_EQ(artifacts[0], artifacts[1]);
+  EXPECT_EQ(artifacts[0], artifacts[2]);
   EXPECT_FALSE(artifacts[0].empty());
 }
 
@@ -368,6 +371,40 @@ TEST(CliDispatchTest, ServeRejectsBadTenantAccountingColumn) {
                gdp::common::IoError);
   std::remove(tenants_path.c_str());
   std::remove(requests_path.c_str());
+}
+
+// The error text of a disclose run that must fail on its flags alone.
+std::string DiscloseFlagError(const std::vector<std::string>& flags) {
+  std::vector<std::string> tokens{"disclose", "--graph", "g", "--release", "r"};
+  tokens.insert(tokens.end(), flags.begin(), flags.end());
+  std::ostringstream out;
+  try {
+    (void)Dispatch(tokens, out);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(no error)";
+}
+
+TEST(CliDispatchTest, DiscloseRejectsIntFlagsOutsideIntRange) {
+  // 4294967301 = 2^32 + 5 would narrow to 5 if cast to int unchecked.
+  for (const std::string flag : {"--depth", "--arity", "--threads"}) {
+    const std::string what = DiscloseFlagError({flag, "4294967301"});
+    EXPECT_NE(what.find(flag), std::string::npos) << what;
+    EXPECT_NE(what.find("int range"), std::string::npos) << what;
+  }
+}
+
+TEST(CliDispatchTest, DiscloseNamesTheFlagOfANonNumericValue) {
+  const std::string what = DiscloseFlagError({"--depth", "abc"});
+  EXPECT_NE(what.find("--depth"), std::string::npos) << what;
+  EXPECT_NE(what.find("abc"), std::string::npos) << what;
+}
+
+TEST(CliDispatchTest, DiscloseNamesTheFlagOfAnOutOfRangeNumber) {
+  const std::string what = DiscloseFlagError({"--eps", "1e999"});
+  EXPECT_NE(what.find("--eps"), std::string::npos) << what;
+  EXPECT_NE(what.find("out of range"), std::string::npos) << what;
 }
 
 TEST(CliDispatchTest, DiscloseRejectsNonPositiveNoiseGrain) {

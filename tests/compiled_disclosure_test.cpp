@@ -161,9 +161,9 @@ TEST(CompiledDisclosureTest, ConcurrentReleasesBitIdenticalToSequential) {
 
 TEST(CompiledDisclosureTest, ConcurrentTenantHandlesOnSharedPool) {
   // exec.num_threads != 1 gives the artifact an owned ThreadPool that every
-  // tenant's release shares; concurrent ParallelReleaseAll calls must not
-  // race each other (each carries its own completion state) and stay
-  // bit-identical to the sequential draws.
+  // tenant's release shares; concurrent pooled releases must not race each
+  // other (each carries its own completion state) and stay bit-identical to
+  // one-at-a-time draws.
   const BipartiteGraph g = TestGraph();
   SessionSpec spec = SmallSpec();
   spec.exec.num_threads = 2;

@@ -41,7 +41,7 @@ MultiLevelRelease NoisyRelease(const BipartiteGraph& g, const GroupHierarchy& h,
   cfg.include_group_counts = true;
   const GroupDpEngine engine(cfg);
   Rng rng(seed);
-  return engine.ReleaseAll(g, h, rng);
+  return engine.Release(ReleasePlan::Build(g, h), rng);
 }
 
 TEST(ConsistencyTest, RawReleaseIsInconsistent) {
@@ -127,7 +127,7 @@ TEST(ConsistencyTest, RejectsReleaseWithoutGroupCounts) {
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
   Rng rng(13);
-  const MultiLevelRelease bare = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease bare = engine.Release(ReleasePlan::Build(g, h), rng);
   EXPECT_THROW((void)EnforceHierarchicalConsistency(h, bare),
                std::invalid_argument);
   EXPECT_THROW((void)IsHierarchicallyConsistent(h, bare), std::invalid_argument);

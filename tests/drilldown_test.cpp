@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "core/group_dp_engine.hpp"
+#include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
 
@@ -30,7 +33,7 @@ Fixture MakeFixture() {
   auto hierarchy = spec.BuildHierarchy(g, srng).hierarchy;
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(7);
-  auto release = engine.ReleaseAll(g, hierarchy, rng);
+  auto release = engine.Release(ReleasePlan::Build(g, hierarchy), rng);
   return Fixture{std::move(g), std::move(hierarchy), std::move(release)};
 }
 
@@ -93,7 +96,8 @@ TEST(DrillDownTest, RejectsReleaseWithoutGroupCounts) {
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
   Rng rng(11);
-  const MultiLevelRelease bare = engine.ReleaseAll(f.graph, f.hierarchy, rng);
+  const MultiLevelRelease bare =
+      engine.Release(ReleasePlan::Build(f.graph, f.hierarchy), rng);
   EXPECT_THROW((void)DrillDown(bare, index, Side::kLeft, 0, 4, 0),
                std::invalid_argument);
 }
@@ -108,37 +112,58 @@ TEST(DrillDownTest, StrippedReleaseYieldsZeroTruth) {
   }
 }
 
-TEST(ReleaseAllWithBudgetsTest, PerLevelEpsilonsChangeNoiseScales) {
+// A per-level budget (one ε per level, e.g. from PlanLevelBudgets) releases
+// each level through an engine of its own at that level's ε.
+MultiLevelRelease ReleaseWithPerLevelBudgets(const ReleasePlan& plan,
+                                             const std::vector<double>& budgets,
+                                             std::uint64_t seed) {
+  std::vector<LevelRelease> levels;
+  for (int lvl = 0; lvl < plan.num_levels(); ++lvl) {
+    ReleaseConfig cfg;
+    cfg.epsilon_g = budgets.at(static_cast<std::size_t>(lvl));
+    cfg.include_group_counts = false;
+    const GroupDpEngine engine(cfg);
+    Rng rng(seed);
+    levels.push_back(engine.Release(plan, rng).level(lvl));
+  }
+  return MultiLevelRelease(std::move(levels));
+}
+
+TEST(PerLevelBudgetTest, PerLevelEpsilonsChangeNoiseScales) {
   const Fixture f = MakeFixture();
+  const ReleasePlan plan = ReleasePlan::Build(f.graph, f.hierarchy);
   ReleaseConfig cfg;
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
   // Increasing epsilon per level: noise scale relative to the uniform
   // release must shrink at generously-budgeted levels.
   const std::vector<double> budgets{0.1, 0.2, 0.4, 0.8, 1.6};
-  Rng rng(13);
-  const MultiLevelRelease planned =
-      engine.ReleaseAllWithBudgets(f.graph, f.hierarchy, budgets, rng);
+  const MultiLevelRelease planned = ReleaseWithPerLevelBudgets(plan, budgets, 13);
   Rng rng2(13);
-  const MultiLevelRelease uniform = engine.ReleaseAll(f.graph, f.hierarchy, rng2);
+  const MultiLevelRelease uniform = engine.Release(plan, rng2);
   // Level 0 budget (0.1) < uniform (0.999): more noise.
   EXPECT_GT(planned.level(0).noise_stddev, uniform.level(0).noise_stddev);
   // Level 4 budget (1.6) > uniform: less noise.
   EXPECT_LT(planned.level(4).noise_stddev, uniform.level(4).noise_stddev);
 }
 
-TEST(ReleaseAllWithBudgetsTest, ValidatesBudgetVector) {
+TEST(PerLevelBudgetTest, LevelNoiseDependsOnlyOnItsOwnStream) {
+  // Level ℓ draws from the ℓ-th forked stream alone, so at one seed a level
+  // released at ε differs from the same level at ε' only by its noise
+  // scale: the standardized Gaussian draw is the same sample.
   const Fixture f = MakeFixture();
-  const GroupDpEngine engine(ReleaseConfig{});
-  Rng rng(17);
-  const std::vector<double> too_short{0.5, 0.5};
-  EXPECT_THROW((void)engine.ReleaseAllWithBudgets(f.graph, f.hierarchy,
-                                                  too_short, rng),
-               std::invalid_argument);
-  const std::vector<double> bad{0.5, 0.5, -1.0, 0.5, 0.5};
-  EXPECT_THROW(
-      (void)engine.ReleaseAllWithBudgets(f.graph, f.hierarchy, bad, rng),
-      std::invalid_argument);
+  const ReleasePlan plan = ReleasePlan::Build(f.graph, f.hierarchy);
+  const std::vector<double> budgets{0.1, 0.2, 0.4, 0.8, 1.6};
+  const MultiLevelRelease planned = ReleaseWithPerLevelBudgets(plan, budgets, 17);
+  const MultiLevelRelease uniform = ReleaseWithPerLevelBudgets(
+      plan, std::vector<double>(budgets.size(), 0.999), 17);
+  for (int lvl = 0; lvl < plan.num_levels(); ++lvl) {
+    const LevelRelease& a = planned.level(lvl);
+    const LevelRelease& b = uniform.level(lvl);
+    const double za = (a.noisy_total - a.true_total) / a.noise_stddev;
+    const double zb = (b.noisy_total - b.true_total) / b.noise_stddev;
+    EXPECT_NEAR(za, zb, 1e-9 * (1.0 + std::abs(zb))) << "level " << lvl;
+  }
 }
 
 }  // namespace

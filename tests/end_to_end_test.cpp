@@ -29,10 +29,10 @@ BipartiteGraph DblpMini() {
 
 TEST(EndToEndTest, FullPipelineWithAccessTiers) {
   const BipartiteGraph g = DblpMini();
-  core::DisclosureConfig cfg;
-  cfg.depth = 7;
-  cfg.arity = 4;
-  cfg.epsilon_g = 0.999;
+  core::SessionSpec cfg;
+  cfg.hierarchy.depth = 7;
+  cfg.hierarchy.arity = 4;
+  cfg.budget.epsilon_g = 0.999;
   Rng rng(7);
   const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
 
@@ -48,8 +48,8 @@ TEST(EndToEndTest, FullPipelineWithAccessTiers) {
 
 TEST(EndToEndTest, StrippedReleaseKeepsOnlyNoisyData) {
   const BipartiteGraph g = DblpMini();
-  core::DisclosureConfig cfg;
-  cfg.depth = 5;
+  core::SessionSpec cfg;
+  cfg.hierarchy.depth = 5;
   Rng rng(9);
   const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
   const core::MultiLevelRelease pub = result.release.StripTruth();
@@ -69,8 +69,8 @@ TEST(EndToEndTest, GraphSurvivesIoThenDisclosure) {
   gdp::graph::WriteEdgeList(g, ss);
   const BipartiteGraph loaded = gdp::graph::ReadEdgeList(ss);
 
-  core::DisclosureConfig cfg;
-  cfg.depth = 5;
+  core::SessionSpec cfg;
+  cfg.hierarchy.depth = 5;
   Rng r1(11);
   Rng r2(11);
   const auto a = core::RunDisclosure(g, cfg, r1);
@@ -83,8 +83,8 @@ TEST(EndToEndTest, GraphSurvivesIoThenDisclosure) {
 
 TEST(EndToEndTest, WorkloadOverHierarchyLevels) {
   const BipartiteGraph g = DblpMini();
-  core::DisclosureConfig cfg;
-  cfg.depth = 5;
+  core::SessionSpec cfg;
+  cfg.hierarchy.depth = 5;
   Rng rng(13);
   const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
 
@@ -106,9 +106,9 @@ TEST(EndToEndTest, GroupDpProtectsWhatEdgeDpExposes) {
   // edge-DP release leaves a mid-level group distinguishable while the
   // group-DP release at that level does not.
   const BipartiteGraph g = DblpMini();
-  core::DisclosureConfig cfg;
-  cfg.depth = 6;
-  cfg.include_group_counts = false;
+  core::SessionSpec cfg;
+  cfg.hierarchy.depth = 6;
+  cfg.exec.include_group_counts = false;
   Rng rng(17);
   const auto result = core::RunDisclosure(g, cfg, rng);
 
@@ -130,9 +130,9 @@ TEST(EndToEndTest, GroupDpProtectsWhatEdgeDpExposes) {
 TEST(EndToEndTest, LedgerNeverExceedsConfiguredBudget) {
   const BipartiteGraph g = DblpMini();
   for (const double eps : {0.1, 0.5, 0.999}) {
-    core::DisclosureConfig cfg;
-    cfg.depth = 5;
-    cfg.epsilon_g = eps;
+    core::SessionSpec cfg;
+    cfg.hierarchy.depth = 5;
+    cfg.budget.epsilon_g = eps;
     Rng rng(23);
     const auto result = core::RunDisclosure(g, cfg, rng);
     EXPECT_LE(result.ledger.epsilon_spent(), eps + 1e-9);

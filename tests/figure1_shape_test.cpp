@@ -34,10 +34,11 @@ double MeanRer(const BipartiteGraph& g, const hier::GroupHierarchy& h, int level
   cfg.epsilon_g = eps;
   cfg.include_group_counts = false;
   const core::GroupDpEngine engine(cfg);
+  const core::ReleasePlan plan = core::ReleasePlan::Build(g, h);
   Rng rng(seed);
   double total = 0.0;
   for (int t = 0; t < trials; ++t) {
-    total += engine.ReleaseLevel(g, h.level(level), level, rng).TotalRer();
+    total += engine.Release(plan, rng).level(level).TotalRer();
   }
   return total / trials;
 }

@@ -7,6 +7,7 @@
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "dp/gaussian.hpp"
+#include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
 
@@ -27,6 +28,21 @@ gdp::hier::GroupHierarchy TestHierarchy(const BipartiteGraph& g, int depth = 4) 
   const gdp::hier::Specializer spec(cfg);
   Rng rng(5);
   return spec.BuildHierarchy(g, rng).hierarchy;
+}
+
+// Minimal valid hierarchy over an edgeless 2x2 graph: singletons -> top.
+gdp::hier::GroupHierarchy EdgelessHierarchy() {
+  using gdp::hier::GroupInfo;
+  using gdp::hier::Side;
+  std::vector<GroupInfo> g0{GroupInfo{Side::kLeft, 1, 0},
+                            GroupInfo{Side::kLeft, 1, 0},
+                            GroupInfo{Side::kRight, 1, 1},
+                            GroupInfo{Side::kRight, 1, 1}};
+  std::vector<Partition> levels;
+  levels.emplace_back(std::vector<gdp::hier::GroupId>{0, 1},
+                      std::vector<gdp::hier::GroupId>{2, 3}, std::move(g0));
+  levels.push_back(Partition::TopLevel(2, 2));
+  return gdp::hier::GroupHierarchy(std::move(levels));
 }
 
 TEST(NoiseKindNameTest, AllNamed) {
@@ -62,7 +78,7 @@ TEST(GroupDpEngineTest, ConfigValidatedAtConstruction) {
   bad.delta = 1.0;
   EXPECT_THROW(GroupDpEngine{bad}, std::invalid_argument);
   bad = ReleaseConfig{};
-  bad.sensitivity_override = -1.0;
+  bad.noise_chunk_grain = 0;
   EXPECT_THROW(GroupDpEngine{bad}, std::invalid_argument);
 }
 
@@ -81,7 +97,8 @@ TEST(GroupDpEngineTest, ReleaseLevelRecordsSensitivityAndTruth) {
   const auto h = TestHierarchy(g);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(11);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(2), 2, rng);
+  const LevelRelease lr =
+      engine.Release(ReleasePlan::Build(g, h), rng).level(2);
   EXPECT_EQ(lr.level, 2);
   EXPECT_DOUBLE_EQ(lr.true_total, static_cast<double>(g.num_edges()));
   EXPECT_DOUBLE_EQ(lr.sensitivity,
@@ -95,7 +112,8 @@ TEST(GroupDpEngineTest, GroupCountsIncludedByDefault) {
   const auto h = TestHierarchy(g);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(13);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(3), 3, rng);
+  const LevelRelease lr =
+      engine.Release(ReleasePlan::Build(g, h), rng).level(3);
   EXPECT_EQ(lr.true_group_counts.size(), h.level(3).num_groups());
   EXPECT_EQ(lr.noisy_group_counts.size(), h.level(3).num_groups());
 }
@@ -107,7 +125,8 @@ TEST(GroupDpEngineTest, GroupCountsOmittedWhenDisabled) {
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
   Rng rng(13);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(3), 3, rng);
+  const LevelRelease lr =
+      engine.Release(ReleasePlan::Build(g, h), rng).level(3);
   EXPECT_TRUE(lr.true_group_counts.empty());
   EXPECT_TRUE(lr.noisy_group_counts.empty());
 }
@@ -117,7 +136,7 @@ TEST(GroupDpEngineTest, CoarserLevelsGetMoreNoise) {
   const auto h = TestHierarchy(g, 5);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(17);
-  const MultiLevelRelease r = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
   for (int lvl = 1; lvl < r.num_levels(); ++lvl) {
     EXPECT_GE(r.level(lvl).noise_stddev, r.level(lvl - 1).noise_stddev)
         << "level " << lvl;
@@ -134,84 +153,38 @@ TEST(GroupDpEngineTest, SmallerEpsilonMeansMoreNoise) {
   EXPECT_GT(e_strict.NoiseStddevFor(1000.0), e_loose.NoiseStddevFor(1000.0));
 }
 
-TEST(GroupDpEngineTest, SensitivityOverrideIsHonoured) {
-  const BipartiteGraph g = TestGraph();
-  const auto h = TestHierarchy(g);
-  ReleaseConfig cfg;
-  cfg.sensitivity_override = 12345.0;
-  cfg.include_group_counts = false;
-  const GroupDpEngine engine(cfg);
-  Rng rng(19);
-  const LevelRelease lr = engine.ReleaseLevel(g, h.level(1), 1, rng);
-  EXPECT_DOUBLE_EQ(lr.sensitivity, 12345.0);
-}
-
 TEST(GroupDpEngineTest, EdgelessGraphReleasedExactly) {
-  const BipartiteGraph g(8, 8, {});
-  const Partition top = Partition::TopLevel(8, 8);
-  const GroupDpEngine engine(ReleaseConfig{});
-  Rng rng(23);
-  const LevelRelease lr = engine.ReleaseLevel(g, top, 0, rng);
-  EXPECT_EQ(lr.noisy_total, 0.0);
-  EXPECT_EQ(lr.noise_stddev, 0.0);
-}
-
-// Minimal valid hierarchy over an edgeless 2x2 graph: singletons -> top.
-gdp::hier::GroupHierarchy EdgelessHierarchy() {
-  using gdp::hier::GroupInfo;
-  using gdp::hier::Side;
-  std::vector<GroupInfo> g0{GroupInfo{Side::kLeft, 1, 0},
-                            GroupInfo{Side::kLeft, 1, 0},
-                            GroupInfo{Side::kRight, 1, 1},
-                            GroupInfo{Side::kRight, 1, 1}};
-  std::vector<Partition> levels;
-  levels.emplace_back(std::vector<gdp::hier::GroupId>{0, 1},
-                      std::vector<gdp::hier::GroupId>{2, 3}, std::move(g0));
-  levels.push_back(Partition::TopLevel(2, 2));
-  return gdp::hier::GroupHierarchy(std::move(levels));
-}
-
-TEST(GroupDpEngineTest, OverrideCannotManufactureNoiseWhenComputedDeltaIsZero) {
-  // Δℓ computed from the data is 0 (edgeless graph) but an override is set:
-  // both release paths must take the exact-release branch — a Δ = 0 vector
-  // mechanism cannot be calibrated, and there is no association to protect.
+  // Δℓ = 0 at every level: nothing to protect, and a Δ = 0 mechanism cannot
+  // be calibrated, so every level is released exactly.
   const BipartiteGraph g(2, 2, {});
   const auto h = EdgelessHierarchy();
-  ReleaseConfig cfg;
-  cfg.sensitivity_override = 7.5;
-  const GroupDpEngine engine(cfg);
-  Rng plan_rng(43);
-  Rng legacy_rng(43);
-  const MultiLevelRelease planned = engine.ReleaseAll(g, h, plan_rng);
-  const MultiLevelRelease legacy = engine.ReleaseAllLegacy(g, h, legacy_rng);
-  for (const MultiLevelRelease* r : {&planned, &legacy}) {
-    ASSERT_EQ(r->num_levels(), h.num_levels());
-    for (const auto& lvl : r->levels()) {
-      EXPECT_EQ(lvl.sensitivity, 0.0);  // recorded Δ is the computed zero
-      EXPECT_EQ(lvl.noise_stddev, 0.0);
-      EXPECT_EQ(lvl.noisy_total, 0.0);
-      for (const double c : lvl.noisy_group_counts) {
-        EXPECT_EQ(c, 0.0);
-      }
-      EXPECT_EQ(lvl.noisy_group_counts.size(), lvl.true_group_counts.size());
+  const GroupDpEngine engine(ReleaseConfig{});
+  Rng rng(23);
+  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
+  ASSERT_EQ(r.num_levels(), h.num_levels());
+  for (const auto& lvl : r.levels()) {
+    EXPECT_EQ(lvl.sensitivity, 0.0);
+    EXPECT_EQ(lvl.noise_stddev, 0.0);
+    EXPECT_EQ(lvl.noisy_total, 0.0);
+    for (const double c : lvl.noisy_group_counts) {
+      EXPECT_EQ(c, 0.0);
     }
+    EXPECT_EQ(lvl.noisy_group_counts.size(), lvl.true_group_counts.size());
   }
 }
 
-TEST(GroupDpEngineTest, LegacyPathIsServedFromTheMechanismCache) {
+TEST(GroupDpEngineTest, RepeatReleasesAreServedFromTheMechanismCache) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
+  const ReleasePlan plan = ReleasePlan::Build(g, h);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(47);
   EXPECT_EQ(engine.MechanismCacheSize(), 0u);
-  (void)engine.ReleaseAllLegacy(g, h, rng);
+  (void)engine.Release(plan, rng);
   const std::size_t after_first = engine.MechanismCacheSize();
   EXPECT_GT(after_first, 0u);
   // A repeat release re-uses every calibration: pure cache hits.
-  (void)engine.ReleaseAllLegacy(g, h, rng);
-  EXPECT_EQ(engine.MechanismCacheSize(), after_first);
-  // The plan path keys calibrations identically, so it adds nothing either.
-  (void)engine.ReleaseAll(g, h, rng);
+  (void)engine.Release(plan, rng);
   EXPECT_EQ(engine.MechanismCacheSize(), after_first);
 }
 
@@ -223,7 +196,7 @@ TEST(GroupDpEngineTest, ClampNonNegativeEliminatesNegativeCounts) {
   cfg.clamp_nonnegative = true;
   const GroupDpEngine engine(cfg);
   Rng rng(29);
-  const MultiLevelRelease r = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
   for (const auto& lvl : r.levels()) {
     EXPECT_GE(lvl.noisy_total, 0.0);
     for (const double c : lvl.noisy_group_counts) {
@@ -235,11 +208,12 @@ TEST(GroupDpEngineTest, ClampNonNegativeEliminatesNegativeCounts) {
 TEST(GroupDpEngineTest, ReleaseAllIsDeterministicUnderSeed) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
+  const ReleasePlan plan = ReleasePlan::Build(g, h);
   const GroupDpEngine engine(ReleaseConfig{});
   Rng r1(31);
   Rng r2(31);
-  const MultiLevelRelease a = engine.ReleaseAll(g, h, r1);
-  const MultiLevelRelease b = engine.ReleaseAll(g, h, r2);
+  const MultiLevelRelease a = engine.Release(plan, r1);
+  const MultiLevelRelease b = engine.Release(plan, r2);
   for (int lvl = 0; lvl < a.num_levels(); ++lvl) {
     EXPECT_DOUBLE_EQ(a.level(lvl).noisy_total, b.level(lvl).noisy_total);
   }
@@ -251,11 +225,12 @@ TEST(GroupDpEngineTest, EmpiricalNoiseMatchesReportedStddev) {
   ReleaseConfig cfg;
   cfg.include_group_counts = false;
   const GroupDpEngine engine(cfg);
+  const ReleasePlan plan = ReleasePlan::Build(g, h);
   Rng rng(37);
   gdp::common::RunningStats s;
   double reported = 0.0;
   for (int t = 0; t < 4000; ++t) {
-    const LevelRelease lr = engine.ReleaseLevel(g, h.level(2), 2, rng);
+    const LevelRelease lr = engine.Release(plan, rng).level(2);
     s.Add(lr.noisy_total - lr.true_total);
     reported = lr.noise_stddev;
   }
@@ -273,7 +248,7 @@ TEST_P(EngineNoiseKindTest, ReleasesAllLevels) {
   cfg.noise = GetParam();
   const GroupDpEngine engine(cfg);
   Rng rng(41);
-  const MultiLevelRelease r = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
   EXPECT_EQ(r.num_levels(), h.num_levels());
   for (const auto& lvl : r.levels()) {
     EXPECT_TRUE(std::isfinite(lvl.noisy_total));

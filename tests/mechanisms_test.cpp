@@ -9,7 +9,6 @@
 #include "dp/gaussian.hpp"
 #include "dp/geometric.hpp"
 #include "dp/laplace.hpp"
-#include "dp/randomized_response.hpp"
 
 namespace gdp::dp {
 namespace {
@@ -273,40 +272,6 @@ TEST(DiscreteGaussianMechanismTest, EmpiricalStddevNearSigma) {
     s.Add(m.AddNoise(0.0, rng));
   }
   EXPECT_NEAR(s.stddev(), m.sigma(), m.sigma() * 0.05);
-}
-
-// ---------- Randomized Response ----------
-
-TEST(RandomizedResponseTest, TruthProbabilityFormula) {
-  const RandomizedResponse rr(Epsilon(std::log(3.0)));
-  EXPECT_NEAR(rr.truth_probability(), 0.75, 1e-12);
-}
-
-TEST(RandomizedResponseTest, DebiasRecoversFrequency) {
-  const RandomizedResponse rr(Epsilon(1.0));
-  Rng rng(29);
-  constexpr int kN = 200000;
-  const double true_freq = 0.3;
-  int reported_ones = 0;
-  for (int i = 0; i < kN; ++i) {
-    const bool bit = rng.Bernoulli(true_freq);
-    reported_ones += rr.Perturb(bit, rng) ? 1 : 0;
-  }
-  const double estimate =
-      rr.DebiasFrequency(static_cast<double>(reported_ones) / kN);
-  EXPECT_NEAR(estimate, true_freq, 0.01);
-}
-
-TEST(RandomizedResponseTest, HighEpsilonNearlyAlwaysTruthful) {
-  const RandomizedResponse rr(Epsilon(10.0));
-  Rng rng(30);
-  int flips = 0;
-  for (int i = 0; i < 10000; ++i) {
-    if (rr.Perturb(true, rng) != true) {
-      ++flips;
-    }
-  }
-  EXPECT_LT(flips, 10);
 }
 
 }  // namespace

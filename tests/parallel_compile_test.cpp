@@ -149,7 +149,7 @@ TEST(ParallelCompileTest, RollupAtForcedTinyGrainStillExact) {
 TEST(ParallelCompileTest, CompiledReleasesIdenticalAcrossThreadCounts) {
   // End to end through CompiledDisclosure: the full artifact (fingerprinted
   // plan + hierarchy) and a release drawn from it must not depend on the
-  // compile's thread count.
+  // thread count, 1 (no pool) included.
   const BipartiteGraph g = ShardScaleGraph();
   gdp::core::SessionSpec spec;
   spec.hierarchy.depth = TestConfig().depth;
@@ -163,17 +163,19 @@ TEST(ParallelCompileTest, CompiledReleasesIdenticalAcrossThreadCounts) {
     Rng release_rng(9);
     return session.Release(release_rng);
   };
-  const auto two = release_with_threads(2);
-  const auto eight = release_with_threads(8);
-  ASSERT_EQ(two.num_levels(), eight.num_levels());
-  for (int l = 0; l < two.num_levels(); ++l) {
-    EXPECT_EQ(two.level(l).noisy_total, eight.level(l).noisy_total)
-        << "level " << l;
-    EXPECT_EQ(two.level(l).true_total, eight.level(l).true_total)
-        << "level " << l;
-    EXPECT_EQ(two.level(l).noisy_group_counts,
-              eight.level(l).noisy_group_counts)
-        << "level " << l;
+  const auto one = release_with_threads(1);
+  for (const int threads : {2, 8}) {
+    const auto other = release_with_threads(threads);
+    ASSERT_EQ(one.num_levels(), other.num_levels());
+    for (int l = 0; l < one.num_levels(); ++l) {
+      EXPECT_EQ(one.level(l).noisy_total, other.level(l).noisy_total)
+          << threads << " threads, level " << l;
+      EXPECT_EQ(one.level(l).true_total, other.level(l).true_total)
+          << threads << " threads, level " << l;
+      EXPECT_EQ(one.level(l).noisy_group_counts,
+                other.level(l).noisy_group_counts)
+          << threads << " threads, level " << l;
+    }
   }
 }
 

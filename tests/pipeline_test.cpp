@@ -21,17 +21,17 @@ BipartiteGraph TestGraph() {
   return GenerateDblpLike(p, rng);
 }
 
-DisclosureConfig SmallConfig() {
-  DisclosureConfig cfg;
-  cfg.depth = 5;
-  cfg.arity = 4;
+SessionSpec SmallSpec() {
+  SessionSpec cfg;
+  cfg.hierarchy.depth = 5;
+  cfg.hierarchy.arity = 4;
   return cfg;
 }
 
 TEST(PipelineTest, ProducesHierarchyReleaseAndLedger) {
   const BipartiteGraph g = TestGraph();
   Rng rng(7);
-  const DisclosureResult result = RunDisclosure(g, SmallConfig(), rng);
+  const DisclosureResult result = RunDisclosure(g, SmallSpec(), rng);
   EXPECT_EQ(result.hierarchy.depth(), 5);
   EXPECT_EQ(result.release.num_levels(), 6);
   EXPECT_EQ(result.ledger.charges().size(), 2u);
@@ -39,9 +39,9 @@ TEST(PipelineTest, ProducesHierarchyReleaseAndLedger) {
 
 TEST(PipelineTest, BudgetSplitRespectsPhase1Fraction) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.epsilon_g = 1.0;
-  cfg.phase1_fraction = 0.25;
+  SessionSpec cfg = SmallSpec();
+  cfg.budget.epsilon_g = 1.0;
+  cfg.budget.phase1_fraction = 0.25;
   Rng rng(7);
   const DisclosureResult result = RunDisclosure(g, cfg, rng);
   EXPECT_NEAR(result.ledger.charges()[0].epsilon, 0.25, 1e-9);
@@ -51,18 +51,18 @@ TEST(PipelineTest, BudgetSplitRespectsPhase1Fraction) {
 
 TEST(PipelineTest, RejectsBadPhase1Fraction) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
-  cfg.phase1_fraction = 0.0;
+  cfg.budget.phase1_fraction = 0.0;
   EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
-  cfg.phase1_fraction = 1.0;
+  cfg.budget.phase1_fraction = 1.0;
   EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
 }
 
 TEST(PipelineTest, RejectsBadEpsilon) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.epsilon_g = -1.0;
+  SessionSpec cfg = SmallSpec();
+  cfg.budget.epsilon_g = -1.0;
   Rng rng(7);
   EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
 }
@@ -71,8 +71,8 @@ TEST(PipelineTest, DeterministicUnderSeed) {
   const BipartiteGraph g = TestGraph();
   Rng r1(11);
   Rng r2(11);
-  const DisclosureResult a = RunDisclosure(g, SmallConfig(), r1);
-  const DisclosureResult b = RunDisclosure(g, SmallConfig(), r2);
+  const DisclosureResult a = RunDisclosure(g, SmallSpec(), r1);
+  const DisclosureResult b = RunDisclosure(g, SmallSpec(), r2);
   for (int lvl = 0; lvl < a.release.num_levels(); ++lvl) {
     EXPECT_DOUBLE_EQ(a.release.level(lvl).noisy_total,
                      b.release.level(lvl).noisy_total);
@@ -83,26 +83,27 @@ TEST(PipelineTest, DifferentSeedsGiveDifferentNoise) {
   const BipartiteGraph g = TestGraph();
   Rng r1(11);
   Rng r2(12);
-  const DisclosureResult a = RunDisclosure(g, SmallConfig(), r1);
-  const DisclosureResult b = RunDisclosure(g, SmallConfig(), r2);
+  const DisclosureResult a = RunDisclosure(g, SmallSpec(), r1);
+  const DisclosureResult b = RunDisclosure(g, SmallSpec(), r2);
   EXPECT_NE(a.release.level(3).noisy_total, b.release.level(3).noisy_total);
 }
 
 TEST(PipelineTest, ParallelDisclosureInvariantAcrossThreadCounts) {
-  // End-to-end determinism of the parallel path: graph is big enough (1200
-  // nodes) that with grain 256 the level-0 vector noise really chunks, and
-  // the plan scan really shards on a per-pool basis inside RunDisclosure.
+  // End-to-end determinism across thread counts, 1 (no pool) included: the
+  // graph is big enough (1200 nodes) that with grain 256 the level-0 vector
+  // noise really chunks, and the plan scan really shards on a per-pool basis
+  // inside RunDisclosure.
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.noise_chunk_grain = 256;
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.noise_chunk_grain = 256;
   std::vector<MultiLevelRelease> releases;
-  const int thread_counts[] = {2, 4, 8};
+  const int thread_counts[] = {1, 2, 4, 8};
   for (const int threads : thread_counts) {
-    cfg.num_threads = threads;
+    cfg.exec.num_threads = threads;
     Rng rng(7);
     releases.push_back(RunDisclosure(g, cfg, rng).release);
   }
-  for (int t = 1; t < 3; ++t) {
+  for (int t = 1; t < 4; ++t) {
     ASSERT_EQ(releases[t].num_levels(), releases[0].num_levels());
     for (int lvl = 0; lvl < releases[0].num_levels(); ++lvl) {
       EXPECT_EQ(releases[t].level(lvl).noisy_total,
@@ -119,8 +120,8 @@ TEST(PipelineTest, RerOrderingMatchesPaperOnAverage) {
   // Coarser protection levels must show larger average RER (Figure 1's
   // vertical ordering).  Averaged over several pipeline runs.
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.include_group_counts = false;
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.include_group_counts = false;
   double rer_fine = 0.0;
   double rer_coarse = 0.0;
   constexpr int kTrials = 15;
@@ -136,7 +137,7 @@ TEST(PipelineTest, RerOrderingMatchesPaperOnAverage) {
 TEST(PipelineTest, LevelZeroUsesMaxDegreeSensitivity) {
   const BipartiteGraph g = TestGraph();
   Rng rng(13);
-  const DisclosureResult result = RunDisclosure(g, SmallConfig(), rng);
+  const DisclosureResult result = RunDisclosure(g, SmallSpec(), rng);
   const double max_degree = static_cast<double>(
       std::max(g.MaxDegree(gdp::graph::Side::kLeft),
                g.MaxDegree(gdp::graph::Side::kRight)));
@@ -145,8 +146,8 @@ TEST(PipelineTest, LevelZeroUsesMaxDegreeSensitivity) {
 
 TEST(PipelineTest, EnforceConsistencyProducesConsistentRelease) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.enforce_consistency = true;
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.enforce_consistency = true;
   Rng rng(21);
   const DisclosureResult result = RunDisclosure(g, cfg, rng);
   EXPECT_TRUE(gdp::core::IsHierarchicallyConsistent(result.hierarchy,
@@ -155,9 +156,9 @@ TEST(PipelineTest, EnforceConsistencyProducesConsistentRelease) {
 
 TEST(PipelineTest, EnforceConsistencyRequiresGroupCounts) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.enforce_consistency = true;
-  cfg.include_group_counts = false;
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.enforce_consistency = true;
+  cfg.exec.include_group_counts = false;
   Rng rng(23);
   EXPECT_THROW((void)RunDisclosure(g, cfg, rng), std::invalid_argument);
 }
@@ -165,7 +166,7 @@ TEST(PipelineTest, EnforceConsistencyRequiresGroupCounts) {
 TEST(PipelineTest, TopLevelUsesEdgeCountSensitivity) {
   const BipartiteGraph g = TestGraph();
   Rng rng(13);
-  const DisclosureResult result = RunDisclosure(g, SmallConfig(), rng);
+  const DisclosureResult result = RunDisclosure(g, SmallSpec(), rng);
   EXPECT_DOUBLE_EQ(result.release.level(5).sensitivity,
                    static_cast<double>(g.num_edges()));
 }

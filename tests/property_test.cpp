@@ -109,10 +109,10 @@ class PipelineProperty : public ::testing::TestWithParam<PipelineGridParam> {
 TEST_P(PipelineProperty, StructureAndBudgetInvariants) {
   const auto param = GetParam();
   const graph::BipartiteGraph g = MakeGraph();
-  core::DisclosureConfig cfg;
-  cfg.depth = param.depth;
-  cfg.arity = param.arity;
-  cfg.noise = param.noise;
+  core::SessionSpec cfg;
+  cfg.hierarchy.depth = param.depth;
+  cfg.hierarchy.arity = param.arity;
+  cfg.budget.noise = param.noise;
   Rng rng(777);
   const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
 
@@ -129,7 +129,7 @@ TEST_P(PipelineProperty, StructureAndBudgetInvariants) {
               result.hierarchy.level(lvl).num_groups());
   }
   // (4) budget conserved.
-  EXPECT_LE(result.ledger.epsilon_spent(), cfg.epsilon_g + 1e-9);
+  EXPECT_LE(result.ledger.epsilon_spent(), cfg.budget.epsilon_g + 1e-9);
   // (5) every level's noisy answer is finite.
   for (const auto& lvl : result.release.levels()) {
     EXPECT_TRUE(std::isfinite(lvl.noisy_total));
@@ -139,11 +139,11 @@ TEST_P(PipelineProperty, StructureAndBudgetInvariants) {
 TEST_P(PipelineProperty, RefinementHoldsAtEveryLevel) {
   const auto param = GetParam();
   const graph::BipartiteGraph g = MakeGraph();
-  core::DisclosureConfig cfg;
-  cfg.depth = param.depth;
-  cfg.arity = param.arity;
-  cfg.noise = param.noise;
-  cfg.validate_hierarchy = false;  // we re-validate by hand below
+  core::SessionSpec cfg;
+  cfg.hierarchy.depth = param.depth;
+  cfg.hierarchy.arity = param.arity;
+  cfg.budget.noise = param.noise;
+  cfg.hierarchy.validate_hierarchy = false;  // we re-validate by hand below
   Rng rng(888);
   const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
   for (int lvl = 1; lvl <= param.depth; ++lvl) {

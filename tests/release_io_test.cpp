@@ -52,8 +52,8 @@ TEST(ReleaseIoTest, RoundTripsThroughStream) {
 TEST(ReleaseIoTest, RoundTripsRealPipelineOutput) {
   gdp::common::Rng rng(3);
   const auto g = gdp::graph::GenerateUniformRandom(200, 200, 2000, rng);
-  DisclosureConfig cfg;
-  cfg.depth = 4;
+  SessionSpec cfg;
+  cfg.hierarchy.depth = 4;
   const DisclosureResult result = RunDisclosure(g, cfg, rng);
   std::stringstream ss;
   WriteRelease(result.release, ss);

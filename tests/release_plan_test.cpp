@@ -102,22 +102,9 @@ TEST(ReleasePlanTest, PlannedReleaseAllScansTheGraphOnce) {
   const GroupDpEngine engine{ReleaseConfig{}};
   Rng rng(7);
   const std::uint64_t before = Partition::DegreeSumScanCount();
-  const MultiLevelRelease r = engine.ReleaseAll(g, h, rng);
+  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
   EXPECT_EQ(Partition::DegreeSumScanCount() - before, 1u);
   EXPECT_EQ(r.num_levels(), h.num_levels());
-}
-
-TEST(ReleasePlanTest, LegacyReleaseAllScansPerLevel) {
-  const BipartiteGraph g = HandGraph();
-  const GroupHierarchy h = HandHierarchy();
-  const GroupDpEngine engine{ReleaseConfig{}};
-  Rng rng(7);
-  const std::uint64_t before = Partition::DegreeSumScanCount();
-  (void)engine.ReleaseAllLegacy(g, h, rng);
-  // Three scans per level (count sensitivity, group counts, vector
-  // sensitivity) — the waste the plan eliminates.
-  EXPECT_EQ(Partition::DegreeSumScanCount() - before,
-            3u * static_cast<std::uint64_t>(h.num_levels()));
 }
 
 TEST(ReleasePlanTest, MatchesDirectScansOnSpecializerHierarchy) {

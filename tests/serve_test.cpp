@@ -105,14 +105,14 @@ TEST(SessionRegistryTest, FingerprintSeparatesArtifactIdentity) {
   capped.epsilon_cap = 42.0;
   EXPECT_EQ(SessionRegistry::Fingerprint(base, 7),
             SessionRegistry::Fingerprint(capped, 7));
-  // Pool SIZE never changes the bits; pool presence does.
+  // The thread count never changes the bits, pool or no pool.
   gdp::core::SessionSpec two = base;
   two.exec.num_threads = 2;
   gdp::core::SessionSpec eight = base;
   eight.exec.num_threads = 8;
   EXPECT_EQ(SessionRegistry::Fingerprint(two, 7),
             SessionRegistry::Fingerprint(eight, 7));
-  EXPECT_NE(SessionRegistry::Fingerprint(base, 7),
+  EXPECT_EQ(SessionRegistry::Fingerprint(base, 7),
             SessionRegistry::Fingerprint(two, 7));
 }
 

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/consistency.hpp"
 #include "core/pipeline.hpp"
 #include "core/release_plan.hpp"
@@ -27,20 +26,12 @@ BipartiteGraph TestGraph() {
   return GenerateDblpLike(p, rng);
 }
 
-DisclosureConfig SmallConfig() {
-  DisclosureConfig cfg;
-  cfg.depth = 5;
-  cfg.arity = 4;
+// Default ("audit only") caps: multi-release tests need the headroom.
+SessionSpec SmallSpec() {
+  SessionSpec cfg;
+  cfg.hierarchy.depth = 5;
+  cfg.hierarchy.arity = 4;
   return cfg;
-}
-
-// ToSessionSpec() mirrors the one-shot grant (caps cover exactly one
-// release); multi-release tests open with the default "audit only" caps.
-SessionSpec MultiReleaseSpec(const DisclosureConfig& cfg) {
-  SessionSpec spec = cfg.ToSessionSpec();
-  spec.epsilon_cap = SessionSpec{}.epsilon_cap;
-  spec.delta_cap = SessionSpec{}.delta_cap;
-  return spec;
 }
 
 void ExpectBitIdentical(const MultiLevelRelease& a, const MultiLevelRelease& b,
@@ -60,48 +51,41 @@ void ExpectBitIdentical(const MultiLevelRelease& a, const MultiLevelRelease& b,
   }
 }
 
-// The seed implementation of RunDisclosure, reproduced verbatim as the
-// parity oracle: specializer + plan + engine composed by hand, exactly as
-// the pre-session pipeline.cpp did.  The session/wrapper refactor must stay
-// bit-identical to THIS, not merely to itself.
+// The seed implementation of RunDisclosure, reproduced as the parity oracle:
+// specializer + plan + engine composed by hand, exactly as the pre-session
+// pipeline.cpp did, always without a pool.  The session/wrapper refactor must
+// stay bit-identical to THIS, not merely to itself — at every thread count.
 MultiLevelRelease ManualOneShot(const BipartiteGraph& graph,
-                                const DisclosureConfig& config, Rng& rng) {
-  const double eps_phase1 = config.epsilon_g * config.phase1_fraction;
-  const double eps_phase2 = config.epsilon_g - eps_phase1;
-  const int transitions = config.depth - 1;
+                                const SessionSpec& config, Rng& rng) {
+  const double eps_phase1 = config.budget.phase1_epsilon();
+  const double eps_phase2 = config.budget.phase2_epsilon();
+  const int transitions = config.hierarchy.depth - 1;
 
   gdp::hier::SpecializationConfig spec;
-  spec.depth = config.depth;
-  spec.arity = config.arity;
+  spec.depth = config.hierarchy.depth;
+  spec.arity = config.hierarchy.arity;
   spec.epsilon_per_level =
       transitions > 0 ? eps_phase1 / static_cast<double>(transitions)
                       : eps_phase1;
-  spec.quality = config.split_quality;
-  spec.max_cut_candidates = config.max_cut_candidates;
-  spec.validate_hierarchy = config.validate_hierarchy;
+  spec.quality = config.hierarchy.split_quality;
+  spec.max_cut_candidates = config.hierarchy.max_cut_candidates;
+  spec.validate_hierarchy = config.hierarchy.validate_hierarchy;
 
   const gdp::hier::Specializer specializer(spec);
   const auto built = specializer.BuildHierarchy(graph, rng);
 
   ReleaseConfig rel;
   rel.epsilon_g = eps_phase2;
-  rel.delta = config.delta;
-  rel.noise = config.noise;
-  rel.include_group_counts = config.include_group_counts;
-  rel.clamp_nonnegative = config.clamp_nonnegative;
-  rel.noise_chunk_grain = config.noise_chunk_grain;
+  rel.delta = config.budget.delta;
+  rel.noise = config.budget.noise;
+  rel.include_group_counts = config.exec.include_group_counts;
+  rel.clamp_nonnegative = config.exec.clamp_nonnegative;
+  rel.noise_chunk_grain = config.exec.noise_chunk_grain;
 
   const GroupDpEngine engine(rel);
-  MultiLevelRelease release = [&] {
-    if (config.num_threads == 1) {
-      const ReleasePlan plan = ReleasePlan::Build(graph, built.hierarchy);
-      return engine.ReleaseAll(plan, rng);
-    }
-    gdp::common::ThreadPool pool(config.num_threads);
-    const ReleasePlan plan = ReleasePlan::Build(graph, built.hierarchy, pool);
-    return engine.ParallelReleaseAll(plan, rng, pool);
-  }();
-  if (config.enforce_consistency) {
+  MultiLevelRelease release =
+      engine.Release(ReleasePlan::Build(graph, built.hierarchy), rng);
+  if (config.exec.enforce_consistency) {
     release = EnforceHierarchicalConsistency(built.hierarchy, release);
   }
   return release;
@@ -113,9 +97,9 @@ TEST(SessionTest, WrapperMatchesSeedImplementationSequential) {
   const BipartiteGraph g = TestGraph();
   for (const std::uint64_t seed : {7u, 11u, 29u}) {
     Rng r1(seed);
-    const MultiLevelRelease oracle = ManualOneShot(g, SmallConfig(), r1);
+    const MultiLevelRelease oracle = ManualOneShot(g, SmallSpec(), r1);
     Rng r2(seed);
-    const DisclosureResult wrapped = RunDisclosure(g, SmallConfig(), r2);
+    const DisclosureResult wrapped = RunDisclosure(g, SmallSpec(), r2);
     ExpectBitIdentical(oracle, wrapped.release,
                        "seed " + std::to_string(seed));
   }
@@ -123,9 +107,9 @@ TEST(SessionTest, WrapperMatchesSeedImplementationSequential) {
 
 TEST(SessionTest, WrapperMatchesSeedImplementationParallel) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.num_threads = 2;
-  cfg.noise_chunk_grain = 256;  // small enough that level 0 really chunks
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.num_threads = 2;
+  cfg.exec.noise_chunk_grain = 256;  // small enough that level 0 really chunks
   Rng r1(17);
   const MultiLevelRelease oracle = ManualOneShot(g, cfg, r1);
   Rng r2(17);
@@ -134,22 +118,22 @@ TEST(SessionTest, WrapperMatchesSeedImplementationParallel) {
 }
 
 TEST(SessionTest, ReleaseMatchesRunDisclosureBothPaths) {
-  // Satellite contract: for every (seed, config), DisclosureSession::Release
-  // is bit-identical to RunDisclosure on the sequential AND parallel paths.
+  // For every (seed, config), DisclosureSession::Release is bit-identical to
+  // RunDisclosure, with and without a pool.
   const BipartiteGraph g = TestGraph();
   for (const bool parallel : {false, true}) {
-    DisclosureConfig cfg = SmallConfig();
+    SessionSpec cfg = SmallSpec();
     if (parallel) {
-      cfg.num_threads = 4;
-      cfg.noise_chunk_grain = 256;
+      cfg.exec.num_threads = 4;
+      cfg.exec.noise_chunk_grain = 256;
     }
     for (const std::uint64_t seed : {5u, 13u}) {
       Rng r1(seed);
       const DisclosureResult oneshot = RunDisclosure(g, cfg, r1);
       Rng r2(seed);
       DisclosureSession session =
-          DisclosureSession::Open(g, cfg.ToSessionSpec(), r2);
-      const MultiLevelRelease rel = session.Release(cfg.ToBudgetSpec(), r2);
+          DisclosureSession::Open(g, cfg, r2);
+      const MultiLevelRelease rel = session.Release(cfg.budget, r2);
       ExpectBitIdentical(oneshot.release, rel,
                          (parallel ? "parallel seed " : "sequential seed ") +
                              std::to_string(seed));
@@ -162,23 +146,23 @@ TEST(SessionTest, SecondReleaseWithDifferentEpsilonMatchesFreshOneShot) {
   // sweep point's phase-1 budget is bit-equal (0.4·0.25 == 0.8·0.125 == 0.1
   // exactly in binary) and the hierarchies coincide.
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg1 = SmallConfig();
-  cfg1.epsilon_g = 0.4;
-  cfg1.phase1_fraction = 0.25;
-  DisclosureConfig cfg2 = SmallConfig();
-  cfg2.epsilon_g = 0.8;
-  cfg2.phase1_fraction = 0.125;
+  SessionSpec cfg1 = SmallSpec();
+  cfg1.budget.epsilon_g = 0.4;
+  cfg1.budget.phase1_fraction = 0.25;
+  SessionSpec cfg2 = SmallSpec();
+  cfg2.budget.epsilon_g = 0.8;
+  cfg2.budget.phase1_fraction = 0.125;
 
   Rng rs(23);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg1), rs);
+      DisclosureSession::Open(g, cfg1, rs);
   // Post-Open rng state == post-Phase-1 state of any one-shot with the same
   // seed and phase-1 budget; each release resumes from a copy of it.
   Rng r_first = rs;
-  const MultiLevelRelease first = session.Release(cfg1.ToBudgetSpec(), r_first);
+  const MultiLevelRelease first = session.Release(cfg1.budget, r_first);
   Rng r_second = rs;
   const MultiLevelRelease second =
-      session.Release(cfg2.ToBudgetSpec(), r_second);
+      session.Release(cfg2.budget, r_second);
 
   Rng rf1(23);
   const DisclosureResult fresh1 = RunDisclosure(g, cfg1, rf1);
@@ -195,18 +179,18 @@ TEST(SessionTest, SweepReleasesBitIdenticalToOneShots) {
   const double eps_points[] = {0.2, 0.4, 0.8, 1.6};
   const double fractions[] = {0.5, 0.25, 0.125, 0.0625};  // phase-1 ε = 0.1
 
-  DisclosureConfig cfg0 = SmallConfig();
-  cfg0.epsilon_g = eps_points[0];
-  cfg0.phase1_fraction = fractions[0];
+  SessionSpec cfg0 = SmallSpec();
+  cfg0.budget.epsilon_g = eps_points[0];
+  cfg0.budget.phase1_fraction = fractions[0];
   Rng rs(41);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg0), rs);
+      DisclosureSession::Open(g, cfg0, rs);
   for (int i = 0; i < 4; ++i) {
-    DisclosureConfig cfg = SmallConfig();
-    cfg.epsilon_g = eps_points[i];
-    cfg.phase1_fraction = fractions[i];
+    SessionSpec cfg = SmallSpec();
+    cfg.budget.epsilon_g = eps_points[i];
+    cfg.budget.phase1_fraction = fractions[i];
     Rng r_point = rs;  // every one-shot resumes from the post-Phase-1 state
-    const MultiLevelRelease rel = session.Release(cfg.ToBudgetSpec(), r_point);
+    const MultiLevelRelease rel = session.Release(cfg.budget, r_point);
     Rng r_fresh(41);
     const DisclosureResult fresh = RunDisclosure(g, cfg, r_fresh);
     ExpectBitIdentical(rel, fresh.release, "sweep point " + std::to_string(i));
@@ -219,14 +203,14 @@ TEST(SessionTest, SweepReleasesBitIdenticalToOneShots) {
 
 TEST(SessionTest, FourPointSweepPerformsExactlyOneNodeScan) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   const std::uint64_t scans_before = gdp::hier::Partition::DegreeSumScanCount();
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
+      DisclosureSession::Open(g, cfg, rng);
   std::vector<BudgetSpec> budgets;
   for (const double eps : {0.3, 0.5, 0.7, 0.9}) {
-    BudgetSpec b = cfg.ToBudgetSpec();
+    BudgetSpec b = cfg.budget;
     b.epsilon_g = eps;
     budgets.push_back(b);
   }
@@ -243,11 +227,11 @@ TEST(SessionTest, SweepPointsCarryIndependentNoise) {
   // Same ε at two sweep positions: forked per-point streams must give
   // different draws (no noise reuse across points).
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
-  const std::vector<BudgetSpec> budgets(2, cfg.ToBudgetSpec());
+      DisclosureSession::Open(g, cfg, rng);
+  const std::vector<BudgetSpec> budgets(2, cfg.budget);
   const auto releases = session.Sweep(budgets, rng);
   EXPECT_NE(releases[0].level(2).noisy_total, releases[1].level(2).noisy_total);
 }
@@ -256,29 +240,29 @@ TEST(SessionTest, SweepPointsCarryIndependentNoise) {
 
 TEST(SessionTest, ReleaseRejectsUncalibratableBudgetUpFront) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+      DisclosureSession::Open(g, cfg, rng);
   const std::size_t charges_before = session.ledger().charges().size();
   const Rng rng_snapshot = rng;
 
-  BudgetSpec bad = cfg.ToBudgetSpec();
+  BudgetSpec bad = cfg.budget;
   bad.epsilon_g = -1.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.budget;
   bad.epsilon_g = 0.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.budget;
   bad.delta = 0.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.budget;
   bad.delta = 1.0;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.budget;
   bad.phase1_fraction = 1.0;  // leaves zero phase-2 budget
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
-  bad = cfg.ToBudgetSpec();
+  bad = cfg.budget;
   bad.phase1_fraction = -0.2;
   EXPECT_THROW((void)session.Release(bad, rng), gdp::common::InvalidBudgetError);
 
@@ -286,24 +270,24 @@ TEST(SessionTest, ReleaseRejectsUncalibratableBudgetUpFront) {
   EXPECT_EQ(session.ledger().charges().size(), charges_before);
   Rng control = rng_snapshot;
   const MultiLevelRelease after_failures =
-      session.Release(cfg.ToBudgetSpec(), rng);
+      session.Release(cfg.budget, rng);
   DisclosureSession control_session = [&] {
     Rng open_rng(7);
-    return DisclosureSession::Open(g, cfg.ToSessionSpec(), open_rng);
+    return DisclosureSession::Open(g, cfg, open_rng);
   }();
   const MultiLevelRelease control_release =
-      control_session.Release(cfg.ToBudgetSpec(), control);
+      control_session.Release(cfg.budget, control);
   ExpectBitIdentical(after_failures, control_release,
                      "release after rejected budgets");
 }
 
 TEST(SessionTest, SweepRejectsWholeBatchOnOneBadPoint) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
-  std::vector<BudgetSpec> budgets(3, cfg.ToBudgetSpec());
+      DisclosureSession::Open(g, cfg, rng);
+  std::vector<BudgetSpec> budgets(3, cfg.budget);
   budgets[2].delta = -1.0;  // the LAST point is bad
   const std::size_t charges_before = session.ledger().charges().size();
   EXPECT_THROW((void)session.Sweep(budgets, rng),
@@ -324,27 +308,27 @@ TEST(SessionTest, InvalidBudgetErrorIsAnInvalidArgument) {
 
 TEST(SessionTest, LedgerAccumulatesPerReleaseWithLabels) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
+      DisclosureSession::Open(g, cfg, rng);
   ASSERT_EQ(session.ledger().charges().size(), 1u);  // phase 1
   EXPECT_NE(session.ledger().charges()[0].label.find("phase1"),
             std::string::npos);
-  (void)session.Release(cfg.ToBudgetSpec(), rng);
-  (void)session.Release(cfg.ToBudgetSpec(), rng, "custom audit label");
+  (void)session.Release(cfg.budget, rng);
+  (void)session.Release(cfg.budget, rng, "custom audit label");
   ASSERT_EQ(session.ledger().charges().size(), 3u);
   EXPECT_EQ(session.ledger().charges()[2].label, "custom audit label");
   EXPECT_EQ(session.num_releases(), 2);
   const double expected =
-      session.phase1_epsilon_spent() + 2.0 * cfg.ToBudgetSpec().phase2_epsilon();
+      session.phase1_epsilon_spent() + 2.0 * cfg.budget.phase2_epsilon();
   EXPECT_NEAR(session.ledger().epsilon_spent(), expected, 1e-12);
 }
 
 TEST(SessionTest, ReleaseBeyondSessionCapThrowsBeforeDrawing) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  SessionSpec spec = cfg.ToSessionSpec();
+  SessionSpec cfg = SmallSpec();
+  SessionSpec spec = cfg;
   // Grant covers phase 1 plus exactly one release.
   spec.epsilon_cap =
       spec.budget.phase1_epsilon() + spec.budget.phase2_epsilon();
@@ -362,14 +346,14 @@ TEST(SessionTest, SweepBeyondGrantRejectsWholeBatchAtomically) {
   // A sweep the session grant cannot cover must fail BEFORE the first draw,
   // not mid-batch with some points already drawn and charged.
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  SessionSpec spec = cfg.ToSessionSpec();
+  SessionSpec cfg = SmallSpec();
+  SessionSpec spec = cfg;
   // Grant covers phase 1 plus two releases; ask for three.
   spec.epsilon_cap =
       spec.budget.phase1_epsilon() + 2.0 * spec.budget.phase2_epsilon();
   Rng rng(7);
   DisclosureSession session = DisclosureSession::Open(g, spec, rng);
-  const std::vector<BudgetSpec> budgets(3, cfg.ToBudgetSpec());
+  const std::vector<BudgetSpec> budgets(3, cfg.budget);
   const std::size_t charges_before = session.ledger().charges().size();
   const Rng rng_snapshot = rng;
   EXPECT_THROW((void)session.Sweep(budgets, rng),
@@ -378,20 +362,20 @@ TEST(SessionTest, SweepBeyondGrantRejectsWholeBatchAtomically) {
   Rng expected = rng_snapshot;
   EXPECT_EQ(rng(), expected());
   // The two-point sweep the grant covers still goes through.
-  const std::vector<BudgetSpec> affordable(2, cfg.ToBudgetSpec());
+  const std::vector<BudgetSpec> affordable(2, cfg.budget);
   EXPECT_EQ(session.Sweep(affordable, rng).size(), 2u);
 }
 
 TEST(SessionTest, AnswerLabelsAreUniquePerCall) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
+      DisclosureSession::Open(g, cfg, rng);
   gdp::query::Workload workload;
   workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
-  (void)session.Answer(workload, 2, cfg.ToBudgetSpec(), rng);
-  (void)session.Answer(workload, 2, cfg.ToBudgetSpec(), rng);
+  (void)session.Answer(workload, 2, cfg.budget, rng);
+  (void)session.Answer(workload, 2, cfg.budget, rng);
   const auto& charges = session.ledger().charges();
   ASSERT_EQ(charges.size(), 3u);
   EXPECT_NE(charges[1].label.find("answer[0]"), std::string::npos);
@@ -400,11 +384,11 @@ TEST(SessionTest, AnswerLabelsAreUniquePerCall) {
 
 TEST(SessionTest, SweepLabelsAreSweepTagged) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
-  std::vector<BudgetSpec> budgets(2, cfg.ToBudgetSpec());
+      DisclosureSession::Open(g, cfg, rng);
+  std::vector<BudgetSpec> budgets(2, cfg.budget);
   (void)session.Sweep(budgets, rng);
   const auto& charges = session.ledger().charges();
   ASSERT_EQ(charges.size(), 3u);
@@ -416,10 +400,10 @@ TEST(SessionTest, SweepLabelsAreSweepTagged) {
 
 TEST(SessionTest, DrilldownMatchesDirectDrillDown) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(31);
   DisclosureSession session =
-      DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+      DisclosureSession::Open(g, cfg, rng);
   const MultiLevelRelease rel = session.Release(rng);
   const auto via_session =
       session.Drilldown(rel, gdp::graph::Side::kLeft, 42, 5, 1);
@@ -435,16 +419,16 @@ TEST(SessionTest, DrilldownMatchesDirectDrillDown) {
 
 TEST(SessionTest, AnswerMatchesWorkloadRunAndChargesLedger) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(37);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
+      DisclosureSession::Open(g, cfg, rng);
   gdp::query::Workload workload;
   workload.Add(std::make_unique<gdp::query::AssociationCountQuery>())
       .Add(std::make_unique<gdp::query::DegreeHistogramQuery>(
           gdp::graph::Side::kLeft, 20));
 
-  const BudgetSpec budget = cfg.ToBudgetSpec();
+  const BudgetSpec budget = cfg.budget;
   Rng r_direct = rng;
   const auto direct =
       workload.Run(g, session.hierarchy().level(2), budget.noise,
@@ -463,16 +447,16 @@ TEST(SessionTest, AnswerMatchesWorkloadRunAndChargesLedger) {
 
 TEST(SessionTest, AnswerRejectsBadLevelWithoutChargingLedger) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
+      DisclosureSession::Open(g, cfg, rng);
   gdp::query::Workload workload;
   workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
   const std::size_t charges_before = session.ledger().charges().size();
-  EXPECT_THROW((void)session.Answer(workload, 99, cfg.ToBudgetSpec(), rng),
+  EXPECT_THROW((void)session.Answer(workload, 99, cfg.budget, rng),
                std::out_of_range);
-  EXPECT_THROW((void)session.Answer(workload, -1, cfg.ToBudgetSpec(), rng),
+  EXPECT_THROW((void)session.Answer(workload, -1, cfg.budget, rng),
                std::out_of_range);
   EXPECT_EQ(session.ledger().charges().size(), charges_before)
       << "a rejected Answer must not leave phantom spend on the ledger";
@@ -480,14 +464,14 @@ TEST(SessionTest, AnswerRejectsBadLevelWithoutChargingLedger) {
 
 TEST(SessionTest, OpenRejectsBadCapsBeforePhase1) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  SessionSpec spec = cfg.ToSessionSpec();
+  SessionSpec cfg = SmallSpec();
+  SessionSpec spec = cfg;
   spec.epsilon_cap = 0.0;
   Rng rng(7);
   const Rng rng_snapshot = rng;
   EXPECT_THROW((void)DisclosureSession::Open(g, spec, rng),
                std::invalid_argument);
-  spec = cfg.ToSessionSpec();
+  spec = cfg;
   spec.delta_cap = 1.0;
   EXPECT_THROW((void)DisclosureSession::Open(g, spec, rng),
                std::invalid_argument);
@@ -498,11 +482,11 @@ TEST(SessionTest, OpenRejectsBadCapsBeforePhase1) {
 
 TEST(SessionTest, ConsistencySessionReleasesAreConsistent) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.enforce_consistency = true;
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.enforce_consistency = true;
   Rng rng(21);
   DisclosureSession session =
-      DisclosureSession::Open(g, MultiReleaseSpec(cfg), rng);
+      DisclosureSession::Open(g, cfg, rng);
   for (int i = 0; i < 2; ++i) {
     const MultiLevelRelease rel = session.Release(rng);
     EXPECT_TRUE(IsHierarchicallyConsistent(session.hierarchy(), rel, 1e-6));
@@ -511,79 +495,39 @@ TEST(SessionTest, ConsistencySessionReleasesAreConsistent) {
 
 TEST(SessionTest, OpenRejectsConsistencyWithoutGroupCounts) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.enforce_consistency = true;
-  cfg.include_group_counts = false;
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.enforce_consistency = true;
+  cfg.exec.include_group_counts = false;
   Rng rng(23);
-  EXPECT_THROW((void)DisclosureSession::Open(g, cfg.ToSessionSpec(), rng),
+  EXPECT_THROW((void)DisclosureSession::Open(g, cfg, rng),
                std::invalid_argument);
 }
 
 TEST(SessionTest, ParallelSessionInvariantAcrossThreadCounts) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
-  cfg.noise_chunk_grain = 256;
+  SessionSpec cfg = SmallSpec();
+  cfg.exec.noise_chunk_grain = 256;
   std::vector<MultiLevelRelease> releases;
-  for (const int threads : {2, 8}) {
-    cfg.num_threads = threads;
+  for (const int threads : {1, 2, 8}) {
+    cfg.exec.num_threads = threads;
     Rng rng(7);
-    DisclosureSession session =
-        DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+    DisclosureSession session = DisclosureSession::Open(g, cfg, rng);
     releases.push_back(session.Release(rng));
   }
-  ExpectBitIdentical(releases[0], releases[1], "2 vs 8 threads");
+  ExpectBitIdentical(releases[0], releases[1], "1 vs 2 threads");
+  ExpectBitIdentical(releases[0], releases[2], "1 vs 8 threads");
 }
 
 TEST(SessionTest, SessionIsMovable) {
   const BipartiteGraph g = TestGraph();
-  DisclosureConfig cfg = SmallConfig();
+  SessionSpec cfg = SmallSpec();
   Rng rng(7);
   DisclosureSession session =
-      DisclosureSession::Open(g, cfg.ToSessionSpec(), rng);
+      DisclosureSession::Open(g, cfg, rng);
   DisclosureSession moved = std::move(session);
   const MultiLevelRelease rel = moved.Release(rng);
   EXPECT_EQ(rel.num_levels(), 6);
   EXPECT_EQ(moved.num_releases(), 1);
-}
-
-// ---------- spec-struct mapping ----------
-
-TEST(SessionTest, ConfigToSpecMapsEveryField) {
-  DisclosureConfig cfg;
-  cfg.epsilon_g = 0.7;
-  cfg.delta = 1e-6;
-  cfg.phase1_fraction = 0.2;
-  cfg.depth = 6;
-  cfg.arity = 8;
-  cfg.split_quality = gdp::hier::SplitQuality::kNodeBalance;
-  cfg.max_cut_candidates = 31;
-  cfg.noise = NoiseKind::kLaplace;
-  cfg.include_group_counts = false;
-  cfg.clamp_nonnegative = true;
-  cfg.validate_hierarchy = false;
-  cfg.enforce_consistency = false;
-  cfg.num_threads = 3;
-  cfg.noise_chunk_grain = 512;
-
-  const SessionSpec spec = cfg.ToSessionSpec();
-  EXPECT_EQ(spec.hierarchy.depth, 6);
-  EXPECT_EQ(spec.hierarchy.arity, 8);
-  EXPECT_EQ(spec.hierarchy.split_quality, gdp::hier::SplitQuality::kNodeBalance);
-  EXPECT_EQ(spec.hierarchy.max_cut_candidates, 31);
-  EXPECT_FALSE(spec.hierarchy.validate_hierarchy);
-  EXPECT_DOUBLE_EQ(spec.budget.epsilon_g, 0.7);
-  EXPECT_DOUBLE_EQ(spec.budget.delta, 1e-6);
-  EXPECT_DOUBLE_EQ(spec.budget.phase1_fraction, 0.2);
-  EXPECT_EQ(spec.budget.noise, NoiseKind::kLaplace);
-  EXPECT_EQ(spec.exec.num_threads, 3);
-  EXPECT_EQ(spec.exec.noise_chunk_grain, 512u);
-  EXPECT_FALSE(spec.exec.include_group_counts);
-  EXPECT_TRUE(spec.exec.clamp_nonnegative);
-  EXPECT_FALSE(spec.exec.enforce_consistency);
-  EXPECT_DOUBLE_EQ(spec.epsilon_cap, 0.7);
-  EXPECT_DOUBLE_EQ(spec.delta_cap, 2e-6);
-  EXPECT_DOUBLE_EQ(spec.budget.phase1_epsilon(), 0.7 * 0.2);
-  EXPECT_DOUBLE_EQ(spec.budget.phase2_epsilon(), 0.7 - 0.7 * 0.2);
 }
 
 }  // namespace

@@ -176,6 +176,8 @@ TEST(SnapshotTest, CompiledRoundTripPlanAndHierarchyBitIdentical) {
 
 TEST(SnapshotTest, AdoptedPlanReleasesBitIdenticalAcrossThreadCounts) {
   const auto graph = TestGraph(400, 500, 2500, 11);
+  // The releases at 1 thread (no pool): every other thread count must match.
+  std::vector<gdp::core::MultiLevelRelease> at_one_thread;
   for (const int threads : {1, 2, 8}) {
     const SessionSpec spec = SmallSpec(threads);
     const std::uint64_t compile_seed = 13;
@@ -196,14 +198,21 @@ TEST(SnapshotTest, AdoptedPlanReleasesBitIdenticalAcrossThreadCounts) {
         gdp::core::ReleasePlan(snap->plan()), snap->phase1_epsilon_spent());
 
     // Same budget sweep, same per-release Rng state: the adopted artifact
-    // must be indistinguishable bit-for-bit from the fresh compile.
-    for (const double eps : {0.3, 0.7, 1.5}) {
+    // must be indistinguishable bit-for-bit from the fresh compile, and from
+    // the artifact compiled at 1 thread.
+    const double sweep[] = {0.3, 0.7, 1.5};
+    for (std::size_t i = 0; i < std::size(sweep); ++i) {
       gdp::core::BudgetSpec budget = spec.budget;
-      budget.epsilon_g = eps;
+      budget.epsilon_g = sweep[i];
       Rng rng_a(999);
       Rng rng_b(999);
-      ExpectReleasesBitIdentical(adopted->Release(budget, rng_a),
-                                 compiled->Release(budget, rng_b));
+      gdp::core::MultiLevelRelease release = adopted->Release(budget, rng_a);
+      ExpectReleasesBitIdentical(release, compiled->Release(budget, rng_b));
+      if (threads == 1) {
+        at_one_thread.push_back(std::move(release));
+      } else {
+        ExpectReleasesBitIdentical(release, at_one_thread.at(i));
+      }
     }
   }
 }
