@@ -185,7 +185,7 @@ void BM_ShardedPlanBuild(benchmark::State& state) {
   const auto built = spec.BuildHierarchy(g, rng);
   common::ThreadPool pool(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    auto plan = core::ReleasePlan::Build(g, built.hierarchy, pool);
+    auto plan = core::ReleasePlan::Build(g, built.hierarchy, &pool);
     benchmark::DoNotOptimize(plan.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

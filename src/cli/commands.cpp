@@ -312,8 +312,7 @@ int ServeListenLoop(const Args& args, gdp::serve::DisclosureService& service,
   // Default "shared" keeps socket-vs-batch parity; "per-connection" trades
   // that for contention-free noise draws (deterministic per accept order).
   if (args.Get("noise-streams").value_or("shared") == "per-connection") {
-    server_config.noise_streams =
-        gdp::core::NoiseStreamMode::kPerConnection;
+    server_config.noise_streams = gdp::net::NoiseStreamMode::kPerConnection;
   }
   const std::int64_t max_requests = args.GetInt("max-requests", 0);
 
@@ -331,7 +330,7 @@ int ServeListenLoop(const Args& args, gdp::serve::DisclosureService& service,
   out << "listening on 127.0.0.1:" << server.port() << " ("
       << server_config.num_workers << " workers, queue depth "
       << server_config.queue_capacity << ", noise streams "
-      << gdp::core::NoiseStreamModeName(server_config.noise_streams) << ")\n";
+      << gdp::net::NoiseStreamModeName(server_config.noise_streams) << ")\n";
   out.flush();
 
   g_stop_requested = 0;
@@ -963,8 +962,8 @@ int RunClient(const Args& args, std::ostream& out) {
     add("workers", s.workers);
     add("io_threads", s.io_threads);
     table.AddRow({"noise_streams",
-                  gdp::core::NoiseStreamModeName(
-                      static_cast<gdp::core::NoiseStreamMode>(
+                  gdp::net::NoiseStreamModeName(
+                      static_cast<gdp::net::NoiseStreamMode>(
                           s.noise_streams))});
     add("rng_mutex_acquisitions", s.rng_mutex_acquisitions);
     add("partial_writes", s.partial_writes);

@@ -56,12 +56,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   ready_.notify_one();
 }
 
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  ParallelForChunked(
-      n, 1, [&fn](std::size_t, std::size_t begin, std::size_t) { fn(begin); });
-}
-
 void ThreadPool::ParallelForChunked(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t chunk, std::size_t begin,

@@ -12,21 +12,23 @@
 // (see GroupDpEngine::Release), so
 // scheduling order cannot leak into results.
 //
-// CALLER PARTICIPATION: ParallelFor / ParallelForChunked never park the
-// calling thread while work remains.  The caller claims chunks from the same
-// shared counter the workers do, so (a) a nested call from inside a worker
-// cannot self-deadlock — the worker simply runs the inner chunks itself when
-// no sibling is free — and (b) a Submit failure mid-dispatch cannot strand
-// the waiter: chunks are claimed at execution time, not pinned to tasks at
+// CALLER PARTICIPATION: ParallelForChunked never parks the calling thread
+// while work remains.  The caller claims chunks from the same shared counter
+// the workers do, so (a) a nested call from inside a worker cannot
+// self-deadlock — the worker simply runs the inner chunks itself when no
+// sibling is free — and (b) a Submit failure mid-dispatch cannot strand the
+// waiter: chunks are claimed at execution time, not pinned to tasks at
 // submission time, so the caller drains whatever the queue never received.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -46,25 +48,20 @@ class ThreadPool {
   }
 
   // Enqueue a task; returns immediately.  Raw tasks must not themselves
-  // block on this pool (ParallelFor/ParallelForChunked are safe to nest —
-  // they never block while work remains — but a bare Submit-and-wait from a
-  // worker can still deadlock).
+  // block on this pool (ParallelForChunked is safe to nest — it never
+  // blocks while work remains — but a bare Submit-and-wait from a worker
+  // can still deadlock).
   void Submit(std::function<void()> task);
-
-  // Run fn(0), ..., fn(n-1) across the pool and block until all complete.
-  // The calling thread participates in the work, so this is safe to call
-  // from inside a pool worker (nested parallelism degrades to inline
-  // execution instead of deadlocking).  The first exception thrown by any
-  // task is rethrown here (remaining tasks still run to completion).
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Run fn(chunk, begin, end) for each of ceil(n / grain) fixed-size chunks
   // ([begin, end) ⊂ [0, n), chunk = begin / grain) and block until all
   // complete.  Chunk boundaries depend only on (n, grain) — never on the
   // thread count — so callers can fork one RNG substream per chunk before
   // dispatch and get bit-identical output for any pool size.  The calling
-  // thread participates (safe to nest from a worker); exceptions behave as
-  // in ParallelFor.  Requires grain > 0.
+  // thread participates in the work, so this is safe to call from inside a
+  // pool worker (nested parallelism degrades to inline execution instead of
+  // deadlocking).  The first exception thrown by any chunk is rethrown here
+  // (remaining chunks still run to completion).  Requires grain > 0.
   void ParallelForChunked(
       std::size_t n, std::size_t grain,
       const std::function<void(std::size_t chunk, std::size_t begin,
@@ -88,5 +85,52 @@ class ThreadPool {
   bool stopping_{false};
   std::atomic<int> submit_fault_after_{-1};
 };
+
+// The one way src/ runs a chunked loop, with or without a pool: calls
+// fn(chunk, begin, end) for the chunks ParallelForChunked cuts from [0, n)
+// (chunk c = [c·grain, min(n, (c+1)·grain))).  Without a pool the chunks run
+// in order on the calling thread and fn is called directly — no
+// std::function, no dispatch — so a pool-optional loop costs what the plain
+// loop costs.  With a pool they run through pool->ParallelForChunked, except
+// that a lone chunk (n <= grain) still runs inline: there is nothing to
+// overlap.  Boundaries depend only on (n, grain), so a loop whose chunks are
+// independent (or draw from substreams forked before the call) yields the
+// same result either way.  Requires grain > 0, with or without a pool.
+template <typename Fn>
+void ForEachChunk(ThreadPool* pool, std::size_t n, std::size_t grain, Fn&& fn) {
+  if (grain == 0) {
+    throw std::invalid_argument("ForEachChunk: grain == 0");
+  }
+  if (pool != nullptr && n > grain) {
+    pool->ParallelForChunked(n, grain, fn);
+    return;
+  }
+  std::size_t chunk = 0;
+  for (std::size_t begin = 0; begin < n; ++chunk) {
+    const std::size_t end = begin + std::min(grain, n - begin);
+    fn(chunk, begin, end);
+    begin = end;
+  }
+}
+
+// The shard-count rule of the accumulate-and-merge loops (the degree-sum
+// scan, the hierarchy rollup), where every shard but the first owns a
+// private accumulator that a merge pass folds into the result.  Returns the
+// grain: at least `min_grain` items a shard and at most two shards a worker,
+// so accumulator memory and merge work stay O(workers · accumulator).
+// Without a pool, or with a one-worker pool that could not overlap the
+// shards anyway, the whole range is one shard: the plain loop, nothing to
+// merge.  Sharding an exact integer accumulation never changes its result,
+// so sizing by the pool cannot perturb any output.
+[[nodiscard]] inline std::size_t AccumulatorGrain(const ThreadPool* pool,
+                                                  std::size_t n,
+                                                  std::size_t min_grain) {
+  if (pool == nullptr || pool->size() <= 1) {
+    return std::max<std::size_t>(n, 1);
+  }
+  const auto max_shards = 2 * static_cast<std::size_t>(pool->size());
+  return std::max({std::size_t{1}, min_grain,
+                   (n + max_shards - 1) / max_shards});
+}
 
 }  // namespace gdp::common

@@ -10,16 +10,6 @@
 
 namespace gdp::core {
 
-const char* NoiseStreamModeName(NoiseStreamMode mode) noexcept {
-  switch (mode) {
-    case NoiseStreamMode::kShared:
-      return "shared";
-    case NoiseStreamMode::kPerConnection:
-      return "per-connection";
-  }
-  return "unknown";
-}
-
 void ValidateBudgetShape(const BudgetSpec& budget) {
   if (!(budget.phase1_fraction >= 0.0) || !(budget.phase1_fraction < 1.0)) {
     throw gdp::common::InvalidBudgetError(
@@ -85,6 +75,15 @@ void ValidateSpecForCompile(const SessionSpec& spec, const char* where) {
   }
 }
 
+// The artifact's worker pool: none at num_threads == 1, so that setting
+// runs every stage as its plain loop on the calling thread.
+std::unique_ptr<gdp::common::ThreadPool> PoolFor(const ExecSpec& exec) {
+  if (exec.num_threads == 1) {
+    return nullptr;
+  }
+  return std::make_unique<gdp::common::ThreadPool>(exec.num_threads);
+}
+
 }  // namespace
 
 std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::Compile(
@@ -108,22 +107,14 @@ std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::Compile(
   // The pool is created BEFORE Phase 1 so the whole compile — the EM
   // specialization scan, then the one node scan and the per-level rollup of
   // the plan build — shards across the same workers the releases will later
-  // reuse.  Every sharded stage is bit-identical to its sequential
-  // counterpart for every pool size (pinned by parallel_compile_test), so
-  // the pool policy changes wall time only, never the artifact.
-  std::unique_ptr<gdp::common::ThreadPool> pool;
-  if (spec.exec.num_threads != 1) {
-    pool = std::make_unique<gdp::common::ThreadPool>(spec.exec.num_threads);
-  }
-
+  // reuse.  Every stage returns the same bits for every pool size, none
+  // included (pinned by parallel_compile_test), so the pool policy changes
+  // wall time only, never the artifact.
+  std::unique_ptr<gdp::common::ThreadPool> pool = PoolFor(spec.exec);
   const gdp::hier::Specializer specializer(em);
   gdp::hier::SpecializationResult built =
-      pool != nullptr ? specializer.BuildHierarchy(graph, rng, *pool)
-                      : specializer.BuildHierarchy(graph, rng);
-
-  ReleasePlan plan = pool != nullptr
-                         ? ReleasePlan::Build(graph, built.hierarchy, *pool)
-                         : ReleasePlan::Build(graph, built.hierarchy);
+      specializer.BuildHierarchy(graph, rng, pool.get());
+  ReleasePlan plan = ReleasePlan::Build(graph, built.hierarchy, pool.get());
 
   // Not make_shared: the constructor is private and the control block
   // indirection is irrelevant next to the artifact's payload.
@@ -169,13 +160,8 @@ std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::FromPrecompiled(
           std::to_string(level) + " group count does not match the hierarchy");
     }
   }
-  // Same pool policy as Compile (the pool changes wall time only).
-  std::unique_ptr<gdp::common::ThreadPool> pool;
-  if (spec.exec.num_threads != 1) {
-    pool = std::make_unique<gdp::common::ThreadPool>(spec.exec.num_threads);
-  }
   return std::shared_ptr<const CompiledDisclosure>(new CompiledDisclosure(
-      graph, spec, std::move(hierarchy), std::move(plan), std::move(pool),
+      graph, spec, std::move(hierarchy), std::move(plan), PoolFor(spec.exec),
       phase1_epsilon_spent));
 }
 

@@ -86,9 +86,9 @@ struct BudgetSpec {
 struct ExecSpec {
   // Worker threads.  1 (default) runs everything on the calling thread; any
   // other value builds an owned ThreadPool at Compile that shards Phase 1,
-  // the plan's node scan and every release's level/chunk draws; 0 selects
-  // the hardware concurrency.  Wall time only: the released values are
-  // bit-identical at every thread count.
+  // the plan's node scan and rollup, and every release's level/chunk draws;
+  // 0 selects the hardware concurrency.  Wall time only: the artifact and
+  // the released values are bit-identical at every thread count.
   int num_threads{1};
   // Groups per chunk of a level's vector noise draw (GroupDpEngine's one
   // draw order).  Part of the output contract: one RNG substream per chunk,
@@ -102,25 +102,6 @@ struct ExecSpec {
   // Post-processing: clamp noisy counts at 0.
   bool clamp_nonnegative{false};
 };
-
-// How a network serving front end assigns request noise streams across
-// connections (the serving determinism contract, docs/SERVING.md):
-//   kShared         — every request draws from the ONE batch-driver stream
-//                     (Rng(seed).Fork(1)) in job-execution order; the socket
-//                     path stays bit-identical to `gdp_tool serve --requests`
-//                     at the same seed, at the price of a global mutex
-//                     serializing all noise draws.
-//   kPerConnection  — each accepted connection owns a forked substream keyed
-//                     by its accept-order id (Rng(seed).Fork(2).Fork(id)),
-//                     so concurrent requests from different connections draw
-//                     without any global lock.  Deterministic for a fixed
-//                     accept order; NOT comparable to the batch driver.
-enum class NoiseStreamMode : std::uint8_t {
-  kShared = 0,
-  kPerConnection = 1,
-};
-
-[[nodiscard]] const char* NoiseStreamModeName(NoiseStreamMode mode) noexcept;
 
 // Everything a compile/open needs: the one-time specs plus the opening
 // budget (whose phase1_epsilon() the EM build spends) and the default ledger
@@ -155,13 +136,6 @@ struct SessionSpec {
   // changes what a release CHARGES, never what it RELEASES, so artifacts
   // compiled either way are interchangeable bits.
   bool strict_level_charging{false};
-  // How a socket front end over this publication assigns request noise
-  // streams (net::Server picks it up from the dataset's spec unless its own
-  // config overrides).  Like strict_level_charging, NOT part of the artifact
-  // fingerprint: it selects which stream a request draws FROM, never what a
-  // single release looks like, so artifacts compiled either way are
-  // interchangeable bits.
-  NoiseStreamMode noise_streams{NoiseStreamMode::kShared};
 };
 
 // Shape validation of the (ε, δ, fraction) triple alone, independent of any

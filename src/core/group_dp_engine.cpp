@@ -140,18 +140,13 @@ MultiLevelRelease GroupDpEngine::Release(const ReleasePlan& plan,
   // noise depends only on (rng state, ℓ, grain), never on who draws it.
   std::vector<gdp::common::Rng> streams = rng.ForkStreams(n);
   std::vector<LevelRelease> levels(n);
-  const auto draw = [&](std::size_t i) {
-    levels[i] = DrawLevel(plan, static_cast<int>(i), streams[i], pool);
-  };
-  if (pool != nullptr) {
-    // Each level's chunks nest on the same pool; caller participation in
-    // ParallelForChunked makes the nesting deadlock-free.
-    pool->ParallelFor(n, draw);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      draw(i);
-    }
-  }
+  // One chunk per level.  Each level's noise chunks nest on the same pool;
+  // caller participation in ParallelForChunked makes the nesting
+  // deadlock-free.
+  gdp::common::ForEachChunk(
+      pool, n, 1, [&](std::size_t i, std::size_t, std::size_t) {
+        levels[i] = DrawLevel(plan, static_cast<int>(i), streams[i], pool);
+      });
   return MultiLevelRelease(std::move(levels));
 }
 
@@ -198,24 +193,18 @@ LevelRelease GroupDpEngine::DrawLevel(const ReleasePlan& plan, int level_index,
       // Chunk layout depends only on (n, grain), and the substreams are
       // forked in chunk order before dispatch, so the pool (if any) cannot
       // change the released values.
-      const std::size_t num_chunks = (n + grain - 1) / grain;
-      std::vector<gdp::common::Rng> streams = rng.ForkStreams(num_chunks);
+      std::vector<gdp::common::Rng> streams =
+          rng.ForkStreams((n + grain - 1) / grain);
       out.noisy_group_counts.resize(n);
-      const auto draw_chunk = [&](std::size_t chunk, std::size_t begin,
-                                  std::size_t end) {
-        gdp::common::Rng& chunk_rng = streams[chunk];
-        for (std::size_t i = begin; i < end; ++i) {
-          out.noisy_group_counts[i] =
-              vector_mechanism.AddNoise(out.true_group_counts[i], chunk_rng);
-        }
-      };
-      if (pool != nullptr) {
-        pool->ParallelForChunked(n, grain, draw_chunk);
-      } else {
-        for (std::size_t chunk = 0; chunk < num_chunks; ++chunk) {
-          draw_chunk(chunk, chunk * grain, std::min(n, (chunk + 1) * grain));
-        }
-      }
+      gdp::common::ForEachChunk(
+          pool, n, grain,
+          [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+            gdp::common::Rng& chunk_rng = streams[chunk];
+            for (std::size_t i = begin; i < end; ++i) {
+              out.noisy_group_counts[i] = vector_mechanism.AddNoise(
+                  out.true_group_counts[i], chunk_rng);
+            }
+          });
     } else {
       out.noisy_group_counts =
           vector_mechanism.AddNoise(out.true_group_counts, rng);

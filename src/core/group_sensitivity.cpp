@@ -12,11 +12,6 @@ EdgeCount CountSensitivity(const BipartiteGraph& graph, const Partition& level) 
   return level.MaxGroupDegreeSum(graph);
 }
 
-std::vector<EdgeCount> CountSensitivities(const BipartiteGraph& graph,
-                                          const GroupHierarchy& hierarchy) {
-  return hierarchy.LevelSensitivities(graph);
-}
-
 gdp::dp::L2Sensitivity VectorSensitivityFromScalar(EdgeCount scalar) {
   if (scalar == 0) {
     throw std::invalid_argument(

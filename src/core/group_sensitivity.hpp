@@ -35,12 +35,6 @@ using gdp::hier::Partition;
 [[nodiscard]] EdgeCount CountSensitivity(const BipartiteGraph& graph,
                                          const Partition& level);
 
-// Δ per level for the whole hierarchy (index = level).  Single pass: one
-// node scan plus a parent-pointer rollup (GroupHierarchy::AllGroupDegreeSums)
-// rather than one scan per level.
-[[nodiscard]] std::vector<EdgeCount> CountSensitivities(
-    const BipartiteGraph& graph, const GroupHierarchy& hierarchy);
-
 // The sqrt(2)·Δ L2 bound of the per-group count vector, from an already
 // computed scalar Δ.  Single home of the bound, shared by the per-level path
 // and ReleasePlan.  Throws on Δ = 0 (cannot calibrate; release exact zeros).

@@ -147,7 +147,7 @@ std::optional<MultiLevelRelease> DisclosureSession::TryRelease(
   // Own-ledger admission first: a grant this session cannot cover must not
   // reach the gate (the gate may persist the event durably — an inadmissible
   // charge must never hit the log).
-  if (ledger_.WouldExceed(event)) {
+  if (!AdmittedByLedger(event)) {
     return std::nullopt;
   }
   // Write-ahead seam: the gate runs with the ledger and rng still untouched,
@@ -246,7 +246,7 @@ DisclosureSession::TryAnswer(const gdp::query::Workload& workload, int level,
   // Same admission order as the gated TryRelease: own ledger first (an
   // inadmissible charge must never reach a gate that persists events), then
   // the gate with ledger and rng still untouched, then commit and draw.
-  if (ledger_.WouldExceed(event)) {
+  if (!AdmittedByLedger(event)) {
     return std::nullopt;
   }
   if (gate && !gate(event)) {
@@ -255,6 +255,15 @@ DisclosureSession::TryAnswer(const gdp::query::Workload& workload, int level,
   ledger_.Charge(event, std::move(label));
   ++num_answers_;
   return compiled_->Answer(workload, level, budget, rng);
+}
+
+bool DisclosureSession::AdmittedByLedger(const gdp::dp::MechanismEvent& event) {
+  if (ledger_.WouldExceed(event)) {
+    last_refusal_ = event;
+    return false;
+  }
+  last_refusal_.reset();
+  return true;
 }
 
 gdp::hier::GroupHierarchy DisclosureSession::TakeHierarchy() && {

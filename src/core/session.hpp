@@ -233,6 +233,14 @@ class DisclosureSession {
     return compiled_->phase1_epsilon_spent();
   }
   [[nodiscard]] int num_releases() const noexcept { return num_releases_; }
+  // The charge the latest TryRelease / TryAnswer ledger check refused —
+  // num_levels sequential mechanisms under strict_level_charging, k queries
+  // for an answer — or nullopt when that charge fit the ledger.  The
+  // serving layer names the binding cap and the need from it.
+  [[nodiscard]] const std::optional<gdp::dp::MechanismEvent>& last_refusal()
+      const noexcept {
+    return last_refusal_;
+  }
 
   // Consume the session, yielding its hierarchy (the open-release-close
   // wrapper's exit path).  Moves the hierarchy out of the artifact when this
@@ -245,10 +253,15 @@ class DisclosureSession {
                     double epsilon_cap, double delta_cap,
                     gdp::dp::AccountingPolicy accounting);
 
+  // The Try* ledger check: true when `event` fits the ledger; records the
+  // refusal (last_refusal) either way.
+  [[nodiscard]] bool AdmittedByLedger(const gdp::dp::MechanismEvent& event);
+
   std::shared_ptr<const CompiledDisclosure> compiled_;
   gdp::dp::BudgetLedger ledger_;
   int num_releases_{0};
   int num_answers_{0};  // keeps default Answer audit labels unique
+  std::optional<gdp::dp::MechanismEvent> last_refusal_;
 };
 
 }  // namespace gdp::core

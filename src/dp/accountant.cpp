@@ -1,35 +1,11 @@
 #include "dp/accountant.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 namespace gdp::dp {
-
-BudgetCharge ComposeSequential(std::span<const BudgetCharge> charges) {
-  BudgetCharge total;
-  total.label = "sequential";
-  for (const auto& c : charges) {
-    total.epsilon += c.epsilon;
-    total.delta += c.delta;
-  }
-  return total;
-}
-
-BudgetCharge ComposeParallel(std::span<const BudgetCharge> charges) {
-  if (charges.empty()) {
-    throw std::invalid_argument("ComposeParallel: requires at least one charge");
-  }
-  BudgetCharge total;
-  total.label = "parallel";
-  for (const auto& c : charges) {
-    total.epsilon = std::max(total.epsilon, c.epsilon);
-    total.delta = std::max(total.delta, c.delta);
-  }
-  return total;
-}
 
 BudgetCharge ComposeAdvanced(Epsilon eps, double delta, int k, double delta_slack) {
   if (k <= 0) {
@@ -99,6 +75,13 @@ bool BudgetLedger::WouldExceed(const MechanismEvent& event) const {
   return accountant_->WouldExceed(event, eps_cap_, delta_cap_);
 }
 
+const char* BudgetLedger::BindingCap(const MechanismEvent& event) const {
+  MechanismEvent eps_only = event;
+  eps_only.delta = 0.0;
+  return accountant_->WouldExceed(eps_only, eps_cap_, delta_cap_) ? "epsilon"
+                                                                  : "delta";
+}
+
 bool BudgetLedger::WouldExceedAll(
     std::span<const MechanismEvent> events) const {
   const std::unique_ptr<PrivacyAccountant> probe = accountant_->Clone();
@@ -127,14 +110,8 @@ void BudgetLedger::Charge(double epsilon, double delta, std::string label) {
 void BudgetLedger::Charge(const MechanismEvent& event, std::string label) {
   ValidateMechanismEvent(event);
   if (WouldExceed(event)) {
-    // Name the cap that tripped: re-check with the δ claim zeroed, matching
-    // the historical epsilon-first check order.
-    MechanismEvent eps_only = event;
-    eps_only.delta = 0.0;
-    const bool eps_binding =
-        accountant_->WouldExceed(eps_only, eps_cap_, delta_cap_);
     throw gdp::common::BudgetExhaustedError(
-        std::string("BudgetLedger: ") + (eps_binding ? "epsilon" : "delta") +
+        std::string("BudgetLedger: ") + BindingCap(event) +
         " cap exceeded by charge '" + label + "'");
   }
   CommitCharge(event, std::move(label));

@@ -36,12 +36,6 @@ namespace gdp::dp {
 
 // --- stateless composition arithmetic -------------------------------------
 
-// (Σεi, Σδi) over charges.
-[[nodiscard]] BudgetCharge ComposeSequential(std::span<const BudgetCharge> charges);
-
-// (max εi, max δi) over charges (disjoint inputs).  Requires non-empty.
-[[nodiscard]] BudgetCharge ComposeParallel(std::span<const BudgetCharge> charges);
-
 // Advanced composition bound for k-fold use of one (ε, δ) with slack δ'.
 // Requires k > 0, delta in [0, 1), delta_slack in (0, 1).
 [[nodiscard]] BudgetCharge ComposeAdvanced(Epsilon eps, double delta, int k,
@@ -80,6 +74,12 @@ class BudgetLedger {
   // of charges atomically instead of failing mid-batch.
   [[nodiscard]] bool WouldExceed(double epsilon, double delta) const;
   [[nodiscard]] bool WouldExceed(const MechanismEvent& event) const;
+
+  // The cap that refuses `event`: "epsilon" when the ε cap alone does (the
+  // event re-checked with its δ claim zeroed, the caps' historical
+  // epsilon-first order), else "delta".  Meaningful when WouldExceed(event).
+  // Charge's error and the serving layer's denial reason both name it.
+  [[nodiscard]] const char* BindingCap(const MechanismEvent& event) const;
 
   // Batch pre-check: would recording ALL of `events`, in order, exceed the
   // caps?  This is the only correct whole-batch check for a non-sequential

@@ -18,105 +18,74 @@ namespace {
 // size of the children that rolled into it — the caller then falls back to a
 // direct scan of the coarse level.
 //
-// Sharded when a pool with more than one worker is given and the fine level
-// is large enough: fine groups split into contiguous ranges, each shard owns
-// a full per-parent accumulator, and a second parallel pass merges shard
-// accumulators per parent slot.  Integer sums over disjoint children are
-// order-independent, so every shard layout yields the sequential rollup
-// bit-for-bit (the same exact-merge contract as Partition::GroupDegreeSums's
-// sharded node scan); small levels and single-worker pools take the
-// sequential loop and pay no merge overhead.
+// Fine groups split into contiguous shards by common::AccumulatorGrain (one
+// shard without a pool).  Shard 0 rolls straight into the result; each later
+// shard owns a full per-parent accumulator, folded in by the merge pass that
+// also runs the conservation check.  Integer sums over disjoint children are
+// order-independent, so every shard layout yields the one-shard rollup
+// bit-for-bit (the same exact-merge contract as the degree-sum scan).
 std::optional<std::vector<EdgeCount>> RollUpLevel(
     const Partition& fine, const Partition& coarse,
     const std::vector<EdgeCount>& fine_sums, gdp::common::ThreadPool* pool,
     std::size_t shard_grain) {
   const std::size_t num_fine = fine.num_groups();
   const std::size_t num_coarse = coarse.num_groups();
+  const GroupInfo* const children = fine.groups().data();
+  const GroupInfo* const parents = coarse.groups().data();
+  const EdgeCount* const child_sums = fine_sums.data();
 
-  if (pool == nullptr || pool->size() <= 1 || shard_grain == 0 ||
-      num_fine <= shard_grain) {
-    bool parents_ok = true;
-    std::vector<EdgeCount> sums(num_coarse, 0);
-    std::vector<NodeIndex> rolled_sizes(num_coarse, 0);
-    for (GroupId g = 0; g < num_fine; ++g) {
-      const GroupInfo& child = fine.group(g);
-      if (child.parent >= num_coarse ||
-          child.side != coarse.group(child.parent).side) {
-        parents_ok = false;
-        break;
-      }
-      sums[child.parent] += fine_sums[g];
-      rolled_sizes[child.parent] += child.size;
-    }
-    if (parents_ok) {
-      for (GroupId p = 0; p < num_coarse; ++p) {
-        if (rolled_sizes[p] != coarse.group(p).size) {
-          parents_ok = false;
-          break;
-        }
-      }
-    }
-    if (!parents_ok) {
-      return std::nullopt;
-    }
-    return sums;
-  }
-
-  // Cap at 2 shards per worker: each shard owns a full per-parent
-  // accumulator, so extra shards add O(shards · parents) merge work and
-  // memory without adding concurrency (see the matching cap in
-  // Partition::GroupDegreeSums).
-  const std::size_t max_shards = 2 * static_cast<std::size_t>(pool->size());
-  const std::size_t grain =
-      std::max(shard_grain, (num_fine + max_shards - 1) / max_shards);
-  const std::size_t num_shards = (num_fine + grain - 1) / grain;
-  struct Shard {
+  struct Accumulator {
     std::vector<EdgeCount> sums;
     std::vector<NodeIndex> sizes;
-    bool parents_ok{true};
   };
-  std::vector<Shard> shards(num_shards);
-  pool->ParallelForChunked(
-      num_fine, grain,
+  Accumulator out{std::vector<EdgeCount>(num_coarse, 0),
+                  std::vector<NodeIndex>(num_coarse, 0)};
+  const std::size_t grain =
+      gdp::common::AccumulatorGrain(pool, num_fine, shard_grain);
+  std::vector<Accumulator> later_shards(
+      std::max<std::size_t>(1, (num_fine + grain - 1) / grain) - 1);
+  std::atomic<bool> links_ok{true};
+  gdp::common::ForEachChunk(
+      pool, num_fine, grain,
       [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        Shard& s = shards[shard];
-        s.sums.assign(num_coarse, 0);
-        s.sizes.assign(num_coarse, 0);
+        Accumulator& acc = shard == 0 ? out : later_shards[shard - 1];
+        if (shard != 0) {
+          acc.sums.assign(num_coarse, 0);
+          acc.sizes.assign(num_coarse, 0);
+        }
+        EdgeCount* const sums = acc.sums.data();
+        NodeIndex* const sizes = acc.sizes.data();
         for (std::size_t g = begin; g < end; ++g) {
-          const GroupInfo& child = fine.group(static_cast<GroupId>(g));
+          const GroupInfo& child = children[g];
           if (child.parent >= num_coarse ||
-              child.side != coarse.group(child.parent).side) {
-            s.parents_ok = false;
-            break;
+              child.side != parents[child.parent].side) {
+            links_ok.store(false, std::memory_order_relaxed);
+            return;
           }
-          s.sums[child.parent] += fine_sums[g];
-          s.sizes[child.parent] += child.size;
+          sums[child.parent] += child_sums[g];
+          sizes[child.parent] += child.size;
         }
       });
-  for (const Shard& s : shards) {
-    if (!s.parents_ok) {
-      return std::nullopt;
-    }
+  if (!links_ok.load(std::memory_order_relaxed)) {
+    return std::nullopt;
   }
 
   // Merge, parallel over parent ranges: each output slot is owned by exactly
   // one chunk.  The conservation check rides the same pass — rolled sizes
   // are complete for a slot once every shard merged into it.
-  std::vector<EdgeCount> out(num_coarse, 0);
   std::atomic<bool> conserved{true};
   constexpr std::size_t kMergeGrain = 8192;
-  pool->ParallelForChunked(
-      num_coarse, kMergeGrain,
+  gdp::common::ForEachChunk(
+      pool, num_coarse, kMergeGrain,
       [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::vector<NodeIndex> rolled(end - begin, 0);
-        for (const Shard& s : shards) {
+        for (const Accumulator& acc : later_shards) {
           for (std::size_t p = begin; p < end; ++p) {
-            out[p] += s.sums[p];
-            rolled[p - begin] += s.sizes[p];
+            out.sums[p] += acc.sums[p];
+            out.sizes[p] += acc.sizes[p];
           }
         }
         for (std::size_t p = begin; p < end; ++p) {
-          if (rolled[p - begin] != coarse.group(static_cast<GroupId>(p)).size) {
+          if (out.sizes[p] != parents[p].size) {
             conserved.store(false, std::memory_order_relaxed);
           }
         }
@@ -124,7 +93,7 @@ std::optional<std::vector<EdgeCount>> RollUpLevel(
   if (!conserved.load(std::memory_order_relaxed)) {
     return std::nullopt;
   }
-  return out;
+  return std::move(out.sums);
 }
 
 }  // namespace
@@ -166,32 +135,16 @@ const Partition& GroupHierarchy::level(int i) const {
 }
 
 std::vector<std::vector<EdgeCount>> GroupHierarchy::AllGroupDegreeSums(
-    const BipartiteGraph& graph) const {
-  return AllGroupDegreeSumsImpl(graph, nullptr, 0);
-}
-
-std::vector<std::vector<EdgeCount>> GroupHierarchy::AllGroupDegreeSums(
-    const BipartiteGraph& graph, gdp::common::ThreadPool& pool,
-    std::size_t shard_grain) const {
-  return AllGroupDegreeSumsImpl(graph, &pool, shard_grain);
-}
-
-std::vector<std::vector<EdgeCount>> GroupHierarchy::AllGroupDegreeSumsImpl(
     const BipartiteGraph& graph, gdp::common::ThreadPool* pool,
     std::size_t shard_grain) const {
   const auto scan = [&](const Partition& level) {
-    return pool != nullptr ? level.GroupDegreeSums(graph, *pool, shard_grain)
-                           : level.GroupDegreeSums(graph);
+    return level.GroupDegreeSums(graph, pool, shard_grain);
   };
   std::vector<std::vector<EdgeCount>> all;
   all.reserve(levels_.size());
   // The one node scan: singleton sums are exactly the node degrees.
   all.push_back(scan(levels_.front()));
   for (std::size_t i = 1; i < levels_.size(); ++i) {
-    const Partition& coarse = levels_[i];
-    const Partition& fine = levels_[i - 1];
-    const std::vector<EdgeCount>& fine_sums = all[i - 1];
-
     // Refinement (validated at construction) makes each coarse group the
     // disjoint union of its fine children, so summing child sums into the
     // parent slot reproduces a direct scan exactly.  validate=false
@@ -201,8 +154,8 @@ std::vector<std::vector<EdgeCount>> GroupHierarchy::AllGroupDegreeSumsImpl(
     // coarse group's declared size must equal the total size of the children
     // that rolled into it — and we fall back to a direct scan when it fails.
     std::optional<std::vector<EdgeCount>> rolled =
-        RollUpLevel(fine, coarse, fine_sums, pool, shard_grain);
-    all.push_back(rolled.has_value() ? std::move(*rolled) : scan(coarse));
+        RollUpLevel(levels_[i - 1], levels_[i], all[i - 1], pool, shard_grain);
+    all.push_back(rolled.has_value() ? std::move(*rolled) : scan(levels_[i]));
   }
   return all;
 }

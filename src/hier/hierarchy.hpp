@@ -40,6 +40,14 @@ class GroupHierarchy {
   // level(i).GroupDegreeSums(graph)[g] exactly (integer arithmetic over the
   // same disjoint union of nodes).
   //
+  // `pool` shards the node scan (Partition::GroupDegreeSums) and each
+  // level's rollup by the same rule (common::AccumulatorGrain over child
+  // groups, at least `shard_grain` a shard): shard 0 rolls into the result,
+  // each later shard into its own per-parent accumulator, and a merge pass
+  // over parent ranges folds those in.  Integer sums over disjoint children
+  // are order-independent, so every pool size returns exactly the no-pool
+  // rollup, which is one shard: the plain loop, no merge.
+  //
   // TRUST CONTRACT: validate=true construction proves parent/label
   // consistency (IsRefinedBy checks every node), making the rollup exact.
   // With validate=false the caller vouches for refinement consistency,
@@ -49,18 +57,7 @@ class GroupHierarchy {
   // permutation is undetectable without the per-level label scan this
   // method exists to eliminate — hand-built hierarchies should validate.
   [[nodiscard]] std::vector<std::vector<EdgeCount>> AllGroupDegreeSums(
-      const BipartiteGraph& graph) const;
-
-  // Same rollup, but sharded on `pool`: the one node scan (and a
-  // validation-failure rescan, if any) uses Partition::GroupDegreeSums's
-  // pool overload, and each level's parent-pointer rollup runs as a
-  // parallel-for over child-group ranges with per-shard accumulators merged
-  // exactly — integer sums over disjoint children are order-independent, so
-  // the result equals the sequential rollup bit-for-bit for every pool
-  // size.  Small levels and single-worker pools fall back to the sequential
-  // loop (no merge overhead on one-core hosts).
-  [[nodiscard]] std::vector<std::vector<EdgeCount>> AllGroupDegreeSums(
-      const BipartiteGraph& graph, gdp::common::ThreadPool& pool,
+      const BipartiteGraph& graph, gdp::common::ThreadPool* pool = nullptr,
       std::size_t shard_grain = Partition::kDefaultShardGrain) const;
 
   // Group-level sensitivity of the association-count query at each level:
@@ -80,12 +77,6 @@ class GroupHierarchy {
   [[nodiscard]] std::vector<GroupId> LevelGroupCounts() const;
 
  private:
-  // Shared body of the two AllGroupDegreeSums overloads; pool == nullptr
-  // selects the sequential scan.
-  [[nodiscard]] std::vector<std::vector<EdgeCount>> AllGroupDegreeSumsImpl(
-      const BipartiteGraph& graph, gdp::common::ThreadPool* pool,
-      std::size_t shard_grain) const;
-
   std::vector<Partition> levels_;
 };
 

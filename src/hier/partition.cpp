@@ -107,43 +107,13 @@ std::vector<NodeIndex> Partition::NodesOf(GroupId id) const {
   return nodes;
 }
 
-std::vector<EdgeCount> Partition::GroupDegreeSums(const BipartiteGraph& graph) const {
-  if (graph.num_left() != num_left_nodes() ||
-      graph.num_right() != num_right_nodes()) {
-    throw std::invalid_argument(
-        "Partition::GroupDegreeSums: graph dimensions mismatch");
-  }
-  g_degree_sum_scans.fetch_add(1, std::memory_order_relaxed);
-  std::vector<EdgeCount> sums(groups_.size(), 0);
-  for (NodeIndex v = 0; v < num_left_nodes(); ++v) {
-    sums[left_labels_[v]] += graph.Degree(Side::kLeft, v);
-  }
-  for (NodeIndex v = 0; v < num_right_nodes(); ++v) {
-    sums[right_labels_[v]] += graph.Degree(Side::kRight, v);
-  }
-  return sums;
-}
-
 std::vector<EdgeCount> Partition::GroupDegreeSums(
-    const BipartiteGraph& graph, gdp::common::ThreadPool& pool,
+    const BipartiteGraph& graph, gdp::common::ThreadPool* pool,
     std::size_t shard_grain) const {
   if (shard_grain == 0) {
     throw std::invalid_argument(
         "Partition::GroupDegreeSums: shard_grain must be > 0");
   }
-  // Nodes are addressed as one range [0, nl + nr): left side first, then
-  // right, so shard boundaries are independent of the side split.
-  const auto nl = static_cast<std::size_t>(num_left_nodes());
-  const std::size_t total =
-      nl + static_cast<std::size_t>(num_right_nodes());
-  // A single-worker pool can't overlap shard scans, leaving only the
-  // O(shards · groups) merge as pure overhead; since the sharded result is
-  // exactly the sequential one, choosing per pool size cannot perturb any
-  // output.  (Contrast the noise chunking, whose substream split IS part of
-  // the output contract and therefore never depends on the pool.)
-  if (total <= shard_grain || pool.size() <= 1) {
-    return GroupDegreeSums(graph);  // one shard: the sequential scan
-  }
   if (graph.num_left() != num_left_nodes() ||
       graph.num_right() != num_right_nodes()) {
     throw std::invalid_argument(
@@ -151,47 +121,53 @@ std::vector<EdgeCount> Partition::GroupDegreeSums(
   }
   g_degree_sum_scans.fetch_add(1, std::memory_order_relaxed);
 
-  // Each shard owns a full per-group accumulator, so shards beyond the
-  // worker count only add memory and O(shards · groups) merge work without
-  // adding concurrency — on the singleton level (groups == nodes) letting
-  // the shard count grow with the node count would make both quadratic.
-  // Cap at 2 shards per worker (mild load balancing); sizing by pool is
-  // contract-safe because every shard layout yields the identical result.
-  const std::size_t max_shards = 2 * static_cast<std::size_t>(pool.size());
+  // Nodes are addressed as one range [0, nl + nr): left side first, then
+  // right, so shard boundaries are independent of the side split.
+  const std::size_t nl = left_labels_.size();
+  const std::size_t total = nl + right_labels_.size();
   const std::size_t grain =
-      std::max(shard_grain, (total + max_shards - 1) / max_shards);
-  const std::size_t num_shards = (total + grain - 1) / grain;
-  std::vector<std::vector<EdgeCount>> shard_sums(num_shards);
-  pool.ParallelForChunked(
-      total, grain,
+      gdp::common::AccumulatorGrain(pool, total, shard_grain);
+  std::vector<EdgeCount> out(groups_.size(), 0);
+  std::vector<std::vector<EdgeCount>> later_shards(
+      std::max<std::size_t>(1, (total + grain - 1) / grain) - 1);
+  const EdgeCount* const left_offsets = graph.offsets(Side::kLeft).data();
+  const EdgeCount* const right_offsets = graph.offsets(Side::kRight).data();
+  gdp::common::ForEachChunk(
+      pool, total, grain,
       [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        std::vector<EdgeCount>& sums = shard_sums[shard];
-        sums.assign(groups_.size(), 0);
-        for (std::size_t v = begin; v < end; ++v) {
-          if (v < nl) {
-            sums[left_labels_[v]] +=
-                graph.Degree(Side::kLeft, static_cast<NodeIndex>(v));
-          } else {
-            sums[right_labels_[v - nl]] +=
-                graph.Degree(Side::kRight, static_cast<NodeIndex>(v - nl));
-          }
+        std::vector<EdgeCount>& acc =
+            shard == 0 ? out : later_shards[shard - 1];
+        if (shard != 0) {
+          acc.assign(groups_.size(), 0);
+        }
+        EdgeCount* const sums = acc.data();
+        const GroupId* const left = left_labels_.data();
+        const GroupId* const right = right_labels_.data();
+        const std::size_t split = std::clamp(nl, begin, end);
+        for (std::size_t v = begin; v < split; ++v) {
+          sums[left[v]] += left_offsets[v + 1] - left_offsets[v];
+        }
+        for (std::size_t v = split; v < end; ++v) {
+          const std::size_t u = v - nl;
+          sums[right[u]] += right_offsets[u + 1] - right_offsets[u];
         }
       });
 
   // Merge, parallel over group ranges: each output slot is owned by exactly
   // one chunk, and integer addition over disjoint node sets is
-  // order-independent, so this equals the sequential scan bit-for-bit.
-  std::vector<EdgeCount> out(groups_.size(), 0);
-  constexpr std::size_t kMergeGrain = 8192;
-  pool.ParallelForChunked(
-      groups_.size(), kMergeGrain,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (const std::vector<EdgeCount>& sums : shard_sums) {
-          for (std::size_t g = begin; g < end; ++g) {
-            out[g] += sums[g];
+  // order-independent, so this equals the one-shard scan bit-for-bit.
+  if (!later_shards.empty()) {
+    constexpr std::size_t kMergeGrain = 8192;
+    gdp::common::ForEachChunk(
+        pool, out.size(), kMergeGrain,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (const std::vector<EdgeCount>& acc : later_shards) {
+            for (std::size_t g = begin; g < end; ++g) {
+              out[g] += acc[g];
+            }
           }
-        }
-      });
+        });
+  }
   return out;
 }
 

@@ -81,32 +81,27 @@ class Partition {
 
   // Incident-edge count (degree sum) of every group.  This is each group's
   // contribution to the association count; its max over groups is the
-  // group-level sensitivity of the count query.  O(|V|) given the graph.
-  // Requires the graph dimensions to match the partition.
+  // group-level sensitivity of the count query.  One O(|V|) node scan,
+  // counted by DegreeSumScanCount.  Requires the graph dimensions to match
+  // the partition and shard_grain > 0.
+  //
+  // The node range (both sides concatenated, left first) is cut into shards
+  // by common::AccumulatorGrain: at least `shard_grain` nodes a shard and at
+  // most two shards a worker of `pool`, so one shard without a pool.  Shard
+  // 0 adds straight into the result; each later shard owns a per-group
+  // vector that a merge pass, parallel over group ranges, folds in.  The
+  // sums are exact integer arithmetic over disjoint node sets, so every pool
+  // size and shard layout returns exactly the no-pool scan (partition_test
+  // pins this), and the no-pool call is the plain loop with no merge.
   [[nodiscard]] std::vector<EdgeCount> GroupDegreeSums(
-      const BipartiteGraph& graph) const;
-
-  // Sharded variant of the same scan: the node range (both sides
-  // concatenated) is cut into contiguous shards of at least `shard_grain`
-  // nodes (at most 2 shards per pool worker, keeping accumulator memory and
-  // merge work at O(workers · groups)) executed on `pool`, each
-  // accumulating into its own per-group vector, merged at the end.  The
-  // sums are exact integer arithmetic over disjoint node sets, so the
-  // result EQUALS the sequential scan for every pool size and shard layout
-  // (partition_test pins this).  The merge costs O(shards · groups), so the win requires
-  // nodes >> groups or a multicore merge; small inputs (one shard) and
-  // single-worker pools fall back to the sequential loop — safe precisely
-  // because sharding never changes the result.  Counts as ONE scan for
-  // DegreeSumScanCount.
-  [[nodiscard]] std::vector<EdgeCount> GroupDegreeSums(
-      const BipartiteGraph& graph, gdp::common::ThreadPool& pool,
+      const BipartiteGraph& graph, gdp::common::ThreadPool* pool = nullptr,
       std::size_t shard_grain = kDefaultShardGrain) const;
 
-  // Minimum nodes-per-shard for the sharded scan.  Large enough that the
-  // per-shard accumulator allocation amortises; small enough that the
-  // paper-scale graphs (hundreds of thousands of nodes) split across a
-  // desktop core count (the 2-per-worker cap above decides the actual
-  // shard size on big inputs).
+  // Minimum items a shard for the pooled scan and rollup.  Large enough
+  // that the per-shard accumulator allocation amortises; small enough that
+  // the paper-scale graphs (hundreds of thousands of nodes) split across a
+  // desktop core count (the 2-per-worker cap decides the actual shard size
+  // on big inputs).
   static constexpr std::size_t kDefaultShardGrain = 32768;
 
   // Process-wide count of full node-scan degree-sum computations (every

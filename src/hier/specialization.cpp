@@ -113,23 +113,10 @@ struct WorkGroup {
 
 }  // namespace
 
-SpecializationResult Specializer::BuildHierarchy(const BipartiteGraph& graph,
-                                                 gdp::common::Rng& rng) const {
-  return BuildHierarchyImpl(graph, rng, nullptr);
-}
-
 SpecializationResult Specializer::BuildHierarchy(
     const BipartiteGraph& graph, gdp::common::Rng& rng,
-    gdp::common::ThreadPool& pool) const {
-  // A single worker cannot overlap anything; the sequential path skips the
-  // staging buffers entirely.  Safe because the staged build is bit-identical
-  // to the sequential one for every pool size.
-  return BuildHierarchyImpl(graph, rng, pool.size() > 1 ? &pool : nullptr);
-}
-
-SpecializationResult Specializer::BuildHierarchyImpl(
-    const BipartiteGraph& graph, gdp::common::Rng& rng,
     gdp::common::ThreadPool* pool) const {
+  using gdp::common::ForEachChunk;
   if (graph.num_left() == 0 || graph.num_right() == 0) {
     throw std::invalid_argument("Specializer: graph must have nodes on both sides");
   }
@@ -152,12 +139,23 @@ SpecializationResult Specializer::BuildHierarchyImpl(
       gdp::dp::Epsilon(eps_per_binary_round),
       gdp::dp::L1Sensitivity(config_.utility_sensitivity));
 
-  // Shard grain for per-node stages (degree gathers, label writes) when a
-  // round has fewer groups than workers: within-group index ranges are
-  // disjoint element reads/writes, so sharding cannot perturb any output.
+  // Chunk width of per-node stages (degree gathers, label writes): within-
+  // group index ranges are disjoint element reads/writes, so chunking cannot
+  // perturb any output.
   constexpr std::size_t kNodeGrain = 1 << 16;
-  const std::size_t pool_workers =
-      pool != nullptr ? static_cast<std::size_t>(pool->size()) : 1;
+  // Chunk width of a round's per-group stages.  Without a pool the round is
+  // one chunk, with one scratch buffer.  With a pool, a round of at least
+  // two groups a worker runs about eight chunks a worker; a round with fewer
+  // groups stays one chunk, and its giant groups chunk their per-node stages
+  // by kNodeGrain instead.
+  const auto group_grain = [pool](std::size_t num_groups) {
+    const std::size_t workers =
+        pool == nullptr ? 0 : static_cast<std::size_t>(pool->size());
+    if (workers == 0 || num_groups < 2 * workers) {
+      return std::max<std::size_t>(1, num_groups);
+    }
+    return std::max<std::size_t>(1, num_groups / (8 * workers));
+  };
 
   std::size_t em_draws = 0;
 
@@ -177,56 +175,40 @@ SpecializationResult Specializer::BuildHierarchyImpl(
     const std::vector<EdgeCount>& degs =
         g.side == Side::kLeft ? left_degrees : right_degrees;
     degrees_scratch.resize(g.nodes.size());
-    const auto gather = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        degrees_scratch[i] = degs[g.nodes[i]];
-      }
-    };
-    // A giant group being prepared on the calling thread (the few-groups
-    // case below) shards its gather; the FP prefix sums inside CutUtilities
-    // stay sequential — their summation order is part of the bit-parity
-    // contract with the sequential build.
-    if (pool != nullptr && g.nodes.size() > 2 * kNodeGrain) {
-      pool->ParallelForChunked(
-          g.nodes.size(), kNodeGrain,
-          [&](std::size_t, std::size_t b, std::size_t e) { gather(b, e); });
-    } else {
-      gather(0, g.nodes.size());
-    }
+    // A giant group chunks its gather by node range; the FP prefix sums
+    // inside CutUtilities stay sequential — their summation order is part
+    // of the bit-parity contract across pool sizes.
+    ForEachChunk(pool, g.nodes.size(), kNodeGrain,
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     degrees_scratch[i] = degs[g.nodes[i]];
+                   }
+                 });
     prep.utilities = CutUtilities(degrees_scratch, prep.cuts, config_.quality);
   };
 
   // One binary round over `current`, staged so the O(nodes) work shards:
-  //   A (parallel, pure)  — per-group cut candidates + degree gathers +
-  //                         cut utilities;
-  //   B (sequential)      — one EM draw per splittable group, in group
-  //                         order: the rng consumption order IS the
-  //                         determinism contract, so stage B never leaves
-  //                         the calling thread;
-  //   C (parallel)        — materialize next-round groups at precomputed
-  //                         slots (1 slot unsplit, 2 split).
+  //   A (chunked, pure)  — per-group cut candidates + degree gathers +
+  //                        cut utilities;
+  //   B (sequential)     — one EM draw per splittable group, in group
+  //                        order: the rng consumption order IS the
+  //                        determinism contract, so stage B never leaves
+  //                        the calling thread;
+  //   C (chunked)        — materialize next-round groups at precomputed
+  //                        slots (1 slot unsplit, 2 split).
   // Stage boundaries and slot layout depend only on the groups themselves,
   // never on the pool, so every pool size produces the same hierarchy as
-  // the fully sequential loop, bit for bit.
+  // the no-pool build, bit for bit.
   const auto binary_round = [&](std::vector<WorkGroup>& current) {
+    const std::size_t grain = group_grain(current.size());
     std::vector<SplitPrep> prep(current.size());
-    if (pool != nullptr && current.size() >= 2 * pool_workers) {
-      const std::size_t group_grain =
-          std::max<std::size_t>(1, current.size() / (8 * pool_workers));
-      pool->ParallelForChunked(
-          current.size(), group_grain,
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            std::vector<EdgeCount> scratch;
-            for (std::size_t i = begin; i < end; ++i) {
-              prepare_group(current[i], prep[i], scratch);
-            }
-          });
-    } else {
-      std::vector<EdgeCount> scratch;
-      for (std::size_t i = 0; i < current.size(); ++i) {
-        prepare_group(current[i], prep[i], scratch);
-      }
-    }
+    ForEachChunk(pool, current.size(), grain,
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   std::vector<EdgeCount> scratch;
+                   for (std::size_t i = begin; i < end; ++i) {
+                     prepare_group(current[i], prep[i], scratch);
+                   }
+                 });
 
     std::vector<std::size_t> pick(current.size(), 0);
     for (std::size_t i = 0; i < current.size(); ++i) {
@@ -241,29 +223,25 @@ SpecializationResult Specializer::BuildHierarchyImpl(
       slot[i + 1] = slot[i] + (prep[i].cuts.empty() ? 1 : 2);
     }
     std::vector<WorkGroup> next(slot.back());
-    const auto emit = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        WorkGroup& g = current[i];
-        if (prep[i].cuts.empty()) {
-          next[slot[i]] = std::move(g);
-          continue;
-        }
-        const std::size_t cut = prep[i].cuts[pick[i]];
-        WorkGroup second{g.side, g.parent, {}};
-        second.nodes.assign(
-            g.nodes.begin() + static_cast<std::ptrdiff_t>(cut), g.nodes.end());
-        g.nodes.resize(cut);
-        next[slot[i]] = std::move(g);
-        next[slot[i] + 1] = std::move(second);
-      }
-    };
-    if (pool != nullptr && current.size() >= 2 * pool_workers) {
-      pool->ParallelForChunked(
-          current.size(), 1,
-          [&](std::size_t, std::size_t b, std::size_t e) { emit(b, e); });
-    } else {
-      emit(0, current.size());
-    }
+    ForEachChunk(
+        pool, current.size(), grain,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            WorkGroup& g = current[i];
+            if (prep[i].cuts.empty()) {
+              next[slot[i]] = std::move(g);
+              continue;
+            }
+            const std::size_t cut = prep[i].cuts[pick[i]];
+            WorkGroup second{g.side, g.parent, {}};
+            second.nodes.assign(
+                g.nodes.begin() + static_cast<std::ptrdiff_t>(cut),
+                g.nodes.end());
+            g.nodes.resize(cut);
+            next[slot[i]] = std::move(g);
+            next[slot[i] + 1] = std::move(second);
+          }
+        });
     current = std::move(next);
   };
 
@@ -295,35 +273,22 @@ SpecializationResult Specializer::BuildHierarchyImpl(
           GroupInfo{g.side, static_cast<NodeIndex>(g.nodes.size()), g.parent});
     }
     // Label writes are disjoint per group (and per node range within one),
-    // so both sharding shapes reproduce the sequential fill exactly.
-    const auto write_groups = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t id = begin; id < end; ++id) {
-        const WorkGroup& g = groups[id];
-        auto& labels = g.side == Side::kLeft ? left_labels : right_labels;
-        for (const NodeIndex v : g.nodes) {
-          labels[v] = static_cast<GroupId>(id);
-        }
-      }
-    };
-    if (pool == nullptr) {
-      write_groups(0, groups.size());
-    } else if (groups.size() >= 2 * pool_workers) {
-      pool->ParallelForChunked(
-          groups.size(), 1,
-          [&](std::size_t, std::size_t b, std::size_t e) { write_groups(b, e); });
-    } else {
-      for (std::size_t id = 0; id < groups.size(); ++id) {
-        const WorkGroup& g = groups[id];
-        auto& labels = g.side == Side::kLeft ? left_labels : right_labels;
-        pool->ParallelForChunked(
-            g.nodes.size(), kNodeGrain,
-            [&](std::size_t, std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i) {
-                labels[g.nodes[i]] = static_cast<GroupId>(id);
-              }
-            });
-      }
-    }
+    // so every chunk layout reproduces the sequential fill exactly.
+    ForEachChunk(
+        pool, groups.size(), group_grain(groups.size()),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t id = begin; id < end; ++id) {
+            const WorkGroup& g = groups[id];
+            GroupId* const labels =
+                (g.side == Side::kLeft ? left_labels : right_labels).data();
+            ForEachChunk(pool, g.nodes.size(), kNodeGrain,
+                         [&](std::size_t, std::size_t b, std::size_t e) {
+                           for (std::size_t i = b; i < e; ++i) {
+                             labels[g.nodes[i]] = static_cast<GroupId>(id);
+                           }
+                         });
+          }
+        });
     return Partition(std::move(left_labels), std::move(right_labels),
                      std::move(infos));
   };
@@ -355,27 +320,23 @@ SpecializationResult Specializer::BuildHierarchyImpl(
     std::vector<GroupId> left_labels(graph.num_left());
     std::vector<GroupId> right_labels(graph.num_right());
     std::vector<GroupInfo> infos(total);
-    const auto fill = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t x = begin; x < end; ++x) {
-        if (x < nl) {
-          const auto v = static_cast<NodeIndex>(x);
-          left_labels[v] = static_cast<GroupId>(x);
-          infos[x] = GroupInfo{Side::kLeft, 1, finest.GroupOf(Side::kLeft, v)};
-        } else {
-          const auto v = static_cast<NodeIndex>(x - nl);
-          right_labels[v] = static_cast<GroupId>(x);
-          infos[x] =
-              GroupInfo{Side::kRight, 1, finest.GroupOf(Side::kRight, v)};
-        }
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelForChunked(
-          total, kNodeGrain,
-          [&](std::size_t, std::size_t b, std::size_t e) { fill(b, e); });
-    } else {
-      fill(0, total);
-    }
+    ForEachChunk(
+        pool, total, kNodeGrain,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t x = begin; x < end; ++x) {
+            if (x < nl) {
+              const auto v = static_cast<NodeIndex>(x);
+              left_labels[v] = static_cast<GroupId>(x);
+              infos[x] =
+                  GroupInfo{Side::kLeft, 1, finest.GroupOf(Side::kLeft, v)};
+            } else {
+              const auto v = static_cast<NodeIndex>(x - nl);
+              right_labels[v] = static_cast<GroupId>(x);
+              infos[x] =
+                  GroupInfo{Side::kRight, 1, finest.GroupOf(Side::kRight, v)};
+            }
+          }
+        });
     levels_desc.push_back(Partition(std::move(left_labels),
                                     std::move(right_labels), std::move(infos)));
   }

@@ -86,33 +86,26 @@ class Specializer {
   // Build the full hierarchy for `graph`.  Deterministic given `rng` state.
   // Throws gdp::common::CapacityError before any allocation when the graph's
   // node count cannot be indexed by 32-bit group ids (kNoParent reserved).
-  [[nodiscard]] SpecializationResult BuildHierarchy(const BipartiteGraph& graph,
-                                                    gdp::common::Rng& rng) const;
-
-  // Same build, sharded on `pool`.  The per-group cut candidates, degree
-  // gathers and cut utilities are pure functions of one group, so they run
-  // as a parallel-for over disjoint groups (sharded within a group by node
-  // range when a round has fewer groups than workers); the Exponential-
+  //
+  // `pool` shards the per-node and per-group work: each round's cut
+  // candidates, degree gathers and cut utilities are pure functions of one
+  // group, so they run in chunks of groups (or, when a round has fewer than
+  // two groups per worker, in node-range chunks within each group), as do
+  // the label writes and the next round's group split.  The Exponential-
   // Mechanism draws stay on the calling thread, one per splittable group in
   // group order — the rng consumption order is the determinism contract —
-  // so the result is bit-identical to the sequential overload for every
-  // pool size.  Single-worker pools take the sequential path and pay no
-  // staging overhead.
+  // so the hierarchy, num_em_draws and the post-build rng state are the
+  // same for every pool size.  Without a pool every stage is one chunk (or
+  // its chunks run in order): the plain sequential build.
   [[nodiscard]] SpecializationResult BuildHierarchy(
       const BipartiteGraph& graph, gdp::common::Rng& rng,
-      gdp::common::ThreadPool& pool) const;
+      gdp::common::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const SpecializationConfig& config() const noexcept {
     return config_;
   }
 
  private:
-  // Shared body of the two overloads; pool == nullptr selects the
-  // sequential path.
-  [[nodiscard]] SpecializationResult BuildHierarchyImpl(
-      const BipartiteGraph& graph, gdp::common::Rng& rng,
-      gdp::common::ThreadPool* pool) const;
-
   SpecializationConfig config_;
 };
 

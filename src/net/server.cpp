@@ -37,6 +37,16 @@ void CloseFd(int fd) noexcept {
 
 }  // namespace
 
+const char* NoiseStreamModeName(NoiseStreamMode mode) noexcept {
+  switch (mode) {
+    case NoiseStreamMode::kShared:
+      return "shared";
+    case NoiseStreamMode::kPerConnection:
+      return "per-connection";
+  }
+  return "unknown";
+}
+
 Server::Server(gdp::serve::DisclosureService& service,
                const ServerConfig& config)
     : service_(service),
@@ -259,7 +269,7 @@ void Server::AcceptReady() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    if (config_.noise_streams == gdp::core::NoiseStreamMode::kPerConnection) {
+    if (config_.noise_streams == NoiseStreamMode::kPerConnection) {
       // Fresh-constructed per accept: the stream is a pure function of
       // (seed, accept order), independent of every other connection.
       gdp::common::Rng base(config_.seed);
@@ -597,7 +607,7 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn,
   // global mutex, or the connection's own forked substream under its own
   // lock — zero global acquisitions on this path.
   const bool per_conn =
-      config_.noise_streams == gdp::core::NoiseStreamMode::kPerConnection;
+      config_.noise_streams == NoiseStreamMode::kPerConnection;
   const auto with_rng = [&](auto&& serve) {
     if (per_conn) {
       const std::lock_guard<std::mutex> lock(conn->rng_mutex);

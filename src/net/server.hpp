@@ -70,12 +70,30 @@
 
 #include "common/rng.hpp"
 #include "common/sharded_counter.hpp"
-#include "core/compiled_disclosure.hpp"
 #include "net/job_queue.hpp"
 #include "net/wire.hpp"
 #include "serve/service.hpp"
 
 namespace gdp::net {
+
+// How the server assigns request noise streams across connections (the
+// serving determinism contract, docs/SERVING.md):
+//   kShared         — every request draws from the ONE request stream
+//                     (Rng(seed).Fork(1)) in job-execution order; the socket
+//                     path stays bit-identical to `gdp_tool serve --requests`
+//                     at the same seed, at the price of a global mutex
+//                     serializing all noise draws.
+//   kPerConnection  — each accepted connection owns a forked substream keyed
+//                     by its accept-order id (Rng(seed).Fork(2).Fork(id)),
+//                     so concurrent requests from different connections draw
+//                     without any global lock.  Deterministic for a fixed
+//                     accept order; NOT comparable to `serve --requests`.
+enum class NoiseStreamMode : std::uint8_t {
+  kShared = 0,
+  kPerConnection = 1,
+};
+
+[[nodiscard]] const char* NoiseStreamModeName(NoiseStreamMode mode) noexcept;
 
 struct ServerConfig {
   // TCP port on 127.0.0.1; 0 asks the kernel for an ephemeral port (read it
@@ -92,7 +110,7 @@ struct ServerConfig {
   std::uint64_t seed{42};
   // Which noise stream a request draws from; see the determinism contract
   // above.  kShared is the batch-parity default.
-  gdp::core::NoiseStreamMode noise_streams{gdp::core::NoiseStreamMode::kShared};
+  NoiseStreamMode noise_streams{NoiseStreamMode::kShared};
 };
 
 class Server {

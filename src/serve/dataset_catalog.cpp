@@ -11,10 +11,8 @@ void DatasetCatalog::Register(std::string name, Dataset dataset) {
   entry->publication = dataset.publication;
   entry->compile_seed = dataset.compile_seed;
   entry->access_levels = dataset.access_levels;
-  std::call_once(entry->once, [&entry, &dataset] {
-    entry->dataset = std::make_unique<const Dataset>(std::move(dataset));
-    entry->materialized.store(true, std::memory_order_release);
-  });
+  entry->dataset = std::make_unique<const Dataset>(std::move(dataset));
+  entry->published.store(entry->dataset.get(), std::memory_order_release);
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] =
       datasets_.try_emplace(std::move(name), std::move(entry));
@@ -56,18 +54,24 @@ const DatasetCatalog::Entry& DatasetCatalog::Find(
 
 const Dataset& DatasetCatalog::Get(const std::string& name) const {
   const Entry& entry = Find(name);
+  if (const Dataset* ds = entry.published.load(std::memory_order_acquire)) {
+    return *ds;
+  }
   // Materialization runs OUTSIDE the catalog mutex: mmap'ing and verifying
-  // one multi-GB snapshot must not stall Gets of every other dataset.
-  // call_once still makes concurrent first-Gets of THIS entry load once.
-  std::call_once(entry.once, [&entry] {
-    auto snapshot = gdp::storage::Snapshot::Load(entry.snapshot_path);
-    // The graph copy is cheap: its columns are borrowed views that alias
-    // (and keep alive) the snapshot's mapping.
-    entry.dataset = std::make_unique<const Dataset>(
-        Dataset{snapshot->graph(), entry.publication, entry.compile_seed,
-                entry.access_levels, std::move(snapshot)});
-    entry.materialized.store(true, std::memory_order_release);
-  });
+  // one multi-GB snapshot must not stall Gets of every other dataset.  The
+  // entry's own load mutex still makes concurrent first-Gets of THIS entry
+  // load once: the losers find the winner's Dataset published.
+  const std::lock_guard<std::mutex> lock(entry.load_mutex);
+  if (const Dataset* ds = entry.published.load(std::memory_order_acquire)) {
+    return *ds;
+  }
+  auto snapshot = gdp::storage::Snapshot::Load(entry.snapshot_path);
+  // The graph copy is cheap: its columns are borrowed views that alias (and
+  // keep alive) the snapshot's mapping.
+  entry.dataset = std::make_unique<const Dataset>(
+      Dataset{snapshot->graph(), entry.publication, entry.compile_seed,
+              entry.access_levels, std::move(snapshot)});
+  entry.published.store(entry.dataset.get(), std::memory_order_release);
   return *entry.dataset;
 }
 
@@ -77,7 +81,7 @@ bool DatasetCatalog::Contains(const std::string& name) const {
 }
 
 bool DatasetCatalog::Materialized(const std::string& name) const {
-  return Find(name).materialized.load(std::memory_order_acquire);
+  return Find(name).published.load(std::memory_order_acquire) != nullptr;
 }
 
 std::size_t DatasetCatalog::size() const {

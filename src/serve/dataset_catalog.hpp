@@ -24,7 +24,8 @@
 // be unpublished out from under live compiled artifacts, which hold raw
 // references to the graph), so Get's reference stays valid for the catalog's
 // lifetime.  Thread-safe: Register/Get/Contains may race freely; concurrent
-// first-Gets of one snapshot entry materialize it exactly once (call_once).
+// first-Gets of one snapshot entry materialize it exactly once (a per-entry
+// load mutex), and a materialized entry's Get is one acquire load.
 #pragma once
 
 #include <atomic>
@@ -100,11 +101,16 @@ class DatasetCatalog {
     gdp::core::SessionSpec publication;
     std::uint64_t compile_seed{42};
     std::vector<int> access_levels;
-    // call_once propagates exceptions WITHOUT flipping the flag, which is
-    // exactly the retry semantics a transient I/O failure wants.
-    mutable std::once_flag once;
+    // Serializes snapshot loads of this entry.  A load that throws
+    // publishes nothing, so a later Get retries — the semantics a transient
+    // I/O failure wants.
+    mutable std::mutex load_mutex;
+    // Owns the Dataset once it exists; written once (at Register, or under
+    // load_mutex), then never again.
     mutable std::unique_ptr<const Dataset> dataset;
-    mutable std::atomic<bool> materialized{false};
+    // dataset.get(), published with release order once the Dataset is
+    // complete: a Get that reads it non-null needs no lock.
+    mutable std::atomic<const Dataset*> published{nullptr};
   };
 
   // Find the entry or throw NotFoundError; the pointer stays valid forever

@@ -323,7 +323,6 @@ gdp::core::ChargeGate DisclosureService::MakeGate(const std::string& tenant,
 
 void DisclosureService::FinishFromLedger(ServeResult& result,
                                          const TenantEntry& entry,
-                                         const gdp::core::BudgetSpec& budget,
                                          std::string gate_denial,
                                          bool granted) {
   const gdp::dp::BudgetLedger& ledger = entry.session.ledger();
@@ -342,14 +341,14 @@ void DisclosureService::FinishFromLedger(ServeResult& result,
     result.denial_reason = std::move(gate_denial);
     return;
   }
-  // Name the cap that tripped: an epsilon-only message is misleading when
-  // the delta cap was the binding one.
-  const bool eps_binding = ledger.WouldExceed(budget.phase2_epsilon(), 0.0);
+  // Name the cap that tripped and what the refused charge needed: that is
+  // the session's event (num_levels wide under strict charging, k queries
+  // wide for an answer), not the request's per-level ε₂.
+  const gdp::dp::MechanismEvent& refused = entry.session.last_refusal().value();
   result.denial_reason =
-      std::string("tenant grant exhausted (") +
-      (eps_binding ? "epsilon" : "delta") + " cap): request needs eps=" +
-      std::to_string(budget.phase2_epsilon()) +
-      ", delta=" + std::to_string(budget.delta) + " but eps=" +
+      std::string("tenant grant exhausted (") + ledger.BindingCap(refused) +
+      " cap): request needs eps=" + std::to_string(refused.TotalEpsilon()) +
+      ", delta=" + std::to_string(refused.TotalDelta()) + " but eps=" +
       std::to_string(ledger.epsilon_remaining()) + ", delta=" +
       std::to_string(ledger.delta_remaining()) + " remains";
 }
@@ -374,7 +373,7 @@ ServeResult DisclosureService::Serve(const std::string& tenant,
       MakeGate(tenant, dataset, *adm.entry, label, gate_denial);
   std::optional<gdp::core::MultiLevelRelease> release =
       adm.entry->session.TryRelease(budget, rng, label, gate);
-  FinishFromLedger(result, *adm.entry, budget, std::move(gate_denial),
+  FinishFromLedger(result, *adm.entry, std::move(gate_denial),
                    release.has_value());
   if (!release.has_value()) {
     return result;
@@ -419,7 +418,7 @@ DrilldownResult DisclosureService::ServeDrilldown(
       MakeGate(tenant, dataset, *adm.entry, label, gate_denial);
   std::optional<gdp::core::MultiLevelRelease> release =
       adm.entry->session.TryRelease(budget, rng, label, gate);
-  FinishFromLedger(result.serve, *adm.entry, budget, std::move(gate_denial),
+  FinishFromLedger(result.serve, *adm.entry, std::move(gate_denial),
                    release.has_value());
   if (!release.has_value()) {
     return result;
@@ -485,7 +484,7 @@ AnswerResult DisclosureService::ServeAnswer(const std::string& tenant,
   std::optional<std::vector<gdp::query::QueryRunResult>> answers =
       adm.entry->session.TryAnswer(workload, adm.level, budget, rng, label,
                                    gate);
-  FinishFromLedger(result.serve, *adm.entry, budget, std::move(gate_denial),
+  FinishFromLedger(result.serve, *adm.entry, std::move(gate_denial),
                    answers.has_value());
   if (answers.has_value()) {
     result.results = std::move(*answers);

@@ -305,9 +305,9 @@ class DisclosureService {
 
   // Fill `result`'s ledger-derived fields (naive and accounted spend), and —
   // when the request was denied (`granted` stays false) — the denial reason:
-  // the gate's, if it spoke, else the named-cap exhaustion message.
+  // the gate's, if it spoke, else the exhaustion message naming the cap and
+  // the need of the charge the tenant's ledger refused.
   static void FinishFromLedger(ServeResult& result, const TenantEntry& entry,
-                               const gdp::core::BudgetSpec& budget,
                                std::string gate_denial, bool granted);
 
   // The tenant's existing entry, or nullptr (never creates).

@@ -9,31 +9,6 @@
 namespace gdp::dp {
 namespace {
 
-TEST(ComposeSequentialTest, SumsEpsilonAndDelta) {
-  const std::vector<BudgetCharge> charges{{0.5, 1e-6, "a"}, {0.3, 2e-6, "b"}};
-  const BudgetCharge total = ComposeSequential(charges);
-  EXPECT_NEAR(total.epsilon, 0.8, 1e-12);
-  EXPECT_NEAR(total.delta, 3e-6, 1e-15);
-}
-
-TEST(ComposeSequentialTest, EmptyIsZero) {
-  const BudgetCharge total = ComposeSequential({});
-  EXPECT_EQ(total.epsilon, 0.0);
-  EXPECT_EQ(total.delta, 0.0);
-}
-
-TEST(ComposeParallelTest, TakesMaxima) {
-  const std::vector<BudgetCharge> charges{
-      {0.5, 1e-6, "a"}, {0.9, 0.0, "b"}, {0.2, 5e-6, "c"}};
-  const BudgetCharge total = ComposeParallel(charges);
-  EXPECT_DOUBLE_EQ(total.epsilon, 0.9);
-  EXPECT_DOUBLE_EQ(total.delta, 5e-6);
-}
-
-TEST(ComposeParallelTest, RejectsEmpty) {
-  EXPECT_THROW((void)ComposeParallel({}), std::invalid_argument);
-}
-
 TEST(ComposeAdvancedTest, MatchesFormula) {
   const double eps = 0.1;
   const int k = 100;

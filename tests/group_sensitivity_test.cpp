@@ -52,7 +52,7 @@ TEST(CountSensitivitiesTest, OnePerLevelAndMonotone) {
   const gdp::hier::Specializer spec(cfg);
   gdp::common::Rng build_rng(4);
   const auto built = spec.BuildHierarchy(g, build_rng);
-  const auto sens = CountSensitivities(g, built.hierarchy);
+  const auto sens = built.hierarchy.LevelSensitivities(g);
   ASSERT_EQ(sens.size(), 6u);
   for (std::size_t i = 1; i < sens.size(); ++i) {
     EXPECT_GE(sens[i], sens[i - 1]);

@@ -40,7 +40,6 @@ namespace gdp::net {
 namespace {
 
 using gdp::common::Rng;
-using gdp::core::NoiseStreamMode;
 using gdp::serve::DisclosureService;
 using gdp::serve::TenantProfile;
 

@@ -1,16 +1,19 @@
 // Bit-parity of the shard-parallel compile path: Phase-1 EM specialization
 // and the release plan's parent-pointer rollup must produce results
-// IDENTICAL to the sequential path for every pool size.  Sharding here is an
-// execution detail — the privacy proof, the fingerprint discipline, and the
-// determinism contract (same seed => same release) all assume the artifact
-// does not depend on how many workers built it.
+// IDENTICAL to the no-pool call — the plain sequential loop — for every pool
+// size.  Sharding here is an execution detail — the privacy proof, the
+// fingerprint discipline, and the determinism contract (same seed => same
+// release) all assume the artifact does not depend on how many workers
+// built it.  Every sweep runs with no pool and with pools of 1, 2 and 8.
 //
 // The graph is sized past Partition::kDefaultShardGrain fine groups so the
-// rollup actually takes the sharded path (a smaller graph would fall back to
-// the sequential loop and the test would pin nothing).
+// rollup actually cuts several shards (a smaller graph would be one shard at
+// every pool size and the test would pin nothing).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,6 +38,17 @@ using gdp::graph::Side;
 BipartiteGraph ShardScaleGraph() {
   Rng rng(11);
   return gdp::graph::GenerateUniformRandom(30'000, 30'000, 120'000, rng);
+}
+
+// Pool sizes every sweep runs; 0 stands for no pool at all.
+constexpr int kPoolSizes[] = {0, 1, 2, 8};
+
+std::unique_ptr<ThreadPool> MakePool(int workers) {
+  return workers == 0 ? nullptr : std::make_unique<ThreadPool>(workers);
+}
+
+std::string PoolName(int workers) {
+  return workers == 0 ? "no pool" : std::to_string(workers) + " workers";
 }
 
 SpecializationConfig TestConfig() {
@@ -73,31 +87,33 @@ TEST(ParallelCompileTest, Phase1BitIdenticalAcrossPoolSizes) {
   const Specializer spec(TestConfig());
   Rng seq_rng(77);
   const auto sequential = spec.BuildHierarchy(g, seq_rng);
-  for (const int workers : {1, 2, 8}) {
-    ThreadPool pool(workers);
+  for (const int workers : kPoolSizes) {
+    const auto pool = MakePool(workers);
     Rng rng(77);
-    const auto parallel = spec.BuildHierarchy(g, rng, pool);
+    const auto parallel = spec.BuildHierarchy(g, rng, pool.get());
     EXPECT_EQ(parallel.num_em_draws, sequential.num_em_draws)
-        << workers << " workers";
+        << PoolName(workers);
     EXPECT_EQ(parallel.epsilon_spent, sequential.epsilon_spent)
-        << workers << " workers";
+        << PoolName(workers);
     ExpectHierarchiesIdentical(parallel.hierarchy, sequential.hierarchy);
   }
 }
 
 TEST(ParallelCompileTest, Phase1RngStreamMatchesSequential) {
-  // The EM draws consume the rng strictly in group order on both paths, so
-  // the POST-build rng state must match too — a diverging stream would
-  // silently change every later noise draw of a compile.
+  // The EM draws consume the rng strictly in group order at every pool
+  // size, so the POST-build rng state must match too — a diverging stream
+  // would silently change every later noise draw of a compile.
   const BipartiteGraph g = ShardScaleGraph();
   const Specializer spec(TestConfig());
   Rng seq_rng(123);
   (void)spec.BuildHierarchy(g, seq_rng);
   const auto next_seq = seq_rng();
-  ThreadPool pool(4);
-  Rng par_rng(123);
-  (void)spec.BuildHierarchy(g, par_rng, pool);
-  EXPECT_EQ(par_rng(), next_seq);
+  for (const int workers : kPoolSizes) {
+    const auto pool = MakePool(workers);
+    Rng par_rng(123);
+    (void)spec.BuildHierarchy(g, par_rng, pool.get());
+    EXPECT_EQ(par_rng(), next_seq) << PoolName(workers);
+  }
 }
 
 TEST(ParallelCompileTest, RollupBitIdenticalAcrossPoolSizes) {
@@ -106,27 +122,27 @@ TEST(ParallelCompileTest, RollupBitIdenticalAcrossPoolSizes) {
   Rng rng(5);
   const auto built = spec.BuildHierarchy(g, rng);
   const auto sequential = gdp::core::ReleasePlan::Build(g, built.hierarchy);
-  for (const int workers : {1, 2, 8}) {
-    ThreadPool pool(workers);
+  for (const int workers : kPoolSizes) {
+    const auto pool = MakePool(workers);
     const auto plan =
-        gdp::core::ReleasePlan::Build(g, built.hierarchy, pool);
+        gdp::core::ReleasePlan::Build(g, built.hierarchy, pool.get());
     ASSERT_EQ(plan.num_levels(), sequential.num_levels())
-        << workers << " workers";
+        << PoolName(workers);
     const auto fs = plan.FlatSums();
     const auto fs_seq = sequential.FlatSums();
     EXPECT_TRUE(std::equal(fs.begin(), fs.end(), fs_seq.begin(),
                            fs_seq.end()))
-        << workers << " workers";
+        << PoolName(workers);
     const auto lo = plan.LevelOffsets();
     const auto lo_seq = sequential.LevelOffsets();
     EXPECT_TRUE(std::equal(lo.begin(), lo.end(), lo_seq.begin(),
                            lo_seq.end()))
-        << workers << " workers";
+        << PoolName(workers);
     const auto ls = plan.LevelSensitivities();
     const auto ls_seq = sequential.LevelSensitivities();
     EXPECT_TRUE(std::equal(ls.begin(), ls.end(), ls_seq.begin(),
                            ls_seq.end()))
-        << workers << " workers";
+        << PoolName(workers);
   }
 }
 
@@ -138,12 +154,17 @@ TEST(ParallelCompileTest, RollupAtForcedTinyGrainStillExact) {
   Rng rng(5);
   const auto built = spec.BuildHierarchy(g, rng);
   const auto sequential = gdp::core::ReleasePlan::Build(g, built.hierarchy);
-  ThreadPool pool(8);
-  const auto plan = gdp::core::ReleasePlan::Build(g, built.hierarchy, pool,
-                                                  /*shard_grain=*/64);
-  const auto fs = plan.FlatSums();
-  const auto fs_seq = sequential.FlatSums();
-  EXPECT_TRUE(std::equal(fs.begin(), fs.end(), fs_seq.begin(), fs_seq.end()));
+  for (const int workers : kPoolSizes) {
+    const auto pool = MakePool(workers);
+    const auto plan = gdp::core::ReleasePlan::Build(g, built.hierarchy,
+                                                    pool.get(),
+                                                    /*shard_grain=*/64);
+    const auto fs = plan.FlatSums();
+    const auto fs_seq = sequential.FlatSums();
+    EXPECT_TRUE(std::equal(fs.begin(), fs.end(), fs_seq.begin(),
+                           fs_seq.end()))
+        << PoolName(workers);
+  }
 }
 
 TEST(ParallelCompileTest, CompiledReleasesIdenticalAcrossThreadCounts) {
@@ -187,11 +208,15 @@ TEST(ParallelCompileTest, ShardedRollupStillOneScanPerBuild) {
   const Specializer spec(TestConfig());
   Rng rng(5);
   const auto built = spec.BuildHierarchy(g, rng);
-  ThreadPool pool(8);
-  const std::uint64_t before = Partition::DegreeSumScanCount();
-  const auto plan = gdp::core::ReleasePlan::Build(g, built.hierarchy, pool);
-  EXPECT_EQ(Partition::DegreeSumScanCount(), before + 1);
-  (void)plan;
+  for (const int workers : kPoolSizes) {
+    const auto pool = MakePool(workers);
+    const std::uint64_t before = Partition::DegreeSumScanCount();
+    const auto plan =
+        gdp::core::ReleasePlan::Build(g, built.hierarchy, pool.get());
+    EXPECT_EQ(Partition::DegreeSumScanCount(), before + 1)
+        << PoolName(workers);
+    (void)plan;
+  }
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST(ParallelReleaseTest, SharedPlanAndPoolReuse) {
   Rng r3(83);
   Rng r4(83);
   ExpectBitIdentical(engine.Release(plan, r3, &pool),
-                     engine.Release(ReleasePlan::Build(g, h, pool), r4, &pool));
+                     engine.Release(ReleasePlan::Build(g, h, &pool), r4, &pool));
 }
 
 TEST(ParallelReleaseTest, WellFormedRelease) {

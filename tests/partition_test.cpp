@@ -129,10 +129,10 @@ TEST(PartitionTest, ShardedGroupDegreeSumsExactlyEqualSequentialScan) {
   const std::vector<EdgeCount> sequential = p.GroupDegreeSums(g);
   gdp::common::ThreadPool pool(4);
   // grain 16 over 160 nodes → 10 shards; exact integer equality required.
-  EXPECT_EQ(p.GroupDegreeSums(g, pool, 16), sequential);
+  EXPECT_EQ(p.GroupDegreeSums(g, &pool, 16), sequential);
   // Shard layout (and therefore the result) is pool-size independent.
   gdp::common::ThreadPool one(1);
-  EXPECT_EQ(p.GroupDegreeSums(g, one, 16), sequential);
+  EXPECT_EQ(p.GroupDegreeSums(g, &one, 16), sequential);
 }
 
 TEST(PartitionTest, ShardedScanCountsAsOneScanAndFallsBackWhenSmall) {
@@ -141,14 +141,14 @@ TEST(PartitionTest, ShardedScanCountsAsOneScanAndFallsBackWhenSmall) {
   const Partition p = Partition::Singletons(90, 70);
   gdp::common::ThreadPool pool(2);
   std::uint64_t before = Partition::DegreeSumScanCount();
-  (void)p.GroupDegreeSums(g, pool, 16);
+  (void)p.GroupDegreeSums(g, &pool, 16);
   EXPECT_EQ(Partition::DegreeSumScanCount() - before, 1u);
   // A grain larger than the node count takes the sequential path (still one
   // scan, same values).
   before = Partition::DegreeSumScanCount();
-  EXPECT_EQ(p.GroupDegreeSums(g, pool, 1 << 20), p.GroupDegreeSums(g));
+  EXPECT_EQ(p.GroupDegreeSums(g, &pool, 1 << 20), p.GroupDegreeSums(g));
   EXPECT_EQ(Partition::DegreeSumScanCount() - before, 2u);
-  EXPECT_THROW((void)p.GroupDegreeSums(g, pool, 0), std::invalid_argument);
+  EXPECT_THROW((void)p.GroupDegreeSums(g, &pool, 0), std::invalid_argument);
 }
 
 TEST(PartitionTest, GroupDegreeSumsRejectsDimensionMismatch) {

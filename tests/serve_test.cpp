@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -331,6 +332,49 @@ TEST_F(ServiceTest, DeltaCapDenialNamesTheDeltaCap) {
   ASSERT_FALSE(denied.granted);
   EXPECT_NE(denied.denial_reason.find("delta cap"), std::string::npos)
       << denied.denial_reason;
+}
+
+TEST_F(ServiceTest, StrictChargingDenialNamesTheEpsilonCapAndLevelWideNeed) {
+  // Under strict_level_charging one serve charges num_levels (6 at depth 5)
+  // sequential mechanisms, so the refused need is 6·ε₂, not ε₂ — and the
+  // epsilon cap refuses it.
+  Dataset strict = SmallDataset();
+  strict.publication.strict_level_charging = true;
+  service_.catalog().Register("strict", std::move(strict));
+  const double need = budget_.phase2_epsilon() * 6.0;
+  service_.broker().Register(
+      "strict_tenant",
+      TenantProfile{budget_.phase1_epsilon() + 1.5 * need, 0.4, 0});
+  Rng rng(5);
+  ASSERT_TRUE(service_.Serve("strict_tenant", "strict", budget_, rng).granted);
+  const ServeResult denied =
+      service_.Serve("strict_tenant", "strict", budget_, rng);
+  ASSERT_FALSE(denied.granted);
+  EXPECT_NE(denied.denial_reason.find("epsilon cap"), std::string::npos)
+      << denied.denial_reason;
+  EXPECT_NE(denied.denial_reason.find("needs eps=" + std::to_string(need)),
+            std::string::npos)
+      << denied.denial_reason;
+}
+
+TEST_F(ServiceTest, AnswerDenialNamesTheEpsilonCapAndWorkloadNeed) {
+  // A 3-query answer charges one event of count 3: the refused need is
+  // 3·ε₂, which a grant of phase 1 + 2·ε₂ cannot cover.
+  service_.broker().Register(
+      "answer_poor",
+      TenantProfile{budget_.phase1_epsilon() + 2.0 * budget_.phase2_epsilon(),
+                    0.4, 0});
+  const std::vector<QuerySpec> queries(3);  // three association counts
+  Rng rng(5);
+  const AnswerResult denied =
+      service_.ServeAnswer("answer_poor", "dblp", budget_, queries, rng);
+  ASSERT_FALSE(denied.serve.granted);
+  const std::string& reason = denied.serve.denial_reason;
+  EXPECT_NE(reason.find("epsilon cap"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("needs eps=" +
+                        std::to_string(budget_.phase2_epsilon() * 3.0)),
+            std::string::npos)
+      << reason;
 }
 
 TEST_F(ServiceTest, ExplicitAccessLevelsOverrideUniform) {

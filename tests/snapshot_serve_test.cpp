@@ -6,7 +6,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -95,6 +97,34 @@ TEST(SnapshotCatalogTest, MissingFileFailsOnGetAndStaysRetryable) {
   PackTo(path, TestGraph(), SmallSpec(), 7, /*with_plan=*/false);
   EXPECT_NO_THROW((void)catalog.Get("packed"));
   EXPECT_TRUE(catalog.Materialized("packed"));
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotCatalogTest, ConcurrentFirstGetsShareOneDataset) {
+  const std::string path = TempPath("gdp_snap_catalog_concurrent.gdps");
+  PackTo(path, TestGraph(), SmallSpec(), 7, /*with_plan=*/false);
+  DatasetCatalog catalog;
+  catalog.RegisterSnapshot("packed", path, SmallSpec(), 7);
+  ASSERT_FALSE(catalog.Materialized("packed"));
+
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const Dataset*> got(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();  // every first Get races the others
+      got[static_cast<std::size_t>(t)] = &catalog.Get("packed");
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_TRUE(catalog.Materialized("packed"));
+  for (const Dataset* ds : got) {
+    EXPECT_EQ(ds, got.front()) << "every first Get must see one Dataset";
+  }
+  EXPECT_EQ(&catalog.Get("packed"), got.front());
   std::remove(path.c_str());
 }
 

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace gdp::common {
@@ -34,42 +37,53 @@ TEST(ThreadPoolTest, SubmitRejectsEmptyTask) {
   EXPECT_THROW(pool.Submit({}), std::invalid_argument);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+// Grain-1 chunking: one chunk per index, the shape of a per-item loop.
+TEST(ThreadPoolTest, ChunkedGrainOneCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, [&](std::size_t i) { ++hits[i]; });
+  pool.ParallelForChunked(kN, 1, [&](std::size_t i, std::size_t, std::size_t) {
+    ++hits[i];
+  });
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, ParallelForZeroTasksReturnsImmediately) {
+TEST(ThreadPoolTest, ChunkedZeroItemsReturnsImmediately) {
   ThreadPool pool(2);
   bool called = false;
-  pool.ParallelFor(0, [&](std::size_t) { called = true; });
+  pool.ParallelForChunked(0, 1, [&](std::size_t, std::size_t, std::size_t) {
+    called = true;
+  });
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
+TEST(ThreadPoolTest, ChunkedGrainOnePropagatesFirstException) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(8,
-                                [](std::size_t i) {
-                                  if (i == 3) {
-                                    throw std::runtime_error("boom");
-                                  }
-                                }),
+  EXPECT_THROW(pool.ParallelForChunked(8, 1,
+                                       [](std::size_t i, std::size_t,
+                                          std::size_t) {
+                                         if (i == 3) {
+                                           throw std::runtime_error("boom");
+                                         }
+                                       }),
                std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ExceptionDoesNotPoisonThePool) {
   ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.ParallelFor(4, [](std::size_t) { throw std::runtime_error("x"); }),
-      std::runtime_error);
+  EXPECT_THROW(pool.ParallelForChunked(
+                   4, 1,
+                   [](std::size_t, std::size_t, std::size_t) {
+                     throw std::runtime_error("x");
+                   }),
+               std::runtime_error);
   // Pool must still be fully usable afterwards.
   std::atomic<int> sum{0};
-  pool.ParallelFor(10, [&](std::size_t i) { sum += static_cast<int>(i); });
+  pool.ParallelForChunked(10, 1, [&](std::size_t i, std::size_t, std::size_t) {
+    sum += static_cast<int>(i);
+  });
   EXPECT_EQ(sum.load(), 45);
 }
 
@@ -77,7 +91,10 @@ TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
   ThreadPool pool(3);
   std::atomic<long> total{0};
   for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(50, [&](std::size_t i) { total += static_cast<long>(i); });
+    pool.ParallelForChunked(50, 1,
+                            [&](std::size_t i, std::size_t, std::size_t) {
+                              total += static_cast<long>(i);
+                            });
   }
   EXPECT_EQ(total.load(), 20L * (49L * 50L / 2L));
 }
@@ -85,39 +102,48 @@ TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
 TEST(ThreadPoolTest, SingleThreadPoolStillCompletes) {
   ThreadPool pool(1);
   std::vector<int> out(64, 0);
-  pool.ParallelFor(out.size(), [&](std::size_t i) {
-    out[i] = static_cast<int>(i) * 2;
-  });
+  pool.ParallelForChunked(out.size(), 1,
+                          [&](std::size_t i, std::size_t, std::size_t) {
+                            out[i] = static_cast<int>(i) * 2;
+                          });
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i) * 2);
   }
 }
 
-// Regression: ParallelFor from inside a worker used to deadlock (the worker
-// blocked waiting on tasks no free sibling could run).  Caller participation
-// means the nested call degrades to inline execution instead.
-TEST(ThreadPoolTest, NestedParallelForFromWorkerCompletes) {
+// Regression: a parallel-for from inside a worker used to deadlock (the
+// worker blocked waiting on tasks no free sibling could run).  Caller
+// participation means the nested call degrades to inline execution instead.
+TEST(ThreadPoolTest, NestedChunkedFromWorkerCompletes) {
   ThreadPool pool(2);
   constexpr std::size_t kOuter = 6;
   constexpr std::size_t kInner = 8;
   std::atomic<int> hits{0};
-  pool.ParallelFor(kOuter, [&](std::size_t) {
-    pool.ParallelFor(kInner, [&](std::size_t) { ++hits; });
+  pool.ParallelForChunked(kOuter, 1, [&](std::size_t, std::size_t,
+                                         std::size_t) {
+    pool.ParallelForChunked(kInner, 1,
+                            [&](std::size_t, std::size_t, std::size_t) {
+                              ++hits;
+                            });
   });
   EXPECT_EQ(hits.load(), static_cast<int>(kOuter * kInner));
 }
 
 TEST(ThreadPoolTest, NestedExceptionPropagatesToOuterCaller) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(4,
-                                [&](std::size_t) {
-                                  pool.ParallelFor(4, [](std::size_t j) {
-                                    if (j == 2) {
-                                      throw std::runtime_error("inner");
-                                    }
-                                  });
-                                }),
-               std::runtime_error);
+  EXPECT_THROW(
+      pool.ParallelForChunked(
+          4, 1,
+          [&](std::size_t, std::size_t, std::size_t) {
+            pool.ParallelForChunked(4, 1,
+                                    [](std::size_t j, std::size_t,
+                                       std::size_t) {
+                                      if (j == 2) {
+                                        throw std::runtime_error("inner");
+                                      }
+                                    });
+          }),
+      std::runtime_error);
 }
 
 // Regression: if Submit threw mid-dispatch, the already-submitted tasks
@@ -128,13 +154,18 @@ TEST(ThreadPoolTest, SubmitFailureMidDispatchStillCompletesEveryIndex) {
   ThreadPool pool(4);
   pool.FailSubmitAfterForTest(1);  // second helper Submit throws
   std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  pool.ParallelForChunked(hits.size(), 1,
+                          [&](std::size_t i, std::size_t, std::size_t) {
+                            ++hits[i];
+                          });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
   // Injection disarmed after firing: the pool is fully usable again.
   std::atomic<int> sum{0};
-  pool.ParallelFor(10, [&](std::size_t i) { sum += static_cast<int>(i); });
+  pool.ParallelForChunked(10, 1, [&](std::size_t i, std::size_t, std::size_t) {
+    sum += static_cast<int>(i);
+  });
   EXPECT_EQ(sum.load(), 45);
 }
 
@@ -142,7 +173,9 @@ TEST(ThreadPoolTest, EverySubmitFailingFallsBackToInlineExecution) {
   ThreadPool pool(4);
   pool.FailSubmitAfterForTest(0);  // very first Submit throws
   std::atomic<int> sum{0};
-  pool.ParallelFor(32, [&](std::size_t i) { sum += static_cast<int>(i); });
+  pool.ParallelForChunked(32, 1, [&](std::size_t i, std::size_t, std::size_t) {
+    sum += static_cast<int>(i);
+  });
   EXPECT_EQ(sum.load(), 31 * 32 / 2);
   pool.FailSubmitAfterForTest(-1);
 }
@@ -189,6 +222,45 @@ TEST(ThreadPoolTest, ChunkedPropagatesFirstExceptionAndRunsRest) {
                                        }),
                std::runtime_error);
   EXPECT_EQ(chunks_run.load(), 10);  // remaining chunks still ran
+}
+
+// ForEachChunk is the pool-optional loop every compile and release stage
+// runs: without a pool the chunks run in order on the calling thread, with
+// the exact boundaries the pool would give them.
+TEST(ThreadPoolTest, ForEachChunkWithoutPoolRunsPoolChunksInOrderInline) {
+  constexpr std::size_t kN = 103;
+  constexpr std::size_t kGrain = 10;
+  using Chunk = std::array<std::size_t, 3>;  // {chunk, begin, end}
+  std::vector<Chunk> inline_chunks;
+  const std::thread::id caller = std::this_thread::get_id();
+  ForEachChunk(nullptr, kN, kGrain,
+               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+                 EXPECT_EQ(std::this_thread::get_id(), caller);
+                 inline_chunks.push_back({chunk, begin, end});
+               });
+  ASSERT_EQ(inline_chunks.size(), (kN + kGrain - 1) / kGrain);
+  for (std::size_t c = 0; c < inline_chunks.size(); ++c) {
+    EXPECT_EQ(inline_chunks[c][0], c) << "chunks must run in order";
+  }
+
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::vector<Chunk> pooled_chunks;
+  ForEachChunk(&pool, kN, kGrain,
+               [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+                 const std::lock_guard<std::mutex> lock(mutex);
+                 pooled_chunks.push_back({chunk, begin, end});
+               });
+  std::sort(pooled_chunks.begin(), pooled_chunks.end());
+  EXPECT_EQ(inline_chunks, pooled_chunks);
+
+  const auto noop = [](std::size_t, std::size_t, std::size_t) {};
+  EXPECT_THROW(ForEachChunk(nullptr, 4, 0, noop), std::invalid_argument);
+  EXPECT_THROW(ForEachChunk(&pool, 4, 0, noop), std::invalid_argument);
+  bool called = false;
+  ForEachChunk(nullptr, 0, 1,
+               [&](std::size_t, std::size_t, std::size_t) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 }  // namespace
