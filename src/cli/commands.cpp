@@ -98,17 +98,31 @@ gdp::dp::AccountingPolicy ParseAccountingFlag(const std::string& value,
                                                : value);
 }
 
-// An int-typed flag: GetInt's int64 must fit, or the value would narrow
-// silently (--depth 4294967301 compiling depth 5).
-int GetIntFlag(const Args& args, const std::string& name, int fallback) {
+// An integer flag read into T (`what` names T in the error): GetInt's int64
+// must fit, or the value would narrow silently (--depth 4294967301 compiling
+// depth 5, --node 4294967299 drilling down from node 3).
+template <typename T>
+T GetNarrowFlag(const Args& args, const std::string& name, T fallback,
+                const std::string& what) {
+  using Limits = std::numeric_limits<T>;
   const std::int64_t value = args.GetInt(name, fallback);
-  if (value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("flag '--" + name + "': " +
-                                std::to_string(value) +
-                                " is outside the int range");
+  if (value < static_cast<std::int64_t>(Limits::min()) ||
+      value > static_cast<std::int64_t>(Limits::max())) {
+    throw std::invalid_argument(
+        "flag '--" + name + "': " + std::to_string(value) + " is outside the " +
+        what + " range [" + std::to_string(Limits::min()) + ", " +
+        std::to_string(Limits::max()) + "]");
   }
-  return static_cast<int>(value);
+  return static_cast<T>(value);
+}
+
+int GetIntFlag(const Args& args, const std::string& name, int fallback) {
+  return GetNarrowFlag<int>(args, name, fallback, "int");
+}
+
+// --node of drilldown and client --drilldown.
+gdp::graph::NodeIndex GetNodeFlag(const Args& args) {
+  return GetNarrowFlag<gdp::graph::NodeIndex>(args, "node", 0, "node index");
 }
 
 // The publication flags pack, disclose and serve share.  One parser, so the
@@ -638,14 +652,12 @@ int RunDrilldown(const Args& args, std::ostream& out) {
   } else {
     throw std::invalid_argument("--side must be 'left' or 'right'");
   }
+  const gdp::graph::NodeIndex node = GetNodeFlag(args);
+  const int min_level = GetIntFlag(args, "min-level", 0);
   const auto release = gdp::core::ReadReleaseFile(Require(args, "release"));
   const auto hierarchy =
       gdp::hier::ReadHierarchyFile(Require(args, "hierarchy"));
-  const auto node =
-      static_cast<gdp::graph::NodeIndex>(args.GetInt("node", 0));
-  const int max_level =
-      static_cast<int>(args.GetInt("max-level", hierarchy.depth()));
-  const int min_level = static_cast<int>(args.GetInt("min-level", 0));
+  const int max_level = GetIntFlag(args, "max-level", hierarchy.depth());
 
   const gdp::hier::HierarchyIndex index(hierarchy);
   const auto chain =
@@ -1046,6 +1058,8 @@ int RunClient(const Args& args, std::ostream& out) {
     return 0;
   }
 
+  // Checked before dialing, like the mode flags above.
+  const gdp::graph::NodeIndex node = GetNodeFlag(args);
   gdp::net::Client client(endpoint.host, endpoint.port);
 
   if (const auto sweep_list = args.Get("sweep")) {
@@ -1090,7 +1104,7 @@ int RunClient(const Args& args, std::ostream& out) {
     } else {
       throw std::invalid_argument("--side must be 'left' or 'right'");
     }
-    req.node = static_cast<std::uint32_t>(args.GetInt("node", 0));
+    req.node = node;
     const auto reply = client.Drilldown(req);
     if (!reply.ok()) {
       return refusal(reply);

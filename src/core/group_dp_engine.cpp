@@ -187,27 +187,24 @@ LevelRelease GroupDpEngine::DrawLevel(const ReleasePlan& plan, int level_index,
                     plan.VectorSensitivity(level_index));
     out.group_noise_stddev = vector_mechanism.NoiseStddev();
 
+    out.noisy_group_counts = out.true_group_counts;
+    const std::span<double> noisy(out.noisy_group_counts);
     const std::size_t grain = config_.noise_chunk_grain;
-    const std::size_t n = out.true_group_counts.size();
+    const std::size_t n = noisy.size();
     if (n > grain) {
       // Chunk layout depends only on (n, grain), and the substreams are
       // forked in chunk order before dispatch, so the pool (if any) cannot
       // change the released values.
       std::vector<gdp::common::Rng> streams =
           rng.ForkStreams((n + grain - 1) / grain);
-      out.noisy_group_counts.resize(n);
       gdp::common::ForEachChunk(
           pool, n, grain,
           [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-            gdp::common::Rng& chunk_rng = streams[chunk];
-            for (std::size_t i = begin; i < end; ++i) {
-              out.noisy_group_counts[i] = vector_mechanism.AddNoise(
-                  out.true_group_counts[i], chunk_rng);
-            }
+            vector_mechanism.AddNoise(noisy.subspan(begin, end - begin),
+                                      streams[chunk]);
           });
     } else {
-      out.noisy_group_counts =
-          vector_mechanism.AddNoise(out.true_group_counts, rng);
+      vector_mechanism.AddNoise(noisy, rng);
     }
   }
 

@@ -17,19 +17,53 @@ double SampleLaplace(Rng& rng, double scale) {
   return u < 0.0 ? -mag : mag;
 }
 
-double SampleGaussian(Rng& rng, double stddev) {
+namespace {
+
+void CheckGaussianStddev(double stddev) {
   if (!(stddev > 0.0) || !std::isfinite(stddev)) {
     throw std::invalid_argument("SampleGaussian: stddev must be finite and > 0");
   }
-  // Polar Box–Muller, discarding the second variate.
+}
+
+// One accepted polar Box–Muller draw: (u, v) uniform in the unit disc minus
+// its centre and r = sqrt(-2 ln s / s) with s = u² + v², so u·r and v·r are
+// independent standard normals.
+struct PolarDraw {
+  double u;
+  double v;
+  double r;
+};
+
+// `inline` keeps the loop inside both samplers: as a call returning the
+// struct through memory it cost the scalar draw ~10%.
+inline PolarDraw DrawPolar(Rng& rng) {
   for (;;) {
     const double u = 2.0 * rng.UniformUnit() - 1.0;
     const double v = 2.0 * rng.UniformUnit() - 1.0;
     const double s = u * u + v * v;
     if (s > 0.0 && s < 1.0) {
-      return stddev * u * std::sqrt(-2.0 * std::log(s) / s);
+      return {u, v, std::sqrt(-2.0 * std::log(s) / s)};
     }
   }
+}
+
+}  // namespace
+
+void SampleGaussian(Rng& rng, double stddev, std::span<double> out) {
+  CheckGaussianStddev(stddev);
+  for (std::size_t i = 0; i < out.size(); i += 2) {
+    const PolarDraw d = DrawPolar(rng);
+    out[i] = stddev * d.u * d.r;
+    if (i + 1 < out.size()) {
+      out[i + 1] = stddev * d.v * d.r;
+    }
+  }
+}
+
+double SampleGaussian(Rng& rng, double stddev) {
+  CheckGaussianStddev(stddev);
+  const PolarDraw d = DrawPolar(rng);
+  return stddev * d.u * d.r;
 }
 
 std::uint64_t SampleGeometric(Rng& rng, double p) {

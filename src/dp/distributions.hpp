@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/rng.hpp"
 
@@ -11,8 +12,17 @@ namespace gdp::dp {
 // Laplace(0, scale) via inverse CDF.  Requires scale > 0.
 [[nodiscard]] double SampleLaplace(gdp::common::Rng& rng, double scale);
 
-// Gaussian(0, stddev) via polar Box–Muller (no cached spare: keeps the
-// sampler stateless and the stream deterministic).  Requires stddev > 0.
+// Fills `out` with independent Gaussian(0, stddev) draws via polar
+// Box–Muller.  Each accepted polar pair (u, v) writes two slots, σ·u·r and
+// then σ·v·r with r = sqrt(-2 ln s / s); an odd length discards the last
+// pair's second variate.  No spare is kept across calls, so the sampler is
+// stateless and the values depend only on the rng state and out.size().
+// Requires stddev > 0, checked before the rng is touched.
+void SampleGaussian(gdp::common::Rng& rng, double stddev,
+                    std::span<double> out);
+
+// One Gaussian(0, stddev) draw from the same polar loop: the value and rng
+// advance of the span sampler at length 1.
 [[nodiscard]] double SampleGaussian(gdp::common::Rng& rng, double stddev);
 
 // Two-sided geometric distribution on the integers with parameter

@@ -1,5 +1,7 @@
 #include "dp/gaussian.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -72,5 +74,21 @@ GaussianMechanism::GaussianMechanism(Epsilon eps, Delta delta,
       delta_(delta),
       sensitivity_(sensitivity),
       calibration_(calibration) {}
+
+void GaussianMechanism::AddNoise(std::span<double> values,
+                                 gdp::common::Rng& rng) const {
+  // The block length is even, so every block but the last holds whole polar
+  // pairs: the values equal one span draw over all of `values`.
+  constexpr std::size_t kBlock = 128;
+  std::array<double, kBlock> noise{};
+  for (std::size_t begin = 0; begin < values.size(); begin += kBlock) {
+    const std::span<double> block =
+        values.subspan(begin, std::min(kBlock, values.size() - begin));
+    SampleGaussian(rng, sigma_, std::span<double>(noise).first(block.size()));
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      block[i] += noise[i];
+    }
+  }
+}
 
 }  // namespace gdp::dp

@@ -6,7 +6,7 @@
 // randomness.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "common/rng.hpp"
 
@@ -27,15 +27,13 @@ class NumericMechanism {
   // Human-readable name ("laplace", "gaussian", ...), for logs and tables.
   [[nodiscard]] virtual const char* Name() const noexcept = 0;
 
-  // Perturb a vector (each coordinate independently).
-  [[nodiscard]] std::vector<double> AddNoise(const std::vector<double>& values,
-                                             gdp::common::Rng& rng) const {
-    std::vector<double> out;
-    out.reserve(values.size());
-    for (const double v : values) {
-      out.push_back(AddNoise(v, rng));
+  // Perturb each entry of `values` in place, independently.  The default
+  // draws the scalar AddNoise once per entry, in order; a mechanism whose
+  // sampler yields several draws per step overrides it.
+  virtual void AddNoise(std::span<double> values, gdp::common::Rng& rng) const {
+    for (double& v : values) {
+      v = AddNoise(v, rng);
     }
-    return out;
   }
 
  protected:

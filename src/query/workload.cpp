@@ -1,5 +1,6 @@
 #include "query/workload.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "core/metrics.hpp"
@@ -32,7 +33,8 @@ std::vector<QueryRunResult> Workload::Run(const BipartiteGraph& graph,
       const auto mechanism =
           gdp::core::MakeMechanism(noise, epsilon, delta, r.sensitivity);
       r.noise_stddev = mechanism->NoiseStddev();
-      r.noisy = mechanism->AddNoise(r.truth, rng);
+      r.noisy = r.truth;
+      mechanism->AddNoise(std::span<double>(r.noisy), rng);
     }
     r.mean_rer = gdp::core::MeanRelativeErrorRate(r.noisy, r.truth);
     r.mae = gdp::core::MeanAbsoluteError(r.noisy, r.truth);

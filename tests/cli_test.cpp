@@ -8,6 +8,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/args.hpp"
@@ -373,10 +374,8 @@ TEST(CliDispatchTest, ServeRejectsBadTenantAccountingColumn) {
   std::remove(requests_path.c_str());
 }
 
-// The error text of a disclose run that must fail on its flags alone.
-std::string DiscloseFlagError(const std::vector<std::string>& flags) {
-  std::vector<std::string> tokens{"disclose", "--graph", "g", "--release", "r"};
-  tokens.insert(tokens.end(), flags.begin(), flags.end());
+// The error text of a run that must fail on its flags alone.
+std::string FlagError(const std::vector<std::string>& tokens) {
   std::ostringstream out;
   try {
     (void)Dispatch(tokens, out);
@@ -386,12 +385,61 @@ std::string DiscloseFlagError(const std::vector<std::string>& flags) {
   return "(no error)";
 }
 
+std::string DiscloseFlagError(const std::vector<std::string>& flags) {
+  std::vector<std::string> tokens{"disclose", "--graph", "g", "--release", "r"};
+  tokens.insert(tokens.end(), flags.begin(), flags.end());
+  return FlagError(tokens);
+}
+
 TEST(CliDispatchTest, DiscloseRejectsIntFlagsOutsideIntRange) {
   // 4294967301 = 2^32 + 5 would narrow to 5 if cast to int unchecked.
   for (const std::string flag : {"--depth", "--arity", "--threads"}) {
     const std::string what = DiscloseFlagError({flag, "4294967301"});
     EXPECT_NE(what.find(flag), std::string::npos) << what;
     EXPECT_NE(what.find("int range"), std::string::npos) << what;
+  }
+}
+
+TEST_F(CliRoundTripTest, DrilldownRejectsIntFlagsOutsideTheirRange) {
+  std::ostringstream out;
+  ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "200",
+                      "--right", "200", "--edges", "1000"},
+                     out),
+            0);
+  ASSERT_EQ(Dispatch({"disclose", "--graph", graph_path_, "--release",
+                      release_path_, "--hierarchy", hierarchy_path_, "--depth",
+                      "4"},
+                     out),
+            0);
+  // Unchecked, 4294967299 = 2^32 + 3 would drill down from node 3 and
+  // 4294967298 would read as level 2.
+  const std::vector<std::pair<std::string, std::string>> bad{
+      {"--node", "4294967299"},
+      {"--node", "-1"},
+      {"--max-level", "4294967298"},
+      {"--min-level", "-4294967295"}};
+  for (const auto& [flag, value] : bad) {
+    const std::string what =
+        FlagError({"drilldown", "--release", release_path_, "--hierarchy",
+                   hierarchy_path_, "--side", "left", flag, value});
+    EXPECT_NE(what.find(flag), std::string::npos) << what;
+    EXPECT_NE(what.find("range"), std::string::npos) << what;
+  }
+  EXPECT_EQ(Dispatch({"drilldown", "--release", release_path_, "--hierarchy",
+                      hierarchy_path_, "--side", "left", "--node", "3",
+                      "--max-level", "2", "--min-level", "1"},
+                     out),
+            0);
+}
+
+TEST(CliDispatchTest, ClientDrilldownRejectsNodeOutsideItsRangeBeforeDialing) {
+  // Nothing listens on port 1: the flag must be refused before the connect.
+  for (const std::string node : {"4294967299", "-1"}) {
+    const std::string what =
+        FlagError({"client", "--connect", "127.0.0.1:1", "--tenant", "t",
+                   "--drilldown", "--side", "left", "--node", node});
+    EXPECT_NE(what.find("--node"), std::string::npos) << what;
+    EXPECT_NE(what.find("range"), std::string::npos) << what;
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -74,6 +79,102 @@ TEST(SampleGaussianTest, EmpiricalCdfMatchesNormal) {
   }
   EXPECT_NEAR(static_cast<double>(below_one_sigma) / kSamples,
               gdp::common::NormalCdf(1.0), 0.01);
+}
+
+// ---- The span sampler: both variates of every polar draw ----
+
+// Six and a half standard errors: the tolerance of every statistical check
+// on the span sampler (two-sided false-failure rate ~8e-11 per check).
+constexpr double kTailZ = 6.5;
+
+TEST(SampleGaussianSpanTest, FirstOutputIsTheScalarDraw) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (const std::size_t n : {1u, 2u, 5u}) {
+      Rng scalar_rng(seed);
+      Rng span_rng(seed);
+      const double x = SampleGaussian(scalar_rng, 2.5);
+      std::vector<double> out(n);
+      SampleGaussian(span_rng, 2.5, std::span<double>(out));
+      ASSERT_EQ(out[0], x) << "seed " << seed << " length " << n;
+      if (n == 1) {
+        // The length-1 case consumes exactly the scalar draw's uniforms.
+        ASSERT_EQ(scalar_rng(), span_rng()) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(SampleGaussianSpanTest, MomentsAndCdfWithinSamplingSpread) {
+  Rng rng(16);
+  const double sigma = 3.0;
+  std::vector<double> out(kSamples);
+  SampleGaussian(rng, sigma, std::span<double>(out));
+  RunningStats s;
+  for (const double x : out) {
+    s.Add(x);
+  }
+  const double n = static_cast<double>(kSamples);
+  EXPECT_NEAR(s.mean(), 0.0, kTailZ * sigma / std::sqrt(n));
+  // Var(x²) = 2σ⁴ for a Gaussian, so the sample variance's spread is
+  // σ²·sqrt(2/n).
+  EXPECT_NEAR(s.variance() / (sigma * sigma), 1.0, kTailZ * std::sqrt(2.0 / n));
+  for (const double t : {-2.5, -1.0, -0.3, 0.0, 0.7, 1.5, 3.0}) {
+    const double p = gdp::common::NormalCdf(t);
+    const auto below = std::count_if(out.begin(), out.end(),
+                                     [&](double x) { return x < t * sigma; });
+    EXPECT_NEAR(static_cast<double>(below) / n, p,
+                kTailZ * std::sqrt(p * (1.0 - p) / n))
+        << "at " << t << " sigma";
+  }
+}
+
+TEST(SampleGaussianSpanTest, PairVariatesAreUncorrelated) {
+  // Slots 2k and 2k+1 share one polar draw (u, v) and its radius factor;
+  // they must still be independent, so their correlation over many pairs
+  // stays within 6.5/sqrt(pairs) of 0.
+  Rng rng(17);
+  constexpr std::size_t kPairs = 100000;
+  std::vector<double> out(2 * kPairs);
+  SampleGaussian(rng, 1.0, std::span<double>(out));
+  double sxy = 0.0;
+  double sxx = 0.0;
+  double syy = 0.0;
+  for (std::size_t k = 0; k < kPairs; ++k) {
+    const double x = out[2 * k];
+    const double y = out[2 * k + 1];
+    sxy += x * y;
+    sxx += x * x;
+    syy += y * y;
+  }
+  const double r = sxy / std::sqrt(sxx * syy);
+  EXPECT_LE(std::abs(r), kTailZ / std::sqrt(static_cast<double>(kPairs)))
+      << "r = " << r;
+}
+
+TEST(SampleGaussianSpanTest, FillsEverySlot) {
+  for (const std::size_t n : {1u, 3u, 8193u}) {
+    Rng rng(18);
+    std::vector<double> out(n, std::numeric_limits<double>::quiet_NaN());
+    SampleGaussian(rng, 1.0, std::span<double>(out));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(std::isfinite(out[i])) << "length " << n << " slot " << i;
+    }
+  }
+}
+
+TEST(SampleGaussianSpanTest, BadStddevThrowsBeforeTheRngIsTouched) {
+  Rng rng(19);
+  Rng untouched = rng;
+  std::vector<double> out(4, 7.0);
+  for (const double bad : {0.0, -2.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(SampleGaussian(rng, bad, std::span<double>(out)),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(SampleGaussian(rng, 0.0, std::span<double>()),
+               std::invalid_argument);
+  EXPECT_EQ(rng(), untouched());
+  EXPECT_EQ(out, std::vector<double>(4, 7.0));
 }
 
 TEST(SampleGeometricTest, RejectsBadP) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -77,7 +79,8 @@ TEST(LaplaceMechanismTest, VectorOverloadPerturbsEachEntry) {
   const LaplaceMechanism m(Epsilon(10.0), L1Sensitivity(0.001));
   Rng rng(22);
   const std::vector<double> truth{1.0, 2.0, 3.0};
-  const std::vector<double> noisy = m.AddNoise(truth, rng);
+  std::vector<double> noisy = truth;
+  m.AddNoise(std::span<double>(noisy), rng);
   ASSERT_EQ(noisy.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(noisy[i], truth[i], 0.1);
@@ -220,6 +223,29 @@ TEST(GaussianMechanismTest, NoiseMomentsMatchSigma) {
   }
   EXPECT_NEAR(s.mean(), 0.0, m.sigma() * 0.02);
   EXPECT_NEAR(s.stddev(), m.sigma(), m.sigma() * 0.02);
+}
+
+TEST(GaussianMechanismTest, SpanNoiseIsOneSpanDrawAddedToTheValues) {
+  // The override draws in fixed blocks; at every length, odd ones and those
+  // crossing a block boundary included, the result must equal the truth
+  // plus one span draw of the same length from the same rng state.
+  const GaussianMechanism m(Epsilon(0.9), Delta(1e-5), L2Sensitivity(4.0));
+  for (const std::size_t n : {1u, 2u, 127u, 128u, 129u, 257u, 1000u}) {
+    std::vector<double> truth(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      truth[i] = static_cast<double>(i) * 3.5;
+    }
+    Rng rng(26);
+    std::vector<double> noisy = truth;
+    m.AddNoise(std::span<double>(noisy), rng);
+    Rng oracle(26);
+    std::vector<double> noise(n);
+    SampleGaussian(oracle, m.sigma(), std::span<double>(noise));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(noisy[i], truth[i] + noise[i]) << "n " << n << " slot " << i;
+    }
+    EXPECT_EQ(rng(), oracle()) << "n " << n << ": streams left in step";
+  }
 }
 
 TEST(GaussianMechanismTest, ExpectedAbsNoiseFormula) {

@@ -6,7 +6,9 @@
 //  - the mechanism cache never perturbs results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -185,8 +187,9 @@ TEST(WithinLevelParallelTest, GrainIsPartOfTheOutputContract) {
 
 TEST(WithinLevelParallelTest, DrawOrderIsLevelStreamsThenChunkStreams) {
   // The documented draw order, reproduced by hand: level ℓ draws its total
-  // and then its vector from the ℓ-th forked stream; a level wider than the
-  // grain draws chunk c from the c-th stream its level stream forks.
+  // and then its vector from the ℓ-th forked stream, the vector as one span
+  // draw; a level wider than the grain draws chunk c as one span draw from
+  // the c-th stream its level stream forks.
   const BipartiteGraph g = TestGraph();
   const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g));
   ReleaseConfig cfg;
@@ -208,18 +211,21 @@ TEST(WithinLevelParallelTest, DrawOrderIsLevelStreamsThenChunkStreams) {
         << "level " << lvl;
     const auto vec = MakeMechanism(cfg.noise, cfg.epsilon_g, cfg.delta,
                                    plan.VectorSensitivity(lvl));
-    const std::vector<double>& truth = got.true_group_counts;
-    std::vector<double> expected;
-    if (truth.size() > cfg.noise_chunk_grain) {
-      const std::size_t chunks =
-          (truth.size() + cfg.noise_chunk_grain - 1) / cfg.noise_chunk_grain;
-      std::vector<Rng> chunk_streams = stream.ForkStreams(chunks);
-      for (std::size_t i = 0; i < truth.size(); ++i) {
-        expected.push_back(vec->AddNoise(
-            truth[i], chunk_streams[i / cfg.noise_chunk_grain]));
+    const std::size_t grain = cfg.noise_chunk_grain;
+    std::vector<double> expected = got.true_group_counts;
+    const std::span<double> noisy(expected);
+    if (noisy.size() > grain) {
+      // One span draw per chunk, chunk c from its level stream's c-th fork.
+      std::vector<Rng> chunk_streams =
+          stream.ForkStreams((noisy.size() + grain - 1) / grain);
+      for (std::size_t c = 0; c < chunk_streams.size(); ++c) {
+        const std::size_t begin = c * grain;
+        vec->AddNoise(
+            noisy.subspan(begin, std::min(grain, noisy.size() - begin)),
+            chunk_streams[c]);
       }
     } else {
-      expected = vec->AddNoise(truth, stream);
+      vec->AddNoise(noisy, stream);
     }
     EXPECT_EQ(got.noisy_group_counts, expected) << "level " << lvl;
   }
