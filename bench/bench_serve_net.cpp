@@ -1,4 +1,4 @@
-// Standalone GDPNET01 load generator: spins up a socket server over a
+// Standalone GDPNET02 load generator: spins up a socket server over a
 // multi-dataset DisclosureService and hammers it with one connection per
 // tenant, printing QPS, latency percentiles, and typed-refusal counts.
 //

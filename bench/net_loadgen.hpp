@@ -1,4 +1,4 @@
-// Shared load generator for the GDPNET01 serving front end: spin up a
+// Shared load generator for the GDPNET02 serving front end: spin up a
 // Server over a DisclosureService with K datasets (K <= the registry
 // capacity, so artifacts stay cached) and N tenants, open one connection
 // per tenant, fire requests concurrently, and report QPS + latency
@@ -221,7 +221,7 @@ struct ConnScaleResult {
   double p99_us{0.0};
 };
 
-// An idle GDPNET01 connection: connected, magic delivered (so it is off the
+// An idle GDPNET02 connection: connected, magic delivered (so it is off the
 // slow-loris clock), then silent.  Returns the fd; -1 on failure.
 inline int OpenIdleConn(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

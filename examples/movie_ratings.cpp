@@ -3,18 +3,19 @@
 // A ratings platform publishes engagement statistics at several granularities
 // (whole catalogue, genre clusters, niche communities, single titles).  The
 // per-group counts of the multi-level release power dashboards for partners
-// with different contracts, and the session's Answer() runs standing query
-// workloads (catalogue total, per-group histogram, viewer-activity
-// histogram) at any level with automatically calibrated noise — every
-// answer charged to the session's cumulative budget ledger, so the platform
-// can show an auditor exactly what the quarter's dashboards spent.
+// with different contracts, and the session's Answer() runs standing queries
+// (catalogue total, viewer- and movie-activity histograms) at any level with
+// noise calibrated from the compiled plan — every answer charged to the
+// session's cumulative budget ledger, so the platform can show an auditor
+// exactly what the quarter's dashboards spent.
 #include <iostream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/metrics.hpp"
 #include "core/session.hpp"
 #include "graph/generators.hpp"
-#include "query/workload.hpp"
 
 int main() {
   using namespace gdp;
@@ -31,7 +32,7 @@ int main() {
   std::cout << "ratings graph: " << ratings.Summary() << "\n\n";
 
   // One session for the catalogue: the hierarchy and plan serve the
-  // published release AND every workload answer below.
+  // published release AND every query answer below.
   core::SessionSpec spec;
   spec.budget.epsilon_g = 0.8;
   spec.hierarchy.depth = 7;
@@ -40,11 +41,14 @@ int main() {
   const core::MultiLevelRelease release = session.Release(rng);
   std::cout << "published release: " << release.num_levels() << " levels\n\n";
 
-  // Standing query workload evaluated at two contract tiers.
-  query::Workload workload;
-  workload.Add(std::make_unique<query::AssociationCountQuery>())
-      .Add(std::make_unique<query::DegreeHistogramQuery>(graph::Side::kLeft, 30))
-      .Add(std::make_unique<query::DegreeHistogramQuery>(graph::Side::kRight, 200));
+  // Standing queries evaluated at two contract tiers.
+  std::vector<core::QuerySpec> queries(3);
+  queries[1].kind = core::QuerySpec::Kind::kDegreeHistogram;
+  queries[1].side = graph::Side::kLeft;
+  queries[1].max_degree = 30;
+  queries[2].kind = core::QuerySpec::Kind::kDegreeHistogram;
+  queries[2].side = graph::Side::kRight;
+  queries[2].max_degree = 200;
 
   // The catalogue-total query is the quantity a relative error describes
   // well; for histograms (many near-empty bins) the absolute noise level is
@@ -53,15 +57,18 @@ int main() {
                            "total_RER", "MAE"});
   for (const int level : {5, 2}) {  // partner tier vs premium tier
     const auto results = session.Answer(
-        workload, level, spec.budget, rng,
-        "workload at L" + std::to_string(level) + " (3 queries, sequential)");
+        queries, level, spec.budget, rng,
+        "queries at L" + std::to_string(level) + " (3 queries, sequential)");
     for (const auto& r : results) {
       const bool scalar = r.truth.size() == 1;
-      table.AddRow({"L" + std::to_string(level), r.query_name,
-                    common::FormatDouble(r.sensitivity, 0),
-                    common::FormatDouble(r.noise_stddev, 1),
-                    scalar ? common::FormatPercent(r.mean_rer, 2) : "-",
-                    common::FormatDouble(r.mae, 1)});
+      table.AddRow(
+          {"L" + std::to_string(level), r.query_name,
+           common::FormatDouble(r.sensitivity, 0),
+           common::FormatDouble(r.noise_stddev, 1),
+           scalar ? common::FormatPercent(
+                        core::MeanRelativeErrorRate(r.noisy, r.truth), 2)
+                  : "-",
+           common::FormatDouble(core::MeanAbsoluteError(r.noisy, r.truth), 1)});
     }
   }
   table.Print(std::cout);

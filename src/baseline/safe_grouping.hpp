@@ -55,7 +55,7 @@ struct SafeGrouping {
                                              gdp::common::Rng& rng);
 
 // Convert to the library's Partition type (other side becomes one group), so
-// the safe grouping can be compared through the same query/metric machinery.
+// the safe grouping can be compared through the same Partition-based code.
 [[nodiscard]] gdp::hier::Partition ToPartition(const SafeGrouping& grouping,
                                                const BipartiteGraph& graph);
 

@@ -395,12 +395,12 @@ HostPort ParseHostPort(const std::string& spec) {
   return HostPort{spec.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
-// "--answer assoc,group,degree[:left|right[:MAXDEG]]" — query shapes, never
-// levels: the server instantiates the workload at the tenant's entitled
-// level, so a remote caller cannot name a finer partition than its tier.
-std::vector<gdp::net::wire::WireQuery> ParseAnswerSpecs(
-    const std::string& list) {
-  std::vector<gdp::net::wire::WireQuery> queries;
+// "--answer assoc,group,degree[:left|right[:MAX]]" — query shapes, never
+// levels: the server answers at the tenant's entitled level, so a remote
+// caller cannot name a finer partition than its tier.
+std::vector<gdp::core::QuerySpec> ParseAnswerSpecs(const std::string& list) {
+  using Kind = gdp::core::QuerySpec::Kind;
+  std::vector<gdp::core::QuerySpec> queries;
   std::size_t start = 0;
   while (start <= list.size()) {
     const std::size_t comma = list.find(',', start);
@@ -410,36 +410,35 @@ std::vector<gdp::net::wire::WireQuery> ParseAnswerSpecs(
     std::istringstream ss(token);
     std::string head;
     std::getline(ss, head, ':');
-    gdp::net::wire::WireQuery query;
+    gdp::core::QuerySpec query;  // degree: left side, max degree 8
     if (head == "assoc") {
-      query.kind = 0;  // serve::QuerySpec::Kind::kAssociationCount
+      query.kind = Kind::kAssociationCount;
     } else if (head == "group") {
-      query.kind = 1;  // kGroupCount
+      query.kind = Kind::kGroupCount;
     } else if (head == "degree") {
-      query.kind = 2;  // kDegreeHistogram
-      query.param = 8;
+      query.kind = Kind::kDegreeHistogram;
       if (std::string side; std::getline(ss, side, ':')) {
         if (side == "left") {
-          query.side = 0;
+          query.side = gdp::graph::Side::kLeft;
         } else if (side == "right") {
-          query.side = 1;
+          query.side = gdp::graph::Side::kRight;
         } else {
           throw std::invalid_argument("--answer: bad side '" + side +
                                       "' in '" + token + "'");
         }
         if (std::string max_token; std::getline(ss, max_token, ':')) {
-          std::size_t parsed = 0;
-          long max_degree = 0;
-          try {
-            max_degree = std::stol(max_token, &parsed);
-          } catch (const std::exception&) {
-            parsed = 0;
+          // The wire carries MAX as a u32: anything outside [1, 2^32-1]
+          // is refused, not wrapped to a different histogram.
+          std::uint32_t max_degree = 0;
+          const char* end = max_token.data() + max_token.size();
+          const auto [ptr, ec] =
+              std::from_chars(max_token.data(), end, max_degree);
+          if (ec != std::errc{} || ptr != end || max_degree == 0) {
+            throw std::invalid_argument(
+                "--answer: max degree '" + max_token + "' in '" + token +
+                "' is not an integer in [1, 4294967295]");
           }
-          if (parsed != max_token.size() || max_degree < 1) {
-            throw std::invalid_argument("--answer: bad max degree '" +
-                                        max_token + "' in '" + token + "'");
-          }
-          query.param = static_cast<std::uint32_t>(max_degree);
+          query.max_degree = max_degree;
         }
       }
     } else {
@@ -1060,6 +1059,10 @@ int RunClient(const Args& args, std::ostream& out) {
 
   // Checked before dialing, like the mode flags above.
   const gdp::graph::NodeIndex node = GetNodeFlag(args);
+  const auto answer_list = args.Get("answer");
+  const std::vector<gdp::core::QuerySpec> answer_queries =
+      answer_list ? ParseAnswerSpecs(*answer_list)
+                  : std::vector<gdp::core::QuerySpec>{};
   gdp::net::Client client(endpoint.host, endpoint.port);
 
   if (const auto sweep_list = args.Get("sweep")) {
@@ -1124,12 +1127,12 @@ int RunClient(const Args& args, std::ostream& out) {
     return 0;
   }
 
-  if (const auto answer_list = args.Get("answer")) {
+  if (answer_list) {
     wire::AnswerRequest req;
     req.tenant = *tenant;
     req.dataset = dataset;
     req.budget = base_budget;
-    req.queries = ParseAnswerSpecs(*answer_list);
+    req.queries = answer_queries;
     const auto reply = client.Answer(req);
     if (!reply.ok()) {
       return refusal(reply);
@@ -1137,14 +1140,14 @@ int RunClient(const Args& args, std::ostream& out) {
     if (const int rc = print_outcome(reply.value.outcome); rc != 0) {
       return rc;
     }
-    gdp::common::TextTable table({"query", "sensitivity", "noise_sigma",
-                                  "mean_rer", "mae", "rmse"});
-    for (const wire::WireQueryResult& r : reply.value.results) {
-      table.AddRow({r.query_name, gdp::common::FormatDouble(r.sensitivity, 1),
-                    gdp::common::FormatDouble(r.noise_stddev, 2),
-                    gdp::common::FormatDouble(r.mean_rer, 4),
-                    gdp::common::FormatDouble(r.mae, 2),
-                    gdp::common::FormatDouble(r.rmse, 2)});
+    gdp::common::TextTable table({"query", "noise_sigma", "noisy"});
+    for (const gdp::serve::PublishedAnswer& r : reply.value.results) {
+      std::string noisy;
+      for (const double v : r.noisy) {
+        noisy += (noisy.empty() ? "" : " ") + gdp::common::FormatDouble(v, 1);
+      }
+      table.AddRow({r.query_name, gdp::common::FormatDouble(r.noise_stddev, 2),
+                    noisy});
     }
     table.Print(out);
     return 0;
@@ -1457,7 +1460,7 @@ std::string UsageText() {
          "            level views.  tenants.tsv: 'id eps_cap delta_cap tier"
          " [accounting [max_in_flight]]';\n"
          "            reqs.tsv: 'id eps_g [delta]'\n"
-         "            --listen PORT: GDPNET01 socket server on 127.0.0.1\n"
+         "            --listen PORT: GDPNET02 socket server on 127.0.0.1\n"
          "            (0 = ephemeral) instead of the batch loop; same seed =>\n"
          "            bit-identical results for a sequential client\n"
          "            [--port-file f]  write the bound port (for --listen 0)\n"
@@ -1472,7 +1475,7 @@ std::string UsageText() {
          "            (default) draws all noise from the one batch-parity\n"
          "            stream; 'per-connection' forks a stream per connection\n"
          "            (deterministic per accept order, no global RNG lock)\n"
-         "  client    --connect HOST:PORT  GDPNET01 client\n"
+         "  client    --connect HOST:PORT  GDPNET02 client\n"
          "            --stats                     server/queue/registry"
          " counters\n"
          "            | --requests reqs.tsv [--out results.tsv]  batch mode\n"
@@ -1483,7 +1486,8 @@ std::string UsageText() {
          "              [--drilldown --side left|right --node V]  chain from\n"
          "              the coarsest level down to the entitled level\n"
          "              [--answer assoc,group,degree[:left|right[:MAX]],...]\n"
-         "              noisy query answers at the entitled level\n"
+         "              each query's noise sigma and noisy values at the\n"
+         "              entitled level (MAX in [1, 4294967295], default 8)\n"
          "            [--dataset NAME]\n"
          "            [--wal audit.wal]  durable write-ahead audit ledger:\n"
          "            every charge fsync'd before noise is drawn; reopening\n"

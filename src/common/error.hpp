@@ -64,7 +64,7 @@ class SnapshotFormatError : public IoError {
   explicit SnapshotFormatError(const std::string& what) : IoError(what) {}
 };
 
-// Raised when a GDPNET01 wire frame or message fails validation: bad
+// Raised when a GDPNET02 wire frame or message fails validation: bad
 // connection magic, a CRC mismatch, a declared length that exceeds the frame
 // cap, or message fields inconsistent with the remaining payload.  Every
 // byte off the socket is attacker-controlled (same stance as the snapshot

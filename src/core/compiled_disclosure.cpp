@@ -1,5 +1,6 @@
 #include "core/compiled_disclosure.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -26,6 +27,33 @@ void ValidateBudgetShape(const BudgetSpec& budget) {
     throw gdp::common::InvalidBudgetError(std::string("BudgetSpec: ") +
                                           e.what());
   }
+}
+
+void ValidateQueries(std::span<const QuerySpec> queries) {
+  for (const QuerySpec& q : queries) {
+    if (q.kind > QuerySpec::Kind::kDegreeHistogram ||
+        q.side > gdp::graph::Side::kRight) {
+      throw std::invalid_argument(
+          "QuerySpec: unknown query kind " +
+          std::to_string(static_cast<int>(q.kind)) + " or side " +
+          std::to_string(static_cast<int>(q.side)));
+    }
+    if (q.kind == QuerySpec::Kind::kDegreeHistogram &&
+        (q.max_degree == 0 || q.max_degree > kMaxHistogramBins - 2)) {
+      throw std::invalid_argument(
+          "QuerySpec: degree histogram max_degree must be in [1, " +
+          std::to_string(kMaxHistogramBins - 2) + "], got " +
+          std::to_string(q.max_degree));
+    }
+  }
+}
+
+std::string QueryName(const QuerySpec& q) {
+  if (q.kind == QuerySpec::Kind::kDegreeHistogram) {
+    return std::string("degree_histogram_") + gdp::graph::SideName(q.side);
+  }
+  return q.kind == QuerySpec::Kind::kGroupCount ? "group_counts"
+                                                : "association_count";
 }
 
 CompiledDisclosure::~CompiledDisclosure() = default;
@@ -134,8 +162,8 @@ std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::FromPrecompiled(
         "finite and >= 0");
   }
   // The three pieces must describe the same dataset: the release path
-  // indexes the plan by the hierarchy's levels/groups, and Answer reads the
-  // graph under the hierarchy's labels.
+  // indexes the plan by the hierarchy's levels/groups, and an Answer's
+  // degree histograms read the graph beside them.
   if (hierarchy.level(0).num_left_nodes() != graph.num_left() ||
       hierarchy.level(0).num_right_nodes() != graph.num_right()) {
     throw std::invalid_argument(
@@ -278,13 +306,59 @@ std::vector<DrillDownEntry> CompiledDisclosure::Drilldown(
   return DrillDown(release, index(), side, v, max_level, min_level);
 }
 
-std::vector<gdp::query::QueryRunResult> CompiledDisclosure::Answer(
-    const gdp::query::Workload& workload, int level, const BudgetSpec& budget,
+std::vector<QueryResult> CompiledDisclosure::Answer(
+    std::span<const QuerySpec> queries, int level, const BudgetSpec& budget,
     gdp::common::Rng& rng) const {
   ValidateBudgetShape(budget);
   CheckLevel(level, "CompiledDisclosure::Answer");
-  return workload.Run(*graph_, hierarchy_.level(level), budget.noise,
-                      budget.phase2_epsilon(), budget.delta, rng);
+  ValidateQueries(queries);
+  const std::span<const gdp::graph::EdgeCount> sums =
+      plan_.GroupDegreeSums(level);
+  const auto count_sensitivity =
+      static_cast<double>(plan_.CountSensitivity(level));
+  std::vector<QueryResult> results;
+  results.reserve(queries.size());
+  for (const QuerySpec& q : queries) {
+    QueryResult r;
+    r.query_name = QueryName(q);
+    switch (q.kind) {
+      case QuerySpec::Kind::kAssociationCount:
+        r.sensitivity = count_sensitivity;
+        r.truth = {static_cast<double>(plan_.num_edges())};
+        break;
+      case QuerySpec::Kind::kGroupCount:
+        r.sensitivity =
+            count_sensitivity == 0.0 ? 0.0 : plan_.VectorSensitivity(level);
+        r.truth.assign(sums.begin(), sums.end());
+        break;
+      case QuerySpec::Kind::kDegreeHistogram: {
+        const gdp::hier::Partition& partition = hierarchy_.level(level);
+        for (gdp::hier::GroupId g = 0; g < partition.num_groups(); ++g) {
+          r.sensitivity =
+              std::max(r.sensitivity,
+                       static_cast<double>(partition.group(g).size) +
+                           2.0 * static_cast<double>(sums[g]));
+        }
+        r.truth.assign(q.max_degree + 2, 0.0);
+        for (gdp::graph::NodeIndex v = 0; v < graph_->num_nodes(q.side); ++v) {
+          const auto d = static_cast<std::size_t>(graph_->Degree(q.side, v));
+          ++r.truth[std::min(d, q.max_degree + 1)];
+        }
+        break;
+      }
+    }
+    r.noisy = r.truth;
+    if (r.sensitivity != 0.0) {
+      const gdp::dp::NumericMechanism& mechanism =
+          mech_cache_.Get(budget.noise, budget.phase2_epsilon(), budget.delta,
+                          r.sensitivity);
+      r.noise_stddev = mechanism.NoiseStddev();
+      AddChunkedNoise(mechanism, r.noisy, spec_.exec.noise_chunk_grain, rng,
+                      pool_.get());
+    }
+    results.push_back(std::move(r));
+  }
+  return results;
 }
 
 }  // namespace gdp::core

@@ -24,12 +24,15 @@
 // OWNERSHIP: Compile returns a shared_ptr; tenants, registries, and in-flight
 // requests share it.  A registry evicting its reference never invalidates a
 // tenant mid-request — the artifact lives until the last handle drops.  The
-// graph must outlive the artifact (Answer reads it; releases never do).
+// graph must outlive the artifact (an Answer's degree histograms read it;
+// everything else comes from the plan).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,7 +42,6 @@
 #include "core/release_plan.hpp"
 #include "hier/navigation.hpp"
 #include "hier/specialization.hpp"
-#include "query/workload.hpp"
 
 namespace gdp::common {
 class ThreadPool;
@@ -143,6 +145,43 @@ struct SessionSpec {
 // every budget-consuming entry point.
 void ValidateBudgetShape(const BudgetSpec& budget);
 
+// One query of an Answer, named by its shape.  The level is the caller's
+// argument (a served tenant's comes from its tier, never from the request).
+struct QuerySpec {
+  enum class Kind : std::uint8_t {
+    kAssociationCount = 0,  // |E|: the level's total
+    kGroupCount = 1,        // per-group counts at the level
+    kDegreeHistogram = 2,   // side + max_degree below
+  };
+  Kind kind{Kind::kAssociationCount};
+  gdp::graph::Side side{gdp::graph::Side::kLeft};
+  std::size_t max_degree{8};
+};
+
+// One answered query: the Δ its noise was calibrated to, the noise σ and its
+// values.  A published answer is the name, σ and noisy values only.
+struct QueryResult {
+  std::string query_name;
+  double sensitivity{0.0};
+  double noise_stddev{0.0};
+  std::vector<double> truth;  // evaluation-only
+  std::vector<double> noisy;
+};
+
+// The most bins (max_degree + 2) one degree histogram may have: 4 Mi f64s,
+// 32 MiB — no larger histogram fits one network reply frame.
+inline constexpr std::size_t kMaxHistogramBins = std::size_t{1} << 22;
+
+// Shape validation of a query list: throws std::invalid_argument on an
+// unknown kind or side, or a degree histogram with max_degree 0 or more than
+// kMaxHistogramBins bins.  Every Answer entry point runs it before anything
+// is charged, and the network decoder runs it on every Answer request.
+void ValidateQueries(std::span<const QuerySpec> queries);
+
+// The name an Answer gives `q`'s result: association_count, group_counts or
+// degree_histogram_left / degree_histogram_right.
+[[nodiscard]] std::string QueryName(const QuerySpec& q);
+
 class CompiledDisclosure {
  public:
   // Run Phase 1 once (EM specialization under spec.budget.phase1_epsilon()),
@@ -194,11 +233,24 @@ class CompiledDisclosure {
       const MultiLevelRelease& release, gdp::hier::Side side,
       gdp::hier::NodeIndex v, int max_level, int min_level) const;
 
-  // Evaluate a query workload at one hierarchy level under `budget` (no
-  // ledger charge — see DisclosureSession::Answer).  Reads the graph the
-  // artifact was compiled on.
-  [[nodiscard]] std::vector<gdp::query::QueryRunResult> Answer(
-      const gdp::query::Workload& workload, int level, const BudgetSpec& budget,
+  // Answer `queries` at hierarchy `level` under `budget` (no ledger charge —
+  // see DisclosureSession::Answer), every calibration through the shared
+  // MechanismCache at (budget.noise, phase2_epsilon, delta, Δ):
+  //   association_count   the plan's |E|, at Δ = Δℓ;
+  //   group_counts        the plan's level-ℓ group sums, at √2·Δℓ;
+  //   degree_histogram_*  bin d counts the side's nodes of degree d, the last
+  //                       bin those above max_degree, at Δ = max over groups
+  //                       of (size + 2·sum): removing a group moves each
+  //                       member out of its bin and, per incident edge, one
+  //                       neighbour between bins.  The one query that reads
+  //                       the graph.
+  // Queries draw in list order from `rng`, each vector through
+  // AddChunkedNoise at the exec spec's grain, so {association_count,
+  // group_counts} at ℓ equals the level-ℓ total and group counts Release
+  // draws from the same level stream.  A query whose Δ is 0 (edgeless
+  // graph) is released exactly.
+  [[nodiscard]] std::vector<QueryResult> Answer(
+      std::span<const QuerySpec> queries, int level, const BudgetSpec& budget,
       gdp::common::Rng& rng) const;
 
   // Reject a budget that cannot calibrate its mechanisms: phase fraction

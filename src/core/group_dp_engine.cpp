@@ -93,6 +93,26 @@ gdp::dp::MechanismEvent MechanismEventFor(NoiseKind kind, double epsilon,
   throw std::invalid_argument("MechanismEventFor: unknown noise kind");
 }
 
+void AddChunkedNoise(const gdp::dp::NumericMechanism& mechanism,
+                     std::span<double> values, std::size_t grain,
+                     gdp::common::Rng& rng, gdp::common::ThreadPool* pool) {
+  if (grain == 0) {
+    throw std::invalid_argument("AddChunkedNoise: grain must be > 0");
+  }
+  const std::size_t n = values.size();
+  if (n <= grain) {
+    mechanism.AddNoise(values, rng);
+    return;
+  }
+  std::vector<gdp::common::Rng> streams =
+      rng.ForkStreams((n + grain - 1) / grain);
+  gdp::common::ForEachChunk(
+      pool, n, grain,
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        mechanism.AddNoise(values.subspan(begin, end - begin), streams[chunk]);
+      });
+}
+
 const gdp::dp::NumericMechanism& MechanismCache::Get(NoiseKind kind,
                                                      double epsilon,
                                                      double delta,
@@ -188,24 +208,8 @@ LevelRelease GroupDpEngine::DrawLevel(const ReleasePlan& plan, int level_index,
     out.group_noise_stddev = vector_mechanism.NoiseStddev();
 
     out.noisy_group_counts = out.true_group_counts;
-    const std::span<double> noisy(out.noisy_group_counts);
-    const std::size_t grain = config_.noise_chunk_grain;
-    const std::size_t n = noisy.size();
-    if (n > grain) {
-      // Chunk layout depends only on (n, grain), and the substreams are
-      // forked in chunk order before dispatch, so the pool (if any) cannot
-      // change the released values.
-      std::vector<gdp::common::Rng> streams =
-          rng.ForkStreams((n + grain - 1) / grain);
-      gdp::common::ForEachChunk(
-          pool, n, grain,
-          [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-            vector_mechanism.AddNoise(noisy.subspan(begin, end - begin),
-                                      streams[chunk]);
-          });
-    } else {
-      vector_mechanism.AddNoise(noisy, rng);
-    }
+    AddChunkedNoise(vector_mechanism, out.noisy_group_counts,
+                    config_.noise_chunk_grain, rng, pool);
   }
 
   if (config_.clamp_nonnegative) {

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -92,6 +93,17 @@ struct ReleaseConfig {
                                                         double epsilon,
                                                         double delta,
                                                         int parallel_width = 1);
+
+// Perturb `values` in place with `mechanism` in the engine's one vector draw
+// order: at most `grain` values draw straight from `rng`; more fork one
+// substream per chunk of `grain` values, in chunk order before any draw, and
+// chunk c draws from the c-th.  The layout depends only on (values.size(),
+// grain), so chunks run inline without a pool and across `pool` with one,
+// bit-identically.  A level's group counts and every query of an Answer
+// draw through it.
+void AddChunkedNoise(const gdp::dp::NumericMechanism& mechanism,
+                     std::span<double> values, std::size_t grain,
+                     gdp::common::Rng& rng, gdp::common::ThreadPool* pool);
 
 // Memoized mechanism calibration, keyed by (kind, ε, δ, Δ).  A 9-level
 // release with repeated ε touches only a handful of distinct calibrations;

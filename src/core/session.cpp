@@ -85,25 +85,25 @@ std::string DefaultReleaseLabel(int release_index, const BudgetSpec& budget) {
          " (" + NoiseKindName(budget.noise) + ")";
 }
 
-std::string DefaultAnswerLabel(int answer_index, std::size_t workload_size,
+std::string DefaultAnswerLabel(int answer_index, std::size_t num_queries,
                                int level, const BudgetSpec& budget) {
   return "answer[" + std::to_string(answer_index) + "]: " +
-         std::to_string(workload_size) + " queries at L" +
+         std::to_string(num_queries) + " queries at L" +
          std::to_string(level) +
          ", eps=" + std::to_string(budget.phase2_epsilon()) + " each (" +
          NoiseKindName(budget.noise) + ")";
 }
 
-// The event ONE Answer charges: k identical mechanisms at (ε₂, δ) under
-// sequential workload composition; an empty workload claims nothing.
-gdp::dp::MechanismEvent AnswerEventFor(std::size_t workload_size,
+// The event ONE Answer charges: k identical mechanisms at (ε₂, δ) composed
+// sequentially; an empty query list claims nothing.
+gdp::dp::MechanismEvent AnswerEventFor(std::size_t num_queries,
                                        const BudgetSpec& budget) {
   gdp::dp::MechanismEvent event =
-      workload_size == 0
+      num_queries == 0
           ? gdp::dp::MechanismEvent::Opaque(0.0, 0.0)
           : MechanismEventFor(budget.noise, budget.phase2_epsilon(),
                               budget.delta);
-  event.count = std::max<int>(1, static_cast<int>(workload_size));
+  event.count = std::max<int>(1, static_cast<int>(num_queries));
   return event;
 }
 
@@ -212,37 +212,37 @@ std::vector<DrillDownEntry> DisclosureSession::Drilldown(
   return compiled_->Drilldown(release, side, v, max_level, min_level);
 }
 
-std::vector<gdp::query::QueryRunResult> DisclosureSession::Answer(
-    const gdp::query::Workload& workload, int level, const BudgetSpec& budget,
+std::vector<QueryResult> DisclosureSession::Answer(
+    std::span<const QuerySpec> queries, int level, const BudgetSpec& budget,
     gdp::common::Rng& rng, std::string label) {
   ValidateBudgetShape(budget);
   // Everything that can fail must fail BEFORE the charge below: a rejected
   // call must not leave phantom spend on the ledger.
   compiled_->CheckLevel(level, "DisclosureSession::Answer");
+  ValidateQueries(queries);
   if (label.empty()) {
-    label = DefaultAnswerLabel(num_answers_, workload.size(), level, budget);
+    label = DefaultAnswerLabel(num_answers_, queries.size(), level, budget);
   }
   // Same order as Release: commit the spend, then draw (the artifact
-  // re-checks the already-validated shape and level, both O(1)).  One event
-  // with count = k carries the workload's sequential cost (Workload::RunCost
-  // semantics): k identical mechanisms at (ε₂, δ), each against its own
-  // query sensitivity but — both Gaussian calibrations being scale-free —
-  // all at the same noise multiplier.  An empty workload claims nothing.
-  ledger_.Charge(AnswerEventFor(workload.size(), budget), std::move(label));
+  // re-runs the O(k) checks above).  One event with count = k: k identical
+  // mechanisms at (ε₂, δ), each against its own query's Δ but — both
+  // Gaussian calibrations being scale-free — all at the same noise
+  // multiplier.
+  ledger_.Charge(AnswerEventFor(queries.size(), budget), std::move(label));
   ++num_answers_;
-  return compiled_->Answer(workload, level, budget, rng);
+  return compiled_->Answer(queries, level, budget, rng);
 }
 
-std::optional<std::vector<gdp::query::QueryRunResult>>
-DisclosureSession::TryAnswer(const gdp::query::Workload& workload, int level,
-                             const BudgetSpec& budget, gdp::common::Rng& rng,
-                             std::string label, const ChargeGate& gate) {
+std::optional<std::vector<QueryResult>> DisclosureSession::TryAnswer(
+    std::span<const QuerySpec> queries, int level, const BudgetSpec& budget,
+    gdp::common::Rng& rng, std::string label, const ChargeGate& gate) {
   ValidateBudgetShape(budget);
   compiled_->CheckLevel(level, "DisclosureSession::TryAnswer");
+  ValidateQueries(queries);
   if (label.empty()) {
-    label = DefaultAnswerLabel(num_answers_, workload.size(), level, budget);
+    label = DefaultAnswerLabel(num_answers_, queries.size(), level, budget);
   }
-  const gdp::dp::MechanismEvent event = AnswerEventFor(workload.size(), budget);
+  const gdp::dp::MechanismEvent event = AnswerEventFor(queries.size(), budget);
   // Same admission order as the gated TryRelease: own ledger first (an
   // inadmissible charge must never reach a gate that persists events), then
   // the gate with ledger and rng still untouched, then commit and draw.
@@ -254,7 +254,7 @@ DisclosureSession::TryAnswer(const gdp::query::Workload& workload, int level,
   }
   ledger_.Charge(event, std::move(label));
   ++num_answers_;
-  return compiled_->Answer(workload, level, budget, rng);
+  return compiled_->Answer(queries, level, budget, rng);
 }
 
 bool DisclosureSession::AdmittedByLedger(const gdp::dp::MechanismEvent& event) {

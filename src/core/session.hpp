@@ -183,27 +183,25 @@ class DisclosureSession {
       const MultiLevelRelease& release, gdp::hier::Side side,
       gdp::hier::NodeIndex v, int max_level, int min_level) const;
 
-  // Evaluate a query workload at one hierarchy level under `budget`,
-  // charging the ledger with the sequential-composition cost of the
-  // workload's queries (k queries at (ε₂, δ) → (k·ε₂, k·δ)).  Reads the
-  // graph the artifact was compiled on (the one operation that still needs
-  // it — query truth is not in the plan).
-  [[nodiscard]] std::vector<gdp::query::QueryRunResult> Answer(
-      const gdp::query::Workload& workload, int level,
-      const BudgetSpec& budget, gdp::common::Rng& rng, std::string label = {});
+  // Answer `queries` at one hierarchy level under `budget` (values and draw
+  // order: CompiledDisclosure::Answer), charging the ledger ONE event of
+  // count = k for k queries: they all read the same data, so they compose
+  // sequentially into (k·ε₂, k·δ).  The budget shape, the level and the
+  // query shapes are checked before the charge (throws — nothing spent).
+  [[nodiscard]] std::vector<QueryResult> Answer(
+      std::span<const QuerySpec> queries, int level, const BudgetSpec& budget,
+      gdp::common::Rng& rng, std::string label = {});
 
   // Check-and-answer for the serving layer: TryRelease's contract applied to
   // Answer.  The order of operations is the same write-ahead discipline:
-  //   1. validate the budget shape and the level (throws — nothing spent),
+  //   1. check the budget, level and query shapes (throws — nothing spent),
   //   2. check this session's own ledger (nullopt — nothing spent),
   //   3. run `gate(event)`: false or a throw denies/aborts, nothing spent,
-  //   4. commit the ledger charge, then evaluate and draw.
-  // The charged event is identical to Answer's (count = workload size under
-  // sequential workload composition).  A null gate skips step 3.
-  [[nodiscard]] std::optional<std::vector<gdp::query::QueryRunResult>>
-  TryAnswer(const gdp::query::Workload& workload, int level,
-            const BudgetSpec& budget, gdp::common::Rng& rng, std::string label,
-            const ChargeGate& gate);
+  //   4. commit the ledger charge, then draw.
+  // The charged event is identical to Answer's.  A null gate skips step 3.
+  [[nodiscard]] std::optional<std::vector<QueryResult>> TryAnswer(
+      std::span<const QuerySpec> queries, int level, const BudgetSpec& budget,
+      gdp::common::Rng& rng, std::string label, const ChargeGate& gate);
 
   // See CompiledDisclosure::ValidateBudget.
   void ValidateBudget(const BudgetSpec& budget) const {

@@ -1,4 +1,4 @@
-// net::Client: a blocking GDPNET01 client over one TCP connection.
+// net::Client: a blocking GDPNET02 client over one TCP connection.
 //
 // One request at a time per client: every call writes one frame and blocks
 // until the matching response frame arrives (the server answers frames in
@@ -43,7 +43,7 @@ struct Reply {
 class Client {
  public:
   // Connect to 127.0.0.1:`port` (the in-process test/bench path) or
-  // `host`:`port`, and send the GDPNET01 magic.  Throws IoError on refusal.
+  // `host`:`port`, and send the GDPNET02 magic.  Throws IoError on refusal.
   explicit Client(std::uint16_t port);
   Client(const std::string& host, std::uint16_t port);
   ~Client();

@@ -671,33 +671,11 @@ void Server::RunJob(const std::shared_ptr<Connection>& conn,
       }
       case wire::MsgKind::kAnswerRequest: {
         const wire::AnswerRequest req = wire::DecodeAnswerRequest(payload);
-        std::vector<gdp::serve::QuerySpec> queries;
-        queries.reserve(req.queries.size());
-        for (const wire::WireQuery& q : req.queries) {
-          gdp::serve::QuerySpec spec;
-          if (q.kind >
-              static_cast<std::uint8_t>(
-                  gdp::serve::QuerySpec::Kind::kDegreeHistogram)) {
-            throw NetProtocolError("GDPNET01 decode: unknown query kind");
-          }
-          spec.kind = static_cast<gdp::serve::QuerySpec::Kind>(q.kind);
-          spec.side = static_cast<gdp::graph::Side>(q.side);
-          spec.max_degree = q.param;
-          queries.push_back(spec);
-        }
         with_rng([&](gdp::common::Rng& rng) {
-          const gdp::serve::AnswerResult result = service_.ServeAnswer(
-              req.tenant, req.dataset, req.budget.ToBudgetSpec(), queries,
-              rng);
-          wire::AnswerResponse out;
-          out.outcome = wire::ServeOutcome::FromResult(result.serve);
-          out.results.reserve(result.results.size());
-          for (const gdp::query::QueryRunResult& r : result.results) {
-            out.results.push_back({r.query_name, r.sensitivity,
-                                   r.noise_stddev, r.truth, r.noisy,
-                                   r.mean_rer, r.mae, r.rmse});
-          }
-          response = wire::Encode(out);
+          response = wire::Encode(wire::AnswerResponse::FromResult(
+              service_.ServeAnswer(req.tenant, req.dataset,
+                                   req.budget.ToBudgetSpec(), req.queries,
+                                   rng)));
         });
         break;
       }

@@ -1,4 +1,4 @@
-// Concurrent GDPNET01 socket server over a DisclosureService.
+// Concurrent GDPNET02 socket server over a DisclosureService.
 //
 // The shape is rippled's RPCServer/JobQueue pipeline (ROADMAP's "millions of
 // users" item) applied to the shared-immutable-artifact serving model, with

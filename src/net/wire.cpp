@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -33,7 +35,7 @@ class Writer {
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
   void Str(std::string_view s) {
     if (s.size() > kMaxPayload) {
-      throw NetProtocolError("GDPNET01 encode: string exceeds frame cap");
+      throw NetProtocolError("GDPNET02 encode: string exceeds frame cap");
     }
     U32(static_cast<std::uint32_t>(s.size()));
     out_.append(s.data(), s.size());
@@ -111,7 +113,7 @@ class Reader {
     const std::uint32_t count = U32();
     if (static_cast<std::uint64_t>(count) * min_elem_size > Remaining()) {
       throw NetProtocolError(
-          std::string("GDPNET01 decode: declared ") + what +
+          std::string("GDPNET02 decode: declared ") + what +
           " count does not fit the remaining payload");
     }
     return count;
@@ -119,7 +121,7 @@ class Reader {
   [[nodiscard]] std::size_t Remaining() const { return data_.size() - pos_; }
   void ExpectEnd(const char* what) const {
     if (pos_ != data_.size()) {
-      throw NetProtocolError(std::string("GDPNET01 decode: trailing bytes after ") +
+      throw NetProtocolError(std::string("GDPNET02 decode: trailing bytes after ") +
                              what);
     }
   }
@@ -127,7 +129,7 @@ class Reader {
  private:
   void Need(std::size_t n, const char* what) const {
     if (Remaining() < n) {
-      throw NetProtocolError(std::string("GDPNET01 decode: truncated ") + what);
+      throw NetProtocolError(std::string("GDPNET02 decode: truncated ") + what);
     }
   }
 
@@ -144,7 +146,7 @@ Reader Open(std::string_view payload, MsgKind expected) {
   Reader r(payload);
   const std::uint8_t kind = r.U8();
   if (kind != static_cast<std::uint8_t>(expected)) {
-    throw NetProtocolError(std::string("GDPNET01 decode: expected ") +
+    throw NetProtocolError(std::string("GDPNET02 decode: expected ") +
                            MsgKindName(expected) + " payload");
   }
   return r;
@@ -164,7 +166,7 @@ WireBudget GetBudget(Reader& r) {
   b.phase1_fraction = r.F64();
   b.noise = r.U8();
   if (b.noise > kMaxNoiseKind) {
-    throw NetProtocolError("GDPNET01 decode: unknown noise kind");
+    throw NetProtocolError("GDPNET02 decode: unknown noise kind");
   }
   return b;
 }
@@ -194,7 +196,7 @@ ServeOutcome GetOutcome(Reader& r) {
   ServeOutcome o;
   const std::uint8_t granted = r.U8();
   if (granted > 1) {
-    throw NetProtocolError("GDPNET01 decode: granted flag must be 0 or 1");
+    throw NetProtocolError("GDPNET02 decode: granted flag must be 0 or 1");
   }
   o.granted = granted != 0;
   o.denial_reason = r.Str();
@@ -204,7 +206,7 @@ ServeOutcome GetOutcome(Reader& r) {
   o.epsilon_remaining = r.F64();
   o.accounting = r.U8();
   if (o.accounting > kMaxAccounting) {
-    throw NetProtocolError("GDPNET01 decode: unknown accounting policy");
+    throw NetProtocolError("GDPNET02 decode: unknown accounting policy");
   }
   o.accounted_epsilon = r.F64();
   o.accounted_delta = r.F64();
@@ -300,9 +302,13 @@ ServeOutcome ServeOutcome::FromResult(const gdp::serve::ServeResult& result) {
   return o;
 }
 
+AnswerResponse AnswerResponse::FromResult(gdp::serve::AnswerResult result) {
+  return {ServeOutcome::FromResult(result.serve), std::move(result.results)};
+}
+
 std::string Frame(std::string_view payload) {
   if (payload.empty() || payload.size() > kMaxPayload) {
-    throw NetProtocolError("GDPNET01 frame: payload size out of range");
+    throw NetProtocolError("GDPNET02 frame: payload size out of range");
   }
   const auto len = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = gdp::common::Crc32(payload);
@@ -335,7 +341,7 @@ std::optional<std::string> TryDeframe(std::string& buffer) {
   // Length is validated BEFORE waiting for `len` more bytes: an attacker
   // declaring 4 GiB gets rejected now, not buffered toward the cap.
   if (len == 0 || len > kMaxPayload) {
-    throw NetProtocolError("GDPNET01 frame: declared payload length " +
+    throw NetProtocolError("GDPNET02 frame: declared payload length " +
                            std::to_string(len) + " outside (0, 32 MiB]");
   }
   if (buffer.size() < kFrameHeaderSize + len) {
@@ -344,7 +350,7 @@ std::optional<std::string> TryDeframe(std::string& buffer) {
   const std::uint32_t declared_crc = u32_at(4);
   std::string payload = buffer.substr(kFrameHeaderSize, len);
   if (gdp::common::Crc32(payload) != declared_crc) {
-    throw NetProtocolError("GDPNET01 frame: payload CRC mismatch");
+    throw NetProtocolError("GDPNET02 frame: payload CRC mismatch");
   }
   buffer.erase(0, kFrameHeaderSize + len);
   return payload;
@@ -352,7 +358,7 @@ std::optional<std::string> TryDeframe(std::string& buffer) {
 
 MsgKind PeekKind(std::string_view payload) {
   if (payload.empty()) {
-    throw NetProtocolError("GDPNET01 decode: empty payload");
+    throw NetProtocolError("GDPNET02 decode: empty payload");
   }
   const auto kind = static_cast<std::uint8_t>(payload[0]);
   const bool request = kind >= static_cast<std::uint8_t>(MsgKind::kServeRequest) &&
@@ -360,7 +366,7 @@ MsgKind PeekKind(std::string_view payload) {
   const bool response = kind >= static_cast<std::uint8_t>(MsgKind::kServeResponse) &&
                         kind <= static_cast<std::uint8_t>(MsgKind::kError);
   if (!request && !response) {
-    throw NetProtocolError("GDPNET01 decode: unknown message kind " +
+    throw NetProtocolError("GDPNET02 decode: unknown message kind " +
                            std::to_string(kind));
   }
   return static_cast<MsgKind>(kind);
@@ -401,10 +407,13 @@ std::string Encode(const AnswerRequest& msg) {
   w.Str(msg.dataset);
   PutBudget(w, msg.budget);
   w.U32(static_cast<std::uint32_t>(msg.queries.size()));
-  for (const WireQuery& q : msg.queries) {
-    w.U8(q.kind);
-    w.U8(q.side);
-    w.U32(q.param);
+  for (const gdp::core::QuerySpec& q : msg.queries) {
+    if (q.max_degree > std::numeric_limits<std::uint32_t>::max()) {
+      throw NetProtocolError("GDPNET02 encode: max_degree exceeds u32");
+    }
+    w.U8(static_cast<std::uint8_t>(q.kind));
+    w.U8(static_cast<std::uint8_t>(q.side));
+    w.U32(static_cast<std::uint32_t>(q.max_degree));
   }
   return std::move(w).Take();
 }
@@ -447,15 +456,10 @@ std::string Encode(const AnswerResponse& msg) {
   Writer w(MsgKind::kAnswerResponse);
   PutOutcome(w, msg.outcome);
   w.U32(static_cast<std::uint32_t>(msg.results.size()));
-  for (const WireQueryResult& r : msg.results) {
+  for (const gdp::serve::PublishedAnswer& r : msg.results) {
     w.Str(r.query_name);
-    w.F64(r.sensitivity);
     w.F64(r.noise_stddev);
-    w.F64Vec(r.truth);
     w.F64Vec(r.noisy);
-    w.F64(r.mean_rer);
-    w.F64(r.mae);
-    w.F64(r.rmse);
   }
   return std::move(w).Take();
 }
@@ -539,7 +543,7 @@ DrilldownRequest DecodeDrilldownRequest(std::string_view payload) {
   msg.budget = GetBudget(r);
   msg.side = r.U8();
   if (msg.side > 1) {
-    throw NetProtocolError("GDPNET01 decode: drilldown side must be 0 or 1");
+    throw NetProtocolError("GDPNET02 decode: drilldown side must be 0 or 1");
   }
   msg.node = r.U32();
   r.ExpectEnd("DrilldownRequest");
@@ -555,16 +559,24 @@ AnswerRequest DecodeAnswerRequest(std::string_view payload) {
   const std::uint32_t count = r.Count(6, "answer query");  // u8 + u8 + u32
   msg.queries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    WireQuery q;
-    q.kind = r.U8();
-    q.side = r.U8();
-    if (q.side > 1) {
-      throw NetProtocolError("GDPNET01 decode: query side must be 0 or 1");
-    }
-    q.param = r.U32();
+    gdp::core::QuerySpec q;
+    q.kind = static_cast<gdp::core::QuerySpec::Kind>(r.U8());
+    q.side = static_cast<gdp::graph::Side>(r.U8());
+    q.max_degree = r.U32();
     msg.queries.push_back(q);
   }
   r.ExpectEnd("AnswerRequest");
+  // Refused before admission, so before anything is charged: ServeAnswer
+  // re-checks the reply size once the level fixes group_counts' length.
+  try {
+    gdp::core::ValidateQueries(msg.queries);
+  } catch (const std::invalid_argument& e) {
+    throw NetProtocolError(std::string("GDPNET02 decode: ") + e.what());
+  }
+  if (gdp::serve::AnswerReplyBytes(msg.queries, 0) > kMaxPayload) {
+    throw NetProtocolError(
+        "GDPNET02 decode: the answer reply would exceed the 32 MiB frame cap");
+  }
   return msg;
 }
 
@@ -618,19 +630,14 @@ AnswerResponse DecodeAnswerResponse(std::string_view payload) {
   Reader r = Open(payload, MsgKind::kAnswerResponse);
   AnswerResponse msg;
   msg.outcome = GetOutcome(r);
-  // Per-result floor: name len + 5xf64 + 2 vector counts.
-  const std::uint32_t count = r.Count(52, "answer result");
+  // Per-result floor: name len + f64 + vector count.
+  const std::uint32_t count = r.Count(16, "answer result");
   msg.results.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    WireQueryResult res;
+    gdp::serve::PublishedAnswer res;
     res.query_name = r.Str();
-    res.sensitivity = r.F64();
     res.noise_stddev = r.F64();
-    res.truth = r.F64Vec();
     res.noisy = r.F64Vec();
-    res.mean_rer = r.F64();
-    res.mae = r.F64();
-    res.rmse = r.F64();
     msg.results.push_back(std::move(res));
   }
   r.ExpectEnd("AnswerResponse");
@@ -687,7 +694,7 @@ ErrorResponse DecodeError(std::string_view payload) {
   const std::uint8_t code = r.U8();
   if (code < static_cast<std::uint8_t>(ErrorCode::kBadRequest) ||
       code > static_cast<std::uint8_t>(ErrorCode::kInternal)) {
-    throw NetProtocolError("GDPNET01 decode: unknown error code");
+    throw NetProtocolError("GDPNET02 decode: unknown error code");
   }
   msg.code = static_cast<ErrorCode>(code);
   msg.message = r.Str();

@@ -1,7 +1,7 @@
-// GDPNET01 wire format: typed, CRC-framed messages for the network serving
+// GDPNET02 wire format: typed, CRC-framed messages for the network serving
 // front end (spec in docs/FORMATS.md, serving semantics in docs/SERVING.md).
 //
-// A connection opens with an 8-byte magic ("GDPNET01") from the client; every
+// A connection opens with an 8-byte magic ("GDPNET02") from the client; every
 // message after that — in either direction — is one frame:
 //
 //   [u32 payload_len][u32 payload_crc][payload]        (little-endian)
@@ -40,14 +40,13 @@
 #include "core/release.hpp"
 #include "dp/privacy_accountant.hpp"
 #include "graph/bipartite_graph.hpp"
-#include "query/workload.hpp"
 #include "serve/service.hpp"
 
 namespace gdp::net::wire {
 
 // The connection-opening magic; carries the major version like GDPWAL01 /
 // GDPSNAP01.  Incompatible evolution bumps the digits.
-inline constexpr char kMagic[8] = {'G', 'D', 'P', 'N', 'E', 'T', '0', '1'};
+inline constexpr char kMagic[8] = {'G', 'D', 'P', 'N', 'E', 'T', '0', '2'};
 inline constexpr std::size_t kMagicSize = 8;
 
 // Frame header: payload length + payload CRC, both u32 little-endian.
@@ -59,6 +58,7 @@ inline constexpr std::size_t kFrameHeaderSize = 8;
 // allocation (a 4 GiB "length" must cost the attacker a closed connection,
 // not the server an allocation).
 inline constexpr std::uint32_t kMaxPayload = 32u << 20;
+static_assert(kMaxPayload == gdp::serve::kMaxAnswerReplyBytes);
 
 enum class MsgKind : std::uint8_t {
   // Requests (client -> server).
@@ -124,19 +124,15 @@ struct DrilldownRequest {
   std::uint32_t node{0};
 };
 
-// One query descriptor for the Answer RPC; the server instantiates the
-// workload at the tenant's entitled level (serve::QuerySpec).
-struct WireQuery {
-  std::uint8_t kind{0};  // serve::QuerySpec::Kind, validated on decode
-  std::uint8_t side{0};  // degree-histogram side
-  std::uint32_t param{0};  // degree-histogram max_degree
-};
-
+// The server answers the queries at the tenant's entitled level.  Each is
+// u8 kind, u8 side, u32 max_degree on the wire: decode refuses what
+// core::ValidateQueries refuses and a list whose reply (group_counts at 0
+// values) exceeds kMaxPayload; encode refuses a max_degree past u32.
 struct AnswerRequest {
   std::string tenant;
   std::string dataset;
   WireBudget budget;
-  std::vector<WireQuery> queries;
+  std::vector<gdp::core::QuerySpec> queries;
 };
 
 // --- response bodies -------------------------------------------------------
@@ -175,20 +171,12 @@ struct DrilldownResponse {
   std::vector<WireDrillEntry> chain;
 };
 
-struct WireQueryResult {
-  std::string query_name;
-  double sensitivity{0.0};
-  double noise_stddev{0.0};
-  std::vector<double> truth;
-  std::vector<double> noisy;
-  double mean_rer{0.0};
-  double mae{0.0};
-  double rmse{0.0};
-};
-
 struct AnswerResponse {
   ServeOutcome outcome;  // view stays empty: Answer returns query results
-  std::vector<WireQueryResult> results;
+  std::vector<gdp::serve::PublishedAnswer> results;  // no true values
+
+  [[nodiscard]] static AnswerResponse FromResult(
+      gdp::serve::AnswerResult result);
 };
 
 // The observability surface (satellite: Stats RPC).  Monotone counters

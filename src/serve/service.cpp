@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "core/access_policy.hpp"
-#include "query/query.hpp"
 
 namespace gdp::serve {
 
@@ -199,8 +198,8 @@ DisclosureService::TenantEntry* DisclosureService::EntryFor(
 }
 
 DisclosureService::Admission DisclosureService::Admit(
-    const std::string& tenant, const std::string& dataset,
-    ServeResult& result) {
+    const std::string& tenant, const std::string& dataset, ServeResult& result,
+    std::span<const gdp::core::QuerySpec> queries) {
   if (wal_failed_.load(std::memory_order_acquire)) {
     fail_closed_rejections_.Add();
     throw gdp::common::DurabilityError(
@@ -240,6 +239,13 @@ DisclosureService::Admission DisclosureService::Admit(
         std::to_string(adm.level) +
         " but the compiled hierarchy has levels [0, " +
         std::to_string(adm.compiled->hierarchy().num_levels()) + ")");
+  }
+  if (AnswerReplyBytes(queries,
+                       adm.compiled->hierarchy().level(adm.level).num_groups()) >
+      kMaxAnswerReplyBytes) {
+    throw std::invalid_argument(
+        "DisclosureService::ServeAnswer: the reply at level " +
+        std::to_string(adm.level) + " would exceed the 32 MiB frame cap");
   }
 
   result.privilege = adm.profile.privilege;
@@ -433,46 +439,40 @@ DrilldownResult DisclosureService::ServeDrilldown(
   return result;
 }
 
-AnswerResult DisclosureService::ServeAnswer(const std::string& tenant,
-                                            const std::string& dataset,
-                                            const gdp::core::BudgetSpec& budget,
-                                            std::span<const QuerySpec> queries,
-                                            gdp::common::Rng& rng) {
+std::uint64_t AnswerReplyBytes(std::span<const gdp::core::QuerySpec> queries,
+                               std::size_t num_groups) {
+  using Kind = gdp::core::QuerySpec::Kind;
+  std::uint64_t bytes = 103;
+  for (const gdp::core::QuerySpec& q : queries) {
+    const std::uint64_t values =
+        q.kind == Kind::kAssociationCount ? 1
+        : q.kind == Kind::kGroupCount     ? num_groups
+                                          : q.max_degree + 2;
+    bytes += 4 + gdp::core::QueryName(q).size() + 8 + 4 + 8 * values;
+  }
+  return bytes;
+}
+
+AnswerResult DisclosureService::ServeAnswer(
+    const std::string& tenant, const std::string& dataset,
+    const gdp::core::BudgetSpec& budget,
+    std::span<const gdp::core::QuerySpec> queries, gdp::common::Rng& rng) {
   if (queries.empty()) {
     throw std::invalid_argument(
-        "DisclosureService::ServeAnswer: empty query list (an empty workload "
-        "would charge a zero event — reject it at the boundary instead)");
+        "DisclosureService::ServeAnswer: empty query list (it would charge "
+        "a zero event — reject it at the boundary instead)");
   }
+  // Before Admit: a refused shape must not attach (and charge phase 1 to) a
+  // tenant that has never been seen.
+  gdp::core::ValidateQueries(queries);
   AnswerResult result;
-  const Admission adm = Admit(tenant, dataset, result.serve);
+  const Admission adm = Admit(tenant, dataset, result.serve, queries);
   if (adm.entry == nullptr) {
     return result;
   }
-  // Instantiate the workload at the ENTITLED level: the level partition a
-  // GroupCountQuery reads is owned by the pinned artifact's hierarchy, which
-  // outlives the workload (the session holds the shared_ptr).
-  gdp::query::Workload workload;
-  for (const QuerySpec& q : queries) {
-    switch (q.kind) {
-      case QuerySpec::Kind::kAssociationCount:
-        workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
-        break;
-      case QuerySpec::Kind::kGroupCount:
-        workload.Add(std::make_unique<gdp::query::GroupCountQuery>(
-            adm.compiled->hierarchy().level(adm.level)));
-        break;
-      case QuerySpec::Kind::kDegreeHistogram:
-        workload.Add(std::make_unique<gdp::query::DegreeHistogramQuery>(
-            q.side, q.max_degree));
-        break;
-      default:
-        throw std::invalid_argument(
-            "DisclosureService::ServeAnswer: unknown query kind");
-    }
-  }
   const std::string label =
       "serve+answer dataset=" + dataset + ": " +
-      std::to_string(workload.size()) + " queries at L" +
+      std::to_string(queries.size()) + " queries at L" +
       std::to_string(adm.level) +
       ", eps=" + std::to_string(budget.phase2_epsilon()) + " each (" +
       gdp::core::NoiseKindName(budget.noise) + ")";
@@ -481,13 +481,17 @@ AnswerResult DisclosureService::ServeAnswer(const std::string& tenant,
   std::string gate_denial;
   const gdp::core::ChargeGate gate =
       MakeGate(tenant, dataset, *adm.entry, label, gate_denial);
-  std::optional<std::vector<gdp::query::QueryRunResult>> answers =
-      adm.entry->session.TryAnswer(workload, adm.level, budget, rng, label,
+  std::optional<std::vector<gdp::core::QueryResult>> answers =
+      adm.entry->session.TryAnswer(queries, adm.level, budget, rng, label,
                                    gate);
   FinishFromLedger(result.serve, *adm.entry, std::move(gate_denial),
                    answers.has_value());
   if (answers.has_value()) {
-    result.results = std::move(*answers);
+    result.results.reserve(answers->size());
+    for (gdp::core::QueryResult& a : *answers) {
+      result.results.push_back(
+          {std::move(a.query_name), a.noise_stddev, std::move(a.noisy)});
+    }
   }
   return result;
 }

@@ -60,7 +60,6 @@
 #include "common/sharded_counter.hpp"
 #include "core/session.hpp"
 #include "graph/bipartite_graph.hpp"
-#include "query/workload.hpp"
 #include "serve/audit_wal.hpp"
 #include "serve/dataset_catalog.hpp"
 #include "serve/dataset_odometer.hpp"
@@ -95,21 +94,6 @@ struct ServeResult {
   double accounted_delta{0.0};
 };
 
-// One query descriptor for the Answer serving path: the serving layer
-// instantiates the concrete query objects at the tenant's ENTITLED level
-// (remote callers name query shapes, never hierarchy levels — the level is
-// an access-control decision, not a request parameter).
-struct QuerySpec {
-  enum class Kind : std::uint8_t {
-    kAssociationCount = 0,
-    kGroupCount = 1,       // per-group counts at the entitled level
-    kDegreeHistogram = 2,  // side + max_degree below
-  };
-  Kind kind{Kind::kAssociationCount};
-  gdp::graph::Side side{gdp::graph::Side::kLeft};
-  std::size_t max_degree{8};
-};
-
 // ServeDrilldown's outcome: the Serve outcome (charged identically to a
 // plain Serve) plus, when granted, the node's enclosing-group chain over the
 // drawn release, restricted to levels the tenant's tier may see.
@@ -118,12 +102,29 @@ struct DrilldownResult {
   std::vector<gdp::core::DrillDownEntry> chain;
 };
 
+// One query of a served Answer as the tenant receives it: the name, the
+// noise σ and the noisy values — no true values.
+struct PublishedAnswer {
+  std::string query_name;
+  double noise_stddev{0.0};
+  std::vector<double> noisy;
+};
+
 // ServeAnswer's outcome: the admission outcome (view stays empty — the
-// product is query results, not a level view) plus the per-query runs.
+// product is query results, not a level view) plus the published answers.
 struct AnswerResult {
   ServeResult serve;
-  std::vector<gdp::query::QueryRunResult> results;
+  std::vector<PublishedAnswer> results;
 };
+
+// The exact size of the network reply (docs/FORMATS.md) granting `queries`,
+// each group_counts query holding `num_groups` values: a 103-byte head, then
+// per query a u32-prefixed name, an f64 σ and u32-counted f64 values.
+// ServeAnswer refuses, before the tenant is attached or charged, a list whose
+// reply would exceed kMaxAnswerReplyBytes (the network frame cap).
+inline constexpr std::uint64_t kMaxAnswerReplyBytes = std::uint64_t{32} << 20;
+[[nodiscard]] std::uint64_t AnswerReplyBytes(
+    std::span<const gdp::core::QuerySpec> queries, std::size_t num_groups);
 
 // What Open recovered from the write-ahead log.
 struct RecoveryReport {
@@ -228,18 +229,19 @@ class DisclosureService {
       const gdp::core::BudgetSpec& budget, gdp::graph::Side side,
       gdp::graph::NodeIndex v, gdp::common::Rng& rng);
 
-  // Evaluate a query workload for the tenant at its ENTITLED level under
-  // `budget`, with Serve's admission pipeline (broker grant, odometer,
-  // write-ahead gate) around DisclosureSession::TryAnswer's charge — the
-  // workload's sequential cost (k queries → count = k) is what the gate and
-  // ledger see.  Returns granted == false with empty results on an
-  // exhausted grant or retired dataset.  Throws std::invalid_argument on an
-  // empty `queries`.
-  [[nodiscard]] AnswerResult ServeAnswer(const std::string& tenant,
-                                         const std::string& dataset,
-                                         const gdp::core::BudgetSpec& budget,
-                                         std::span<const QuerySpec> queries,
-                                         gdp::common::Rng& rng);
+  // Answer `queries` for the tenant at its ENTITLED level under `budget`
+  // (remote callers name query shapes, never levels: the level is an
+  // access-control decision), with Serve's admission pipeline (broker
+  // grant, odometer, write-ahead gate) around DisclosureSession::TryAnswer's
+  // charge — k queries are one event of count = k.  Returns granted ==
+  // false with empty results on an exhausted grant or retired dataset.
+  // Throws std::invalid_argument on an empty list, a bad query shape
+  // (core::ValidateQueries) or a reply past kMaxAnswerReplyBytes at the
+  // tenant's level, before the tenant is attached or charged.
+  [[nodiscard]] AnswerResult ServeAnswer(
+      const std::string& tenant, const std::string& dataset,
+      const gdp::core::BudgetSpec& budget,
+      std::span<const gdp::core::QuerySpec> queries, gdp::common::Rng& rng);
 
   // The tenant's cumulative ledger for `dataset` (audit).  Works while the
   // service is failed closed, and covers tenants recovered from the WAL that
@@ -286,10 +288,12 @@ class DisclosureService {
   // resolve/compile, entitled-level resolve (AccessPolicyError), and entry
   // creation with its phase-1 admission.  On an expected denial (retired
   // dataset, grant too small for phase 1) fills `result` and returns an
-  // Admission with entry == nullptr.
-  [[nodiscard]] Admission Admit(const std::string& tenant,
-                                const std::string& dataset,
-                                ServeResult& result);
+  // Admission with entry == nullptr.  An Answer passes its `queries`: once
+  // the level is resolved, and before the entry is created, a list whose
+  // reply would exceed kMaxAnswerReplyBytes throws std::invalid_argument.
+  [[nodiscard]] Admission Admit(
+      const std::string& tenant, const std::string& dataset,
+      ServeResult& result, std::span<const gdp::core::QuerySpec> queries = {});
 
   // The write-ahead charge gate for one admitted request: odometer first
   // (commit-at-admit), then the durable append — so the log never records a

@@ -443,6 +443,23 @@ TEST(CliDispatchTest, ClientDrilldownRejectsNodeOutsideItsRangeBeforeDialing) {
   }
 }
 
+TEST(CliDispatchTest, ClientAnswerIsParsedBeforeDialing) {
+  // Nothing listens on port 1: a bad --answer must be refused before the
+  // connect, and a MAX the wire's u32 cannot carry must not wrap.
+  const auto answer_error = [](const std::string& list) {
+    return FlagError({"client", "--connect", "127.0.0.1:1", "--tenant", "t",
+                      "--answer", list});
+  };
+  for (const std::string token :
+       {"degree:right:4294967297", "degree:left:0", "degree:left:-1"}) {
+    const std::string what = answer_error("assoc," + token);
+    EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+    EXPECT_NE(what.find("[1, 4294967295]"), std::string::npos) << what;
+  }
+  const std::string what = answer_error("bogus");
+  EXPECT_NE(what.find("bad query 'bogus'"), std::string::npos) << what;
+}
+
 TEST(CliDispatchTest, DiscloseNamesTheFlagOfANonNumericValue) {
   const std::string what = DiscloseFlagError({"--depth", "abc"});
   EXPECT_NE(what.find("--depth"), std::string::npos) << what;

@@ -3,14 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "baseline/individual_dp.hpp"
 #include "common/rng.hpp"
 #include "core/access_policy.hpp"
+#include "core/compiled_disclosure.hpp"
 #include "core/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "query/workload.hpp"
 
 namespace gdp {
 namespace {
@@ -81,20 +82,20 @@ TEST(EndToEndTest, GraphSurvivesIoThenDisclosure) {
   }
 }
 
-TEST(EndToEndTest, WorkloadOverHierarchyLevels) {
+TEST(EndToEndTest, AnswerOverHierarchyLevels) {
   const BipartiteGraph g = DblpMini();
   core::SessionSpec cfg;
   cfg.hierarchy.depth = 5;
   Rng rng(13);
-  const core::DisclosureResult result = core::RunDisclosure(g, cfg, rng);
+  const auto compiled = core::CompiledDisclosure::Compile(g, cfg, rng);
 
-  query::Workload w;
-  w.Add(std::make_unique<query::AssociationCountQuery>());
+  const std::vector<core::QuerySpec> assoc(1);  // association count
+  const core::BudgetSpec all_phase2{0.999, 1e-5, 0.0,
+                                    core::NoiseKind::kGaussian};
   Rng qrng(15);
   double prev_rer_bound = 0.0;
   for (int lvl = 0; lvl <= 5; ++lvl) {
-    const auto res = w.Run(g, result.hierarchy.level(lvl),
-                           core::NoiseKind::kGaussian, 0.999, 1e-5, qrng);
+    const auto res = compiled->Answer(assoc, lvl, all_phase2, qrng);
     // Noise scale (not the draw) must be monotone in level.
     EXPECT_GE(res[0].noise_stddev, prev_rer_bound);
     prev_rer_bound = res[0].noise_stddev;

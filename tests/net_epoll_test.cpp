@@ -220,10 +220,13 @@ TEST(NetEpollTest, PartialWriteIsFlushedViaEpolloutRearming) {
   answer.tenant = "alice";
   answer.dataset = "dblp";
   answer.budget.epsilon_g = 0.05;
-  for (int q = 0; q < 3; ++q) {
-    // Degree histogram with a huge cap: 200002 bins of truth + noisy
-    // doubles per query, ~9.6 MB per response (frame cap is 32 MB).
-    answer.queries.push_back(wire::WireQuery{2, 0, 200000});
+  // Six degree histograms with a huge cap: 200002 noisy doubles per query,
+  // ~9.6 MB per response (frame cap is 32 MB; send buffers top out at a few
+  // MiB).
+  answer.queries.resize(6);
+  for (gdp::core::QuerySpec& q : answer.queries) {
+    q.kind = gdp::core::QuerySpec::Kind::kDegreeHistogram;
+    q.max_degree = 200000;
   }
   constexpr int kRequests = 2;
   std::string pipelined = Magic();
@@ -246,8 +249,8 @@ TEST(NetEpollTest, PartialWriteIsFlushedViaEpolloutRearming) {
     ASSERT_TRUE(payload.has_value()) << "response " << i << " lost";
     ASSERT_EQ(wire::PeekKind(*payload), wire::MsgKind::kAnswerResponse);
     const wire::AnswerResponse got = wire::DecodeAnswerResponse(*payload);
-    ASSERT_EQ(got.results.size(), 3u);
-    EXPECT_EQ(got.results[0].truth.size(), 200002u);
+    ASSERT_EQ(got.results.size(), 6u);
+    EXPECT_EQ(got.results[0].noisy.size(), 200002u);
   }
   ::close(raw);
 }

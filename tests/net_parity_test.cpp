@@ -130,22 +130,15 @@ TEST(NetParityTest, SocketResponsesAreBitIdenticalToDirectCalls) {
   ans_req.tenant = "alice";
   ans_req.dataset = "dblp";
   ans_req.budget = Budget(0.3);
-  ans_req.queries = {wire::WireQuery{0, 0, 0}, wire::WireQuery{2, 1, 8}};
+  ans_req.queries.resize(2);
+  ans_req.queries[1].kind = gdp::core::QuerySpec::Kind::kDegreeHistogram;
+  ans_req.queries[1].side = gdp::graph::Side::kRight;
+  ans_req.queries[1].max_degree = 8;
   const auto remote_ans = client.Answer(ans_req);
   ASSERT_TRUE(remote_ans.ok());
-  std::vector<gdp::serve::QuerySpec> specs(2);
-  specs[0].kind = gdp::serve::QuerySpec::Kind::kAssociationCount;
-  specs[1].kind = gdp::serve::QuerySpec::Kind::kDegreeHistogram;
-  specs[1].side = gdp::graph::Side::kRight;
-  specs[1].max_degree = 8;
-  const gdp::serve::AnswerResult local_ar = local_svc->ServeAnswer(
-      "alice", "dblp", ans_req.budget.ToBudgetSpec(), specs, local_rng);
-  wire::AnswerResponse local_ans;
-  local_ans.outcome = wire::ServeOutcome::FromResult(local_ar.serve);
-  for (const gdp::query::QueryRunResult& r : local_ar.results) {
-    local_ans.results.push_back({r.query_name, r.sensitivity, r.noise_stddev,
-                                 r.truth, r.noisy, r.mean_rer, r.mae, r.rmse});
-  }
+  const wire::AnswerResponse local_ans = wire::AnswerResponse::FromResult(
+      local_svc->ServeAnswer("alice", "dblp", ans_req.budget.ToBudgetSpec(),
+                             ans_req.queries, local_rng));
   EXPECT_EQ(wire::Encode(remote_ans.value), wire::Encode(local_ans));
 
   // Identical charges on both sides: the odometer (the audit spine's

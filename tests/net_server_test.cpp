@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -165,8 +166,9 @@ TEST(NetServerTest, ServesAllRpcKindsOverOneConnection) {
   answer.tenant = "alice";
   answer.dataset = "dblp";
   answer.budget.epsilon_g = 0.3;
-  answer.queries.push_back(wire::WireQuery{0, 0, 0});   // association count
-  answer.queries.push_back(wire::WireQuery{2, 1, 8});   // degree histogram
+  answer.queries.resize(2);  // association count, degree histogram
+  answer.queries[1].kind = gdp::core::QuerySpec::Kind::kDegreeHistogram;
+  answer.queries[1].side = gdp::graph::Side::kRight;
   const auto answered = client.Answer(answer);
   ASSERT_TRUE(answered.ok());
   EXPECT_TRUE(answered.value.outcome.granted);
@@ -517,6 +519,51 @@ TEST(NetServerTest, DrainKeepsWalConsistent) {
   EXPECT_EQ(report.records_replayed, appends);
   EXPECT_EQ(report.tenants_restored, 1u);
   EXPECT_FALSE(report.sequence_gap);
+  ::unlink(wal_path.c_str());
+}
+
+// A histogram whose bins could not fit one reply frame is refused at
+// decode, before admission: bad-request, and the tenant's ledger, the
+// dataset odometer and the WAL stay as they were.
+TEST(NetServerHostileTest, OversizedHistogramIsRefusedBeforeAnyCharge) {
+  const std::string wal_path =
+      ::testing::TempDir() + "/net_server_histogram.wal";
+  ::unlink(wal_path.c_str());
+  auto svc = DisclosureService::Open(Configure, wal_path, 4);
+  Server server(*svc, ServerConfig{});
+  Client client(server.port());
+  ASSERT_TRUE(client.Serve(ServeReq("alice")).value.granted);
+  const std::size_t charges_before =
+      svc->Ledger("alice", "dblp").charges().size();
+  const auto odometer_before = svc->odometer().All();
+  const std::uint64_t appends_before = svc->durability_stats().wal_appends;
+  const auto wal_bytes_before = std::filesystem::file_size(wal_path);
+
+  wire::AnswerRequest answer;
+  answer.tenant = "alice";
+  answer.dataset = "dblp";
+  answer.queries.resize(1);
+  answer.queries[0].kind = gdp::core::QuerySpec::Kind::kDegreeHistogram;
+  answer.queries[0].max_degree = 0xFFFFFFFFu;
+  const int raw = RawConnect(server.port());
+  RawSend(raw, Magic() + wire::Frame(wire::Encode(answer)));
+  std::string buffer;
+  const auto err = RawRecvFrame(raw, buffer);
+  ASSERT_TRUE(err.has_value());
+  ASSERT_EQ(wire::PeekKind(*err), wire::MsgKind::kError);
+  EXPECT_EQ(wire::DecodeError(*err).code, wire::ErrorCode::kBadRequest);
+  ::close(raw);
+
+  EXPECT_EQ(svc->Ledger("alice", "dblp").charges().size(), charges_before);
+  const auto odometer_after = svc->odometer().All();
+  ASSERT_EQ(odometer_after.size(), odometer_before.size());
+  for (std::size_t i = 0; i < odometer_after.size(); ++i) {
+    EXPECT_EQ(odometer_after[i].charges, odometer_before[i].charges);
+    EXPECT_EQ(odometer_after[i].epsilon_spent, odometer_before[i].epsilon_spent);
+  }
+  EXPECT_EQ(svc->durability_stats().wal_appends, appends_before);
+  EXPECT_EQ(std::filesystem::file_size(wal_path), wal_bytes_before);
+  server.Stop();
   ::unlink(wal_path.c_str());
 }
 

@@ -1,4 +1,4 @@
-// GDPNET01 wire format: encode/decode round trips for every message kind,
+// GDPNET02 wire format: encode/decode round trips for every message kind,
 // framing (CRC, length bounds, partial buffers), and the hostile-input
 // discipline — every decoder must throw NetProtocolError on truncated,
 // oversized, or corrupted bytes, never read past the buffer or allocate from
@@ -11,13 +11,20 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "answer_fixture.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "graph/generators.hpp"
 
 namespace gdp::net::wire {
 namespace {
 
 using gdp::common::NetProtocolError;
+using gdp::core::QuerySpec;
+using gdp::core::answer_fixture::Histogram;
+using gdp::core::answer_fixture::Of;
 
 ServeRequest SampleServeRequest() {
   ServeRequest req;
@@ -155,13 +162,13 @@ TEST(NetWireTest, AnswerRequestRoundTrips) {
   AnswerRequest req;
   req.tenant = "dave";
   req.dataset = "dblp";
-  req.queries.push_back(WireQuery{0, 0, 0});
-  req.queries.push_back(WireQuery{2, 1, 16});
+  req.queries = {Of(QuerySpec::Kind::kAssociationCount),
+                 Histogram(gdp::graph::Side::kRight, 16)};
   const AnswerRequest got = DecodeAnswerRequest(Encode(req));
   ASSERT_EQ(got.queries.size(), 2u);
-  EXPECT_EQ(got.queries[1].kind, 2);
-  EXPECT_EQ(got.queries[1].side, 1);
-  EXPECT_EQ(got.queries[1].param, 16u);
+  EXPECT_EQ(got.queries[1].kind, QuerySpec::Kind::kDegreeHistogram);
+  EXPECT_EQ(got.queries[1].side, gdp::graph::Side::kRight);
+  EXPECT_EQ(got.queries[1].max_degree, 16u);
 }
 
 TEST(NetWireTest, StatsRequestHasEmptyBody) {
@@ -222,21 +229,56 @@ TEST(NetWireTest, DrilldownResponseRoundTrips) {
 TEST(NetWireTest, AnswerResponseRoundTrips) {
   AnswerResponse resp;
   resp.outcome = SampleOutcome();
-  WireQueryResult result;
-  result.query_name = "association_count";
-  result.sensitivity = 2500.0;
-  result.noise_stddev = 812.5;
-  result.truth = {2500.0};
-  result.noisy = {2481.5};
-  result.mean_rer = 0.0074;
-  result.mae = 18.5;
-  result.rmse = 18.5;
-  resp.results.push_back(result);
+  resp.results.push_back({"association_count", 812.5, {2481.5}});
+  resp.results.push_back({"degree_histogram_left", 90.25, {3.5, -1.0, 7.75}});
   const AnswerResponse got = DecodeAnswerResponse(Encode(resp));
-  ASSERT_EQ(got.results.size(), 1u);
+  ASSERT_EQ(got.results.size(), 2u);
   EXPECT_EQ(got.results[0].query_name, "association_count");
-  EXPECT_EQ(got.results[0].truth, result.truth);
-  EXPECT_DOUBLE_EQ(got.results[0].rmse, 18.5);
+  EXPECT_DOUBLE_EQ(got.results[0].noise_stddev, 812.5);
+  EXPECT_EQ(got.results[0].noisy, resp.results[0].noisy);
+  EXPECT_EQ(got.results[1].noisy, resp.results[1].noisy);
+}
+
+// A granted Answer publishes the query name, σ and the noisy values only:
+// the encoded reply holds none of the true counts it was computed from.
+TEST(NetWireTest, GrantedAnswerReplyCarriesNoTrueCounts) {
+  gdp::common::Rng graph_rng(3);
+  gdp::graph::DblpLikeParams p;
+  p.num_left = 200;
+  p.num_right = 300;
+  p.num_edges = 1200;
+  gdp::core::SessionSpec spec;
+  spec.hierarchy.depth = 4;
+  spec.hierarchy.arity = 4;
+  gdp::serve::DisclosureService service(4);
+  service.catalog().Register(
+      "dblp", gdp::serve::Dataset{GenerateDblpLike(p, graph_rng), spec, 7,
+                                  {}, {}});
+  service.broker().Register("alice", gdp::serve::TenantProfile{50.0, 0.2, 2});
+  std::vector<gdp::core::QuerySpec> queries(2);
+  queries[1].kind = gdp::core::QuerySpec::Kind::kGroupCount;
+  gdp::common::Rng rng(5);
+  const gdp::serve::AnswerResult result =
+      service.ServeAnswer("alice", "dblp", spec.budget, queries, rng);
+  ASSERT_TRUE(result.serve.granted) << result.serve.denial_reason;
+  const std::string reply = Encode(AnswerResponse::FromResult(result));
+
+  const gdp::serve::Dataset& ds = service.catalog().Get("dblp");
+  const auto compiled = service.registry().GetOrCompile(
+      "dblp", ds.graph, ds.publication, ds.compile_seed);
+  std::vector<double> truths = {static_cast<double>(ds.graph.num_edges())};
+  for (const auto sum : compiled->plan().GroupDegreeSums(result.serve.level)) {
+    if (sum != 0) {
+      truths.push_back(static_cast<double>(sum));
+    }
+  }
+  ASSERT_GT(truths.size(), 2u);
+  for (const double truth : truths) {
+    const std::string bytes(reinterpret_cast<const char*>(&truth),
+                            sizeof(truth));
+    EXPECT_EQ(reply.find(bytes), std::string::npos)
+        << "reply carries the true count " << truth;
+  }
 }
 
 TEST(NetWireTest, StatsResponseRoundTripsEveryField) {
@@ -391,6 +433,72 @@ TEST(NetHostileTest, OutOfRangeEnumsThrow) {
   ServeOutcome outcome = SampleOutcome();
   outcome.accounting = 99;  // not an AccountingPolicy
   EXPECT_THROW((void)DecodeServeResponse(Encode(outcome)), NetProtocolError);
+}
+
+// An Answer's query shapes are checked at decode, before the request
+// reaches the service: an unknown kind or side, a histogram of max_degree 0
+// or past kMaxHistogramBins, or histograms whose reply could not fit one
+// frame.
+TEST(NetHostileTest, BadAnswerQueryShapesThrow) {
+  AnswerRequest req;
+  req.tenant = "a";
+  req.dataset = "b";
+  for (const QuerySpec bad :
+       {Of(static_cast<QuerySpec::Kind>(3)),
+        Histogram(static_cast<gdp::graph::Side>(2), 8),
+        Histogram(gdp::graph::Side::kLeft, 0),
+        Histogram(gdp::graph::Side::kRight, 0xFFFFFFFFu)}) {
+    req.queries = {Of(QuerySpec::Kind::kAssociationCount), bad};
+    EXPECT_THROW((void)DecodeAnswerRequest(Encode(req)), NetProtocolError)
+        << "kind " << static_cast<int>(bad.kind) << " max_degree "
+        << bad.max_degree;
+  }
+  // Under the cap one at a time, over it together.
+  req.queries.assign(3, Histogram(gdp::graph::Side::kLeft, 2'000'000));
+  EXPECT_THROW((void)DecodeAnswerRequest(Encode(req)), NetProtocolError);
+  // Three 200,000-bin histograms (4.8 MB of bins) stay legal.
+  req.queries.assign(3, Histogram(gdp::graph::Side::kLeft, 200'000));
+  EXPECT_EQ(DecodeAnswerRequest(Encode(req)).queries.size(), 3u);
+  // A max_degree the u32 field cannot carry is refused at encode.
+  req.queries = {Histogram(gdp::graph::Side::kLeft, std::size_t{1} << 32)};
+  EXPECT_THROW((void)Encode(req), NetProtocolError);
+}
+
+// The reply size decode and ServeAnswer bound is the encoded size exactly.
+TEST(NetWireTest, AnswerReplyBytesIsTheEncodedReplySize) {
+  const std::vector<QuerySpec> queries{
+      Of(QuerySpec::Kind::kAssociationCount),
+      Of(QuerySpec::Kind::kGroupCount),
+      Histogram(gdp::graph::Side::kLeft, 5),
+      Histogram(gdp::graph::Side::kRight, 9)};
+  constexpr std::size_t kGroups = 13;
+  AnswerResponse resp;
+  resp.outcome.granted = true;
+  for (const QuerySpec& q : queries) {
+    const std::size_t values =
+        q.kind == QuerySpec::Kind::kAssociationCount ? 1
+        : q.kind == QuerySpec::Kind::kGroupCount     ? kGroups
+                                                     : q.max_degree + 2;
+    resp.results.push_back(
+        {gdp::core::QueryName(q), 2.5, std::vector<double>(values, 1.0)});
+  }
+  EXPECT_EQ(Encode(resp).size(),
+            gdp::serve::AnswerReplyBytes(queries, kGroups));
+}
+
+// One right-side histogram whose granted reply is the largest that fits one
+// frame, (32 MiB - 103 - 4 - 22 - 8 - 4) / 8 = 4,194,286 values, decodes;
+// one more bin is refused.
+TEST(NetHostileTest, AnswerReplyAtTheFrameCapIsTheBoundary) {
+  constexpr std::size_t kBoundary = 4'194'284;  // max_degree + 2 values
+  AnswerRequest req;
+  req.tenant = "a";
+  req.dataset = "b";
+  req.queries = {Histogram(gdp::graph::Side::kRight, kBoundary)};
+  EXPECT_EQ(gdp::serve::AnswerReplyBytes(req.queries, 0), kMaxPayload - 3);
+  EXPECT_EQ(DecodeAnswerRequest(Encode(req)).queries[0].max_degree, kBoundary);
+  req.queries[0].max_degree = kBoundary + 1;
+  EXPECT_THROW((void)DecodeAnswerRequest(Encode(req)), NetProtocolError);
 }
 
 TEST(NetHostileTest, NonBooleanGrantedByteThrows) {

@@ -357,14 +357,14 @@ TEST_F(ServiceTest, StrictChargingDenialNamesTheEpsilonCapAndLevelWideNeed) {
       << denied.denial_reason;
 }
 
-TEST_F(ServiceTest, AnswerDenialNamesTheEpsilonCapAndWorkloadNeed) {
+TEST_F(ServiceTest, AnswerDenialNamesTheEpsilonCapAndQueryCountNeed) {
   // A 3-query answer charges one event of count 3: the refused need is
   // 3·ε₂, which a grant of phase 1 + 2·ε₂ cannot cover.
   service_.broker().Register(
       "answer_poor",
       TenantProfile{budget_.phase1_epsilon() + 2.0 * budget_.phase2_epsilon(),
                     0.4, 0});
-  const std::vector<QuerySpec> queries(3);  // three association counts
+  const std::vector<gdp::core::QuerySpec> queries(3);  // association counts
   Rng rng(5);
   const AnswerResult denied =
       service_.ServeAnswer("answer_poor", "dblp", budget_, queries, rng);
@@ -375,6 +375,70 @@ TEST_F(ServiceTest, AnswerDenialNamesTheEpsilonCapAndWorkloadNeed) {
                         std::to_string(budget_.phase2_epsilon() * 3.0)),
             std::string::npos)
       << reason;
+}
+
+TEST_F(ServiceTest, AnswerReadsThePlanWithZeroScans) {
+  // The served Answer's counts, Δℓ and group sums come from the compiled
+  // plan: once the artifact exists, {assoc, group, degree} scans nothing.
+  Rng rng(5);
+  ASSERT_TRUE(service_.Serve("low", "dblp", budget_, rng).granted);
+  std::vector<gdp::core::QuerySpec> queries(3);
+  queries[1].kind = gdp::core::QuerySpec::Kind::kGroupCount;
+  queries[2].kind = gdp::core::QuerySpec::Kind::kDegreeHistogram;
+  const std::uint64_t scans_before =
+      gdp::hier::Partition::DegreeSumScanCount();
+  const AnswerResult answered =
+      service_.ServeAnswer("low", "dblp", budget_, queries, rng);
+  EXPECT_EQ(gdp::hier::Partition::DegreeSumScanCount() - scans_before, 0u);
+  ASSERT_TRUE(answered.serve.granted) << answered.serve.denial_reason;
+  ASSERT_EQ(answered.results.size(), 3u);
+  EXPECT_EQ(answered.results[0].query_name, "association_count");
+  EXPECT_EQ(answered.results[1].query_name, "group_counts");
+  EXPECT_EQ(answered.results[2].query_name, "degree_histogram_left");
+  EXPECT_EQ(answered.results[2].noisy.size(), 10u);  // max_degree 8 + 2
+}
+
+TEST_F(ServiceTest, BadQueryShapeIsRefusedBeforeTheTenantIsAttached) {
+  // A never-seen tenant whose histogram asks for max_degree 0 must not be
+  // attached (and charged phase 1) for a request that is refused anyway.
+  service_.broker().Register("fresh", TenantProfile{50.0, 0.4, 0});
+  std::vector<gdp::core::QuerySpec> queries(2);
+  queries[1].kind = gdp::core::QuerySpec::Kind::kDegreeHistogram;
+  queries[1].max_degree = 0;
+  Rng rng(5);
+  EXPECT_THROW(
+      (void)service_.ServeAnswer("fresh", "dblp", budget_, queries, rng),
+      std::invalid_argument);
+  EXPECT_THROW((void)service_.Ledger("fresh", "dblp"),
+               gdp::common::NotFoundError);
+}
+
+TEST_F(ServiceTest, OversizedReplyIsRefusedBeforeTheTenantIsAttached) {
+  // group_counts' length is the level's group count, known only once the
+  // tier resolves: a list whose reply would pass the frame cap there is
+  // refused after that and before the never-seen tenant is attached.
+  service_.broker().Register("probe", TenantProfile{50.0, 0.4, 3});
+  service_.broker().Register("fresh", TenantProfile{50.0, 0.4, 3});
+  Rng rng(5);
+  const ServeResult probe = service_.Serve("probe", "dblp", budget_, rng);
+  ASSERT_TRUE(probe.granted);
+  const std::size_t groups = probe.view.noisy_group_counts.size();
+  ASSERT_GT(groups, 0u);
+  gdp::core::QuerySpec group;
+  group.kind = gdp::core::QuerySpec::Kind::kGroupCount;
+  // The fewest group_counts queries whose reply passes the cap: each adds a
+  // 28-byte name, σ and count plus 8 bytes per group (docs/FORMATS.md).
+  std::vector<gdp::core::QuerySpec> queries(
+      (kMaxAnswerReplyBytes - 103) / (28 + 8 * groups) + 1, group);
+  ASSERT_GT(AnswerReplyBytes(queries, groups), kMaxAnswerReplyBytes);
+  ASSERT_LE(AnswerReplyBytes(std::span(queries).first(queries.size() - 1),
+                             groups),
+            kMaxAnswerReplyBytes);
+  EXPECT_THROW(
+      (void)service_.ServeAnswer("fresh", "dblp", budget_, queries, rng),
+      std::invalid_argument);
+  EXPECT_THROW((void)service_.Ledger("fresh", "dblp"),
+               gdp::common::NotFoundError);
 }
 
 TEST_F(ServiceTest, ExplicitAccessLevelsOverrideUniform) {

@@ -5,6 +5,8 @@
 // ledger's Σε, while kSequential stays bit-identical to the default.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
@@ -12,8 +14,6 @@
 #include "dp/privacy_accountant.hpp"
 #include "dp/rdp_accountant.hpp"
 #include "graph/generators.hpp"
-#include "query/query.hpp"
-#include "query/workload.hpp"
 
 namespace gdp::core {
 namespace {
@@ -167,16 +167,14 @@ TEST(SessionAccountingTest, SweepBatchPrecheckUsesThePolicy) {
                gdp::common::BudgetExhaustedError);
 }
 
-TEST(SessionAccountingTest, AnswerThreadsWorkloadSizedEvent) {
+TEST(SessionAccountingTest, AnswerThreadsQueryCountSizedEvent) {
   const BipartiteGraph graph = TestGraph();
   SessionSpec spec = SpecWithPolicy(AccountingPolicy::kRdp);
   Rng rng(41);
   DisclosureSession session = DisclosureSession::Open(graph, spec, rng);
-  gdp::query::Workload workload;
-  workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
-  workload.Add(std::make_unique<gdp::query::GroupCountQuery>(
-      session.hierarchy().level(1)));
-  (void)session.Answer(workload, 1, spec.budget, rng);
+  std::vector<QuerySpec> queries(2);
+  queries[1].kind = QuerySpec::Kind::kGroupCount;
+  (void)session.Answer(queries, 1, spec.budget, rng);
   const auto& events = session.ledger().events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1].count, 2);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/consistency.hpp"
@@ -9,7 +15,6 @@
 #include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/navigation.hpp"
-#include "query/workload.hpp"
 
 namespace gdp::core {
 namespace {
@@ -372,10 +377,9 @@ TEST(SessionTest, AnswerLabelsAreUniquePerCall) {
   Rng rng(7);
   DisclosureSession session =
       DisclosureSession::Open(g, cfg, rng);
-  gdp::query::Workload workload;
-  workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
-  (void)session.Answer(workload, 2, cfg.budget, rng);
-  (void)session.Answer(workload, 2, cfg.budget, rng);
+  const std::vector<QuerySpec> queries(1);  // association count
+  (void)session.Answer(queries, 2, cfg.budget, rng);
+  (void)session.Answer(queries, 2, cfg.budget, rng);
   const auto& charges = session.ledger().charges();
   ASSERT_EQ(charges.size(), 3u);
   EXPECT_NE(charges[1].label.find("answer[0]"), std::string::npos);
@@ -396,7 +400,7 @@ TEST(SessionTest, SweepLabelsAreSweepTagged) {
   EXPECT_NE(charges[2].label.find("sweep[1]"), std::string::npos);
 }
 
-// ---------- drilldown / workload / post-processing through the session ----
+// ---------- drilldown / answer / post-processing through the session ------
 
 TEST(SessionTest, DrilldownMatchesDirectDrillDown) {
   const BipartiteGraph g = TestGraph();
@@ -417,32 +421,97 @@ TEST(SessionTest, DrilldownMatchesDirectDrillDown) {
   }
 }
 
-TEST(SessionTest, AnswerMatchesWorkloadRunAndChargesLedger) {
-  const BipartiteGraph g = TestGraph();
-  SessionSpec cfg = SmallSpec();
-  Rng rng(37);
-  DisclosureSession session =
-      DisclosureSession::Open(g, cfg, rng);
-  gdp::query::Workload workload;
-  workload.Add(std::make_unique<gdp::query::AssociationCountQuery>())
-      .Add(std::make_unique<gdp::query::DegreeHistogramQuery>(
-          gdp::graph::Side::kLeft, 20));
+// tests/data/golden_answer.tsv holds one line per answered query,
+//   noise  level  query  sensitivity  sigma  n  truth[n]  noisy[n]
+// (17 significant digits), written by the query layer that computed every
+// value from the graph before Answer read the compiled plan.  Setup: the
+// graph, spec, seeds and queries below.
+struct GoldenAnswer {
+  std::string noise;
+  int level{0};
+  std::string query;
+  double sensitivity{0.0};
+  double sigma{0.0};
+  std::vector<double> truth;
+  std::vector<double> noisy;
+};
 
-  const BudgetSpec budget = cfg.budget;
-  Rng r_direct = rng;
-  const auto direct =
-      workload.Run(g, session.hierarchy().level(2), budget.noise,
-                   budget.phase2_epsilon(), budget.delta, r_direct);
-  const std::size_t charges_before = session.ledger().charges().size();
-  const auto via_session = session.Answer(workload, 2, budget, rng);
-  ASSERT_EQ(via_session.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_session[i].noisy, direct[i].noisy) << "query " << i;
+std::vector<GoldenAnswer> ReadGoldenAnswers() {
+  std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_answer.tsv");
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "gdp-answer v1");
+  std::vector<GoldenAnswer> out;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    GoldenAnswer a;
+    std::string token;
+    std::size_t n = 0;
+    fields >> a.noise >> a.level >> a.query >> token;
+    a.sensitivity = std::strtod(token.c_str(), nullptr);
+    fields >> token >> n;
+    a.sigma = std::strtod(token.c_str(), nullptr);
+    for (std::vector<double>* column : {&a.truth, &a.noisy}) {
+      for (std::size_t i = 0; i < n && fields >> token; ++i) {
+        column->push_back(std::strtod(token.c_str(), nullptr));
+      }
+    }
+    out.push_back(std::move(a));
   }
-  ASSERT_EQ(session.ledger().charges().size(), charges_before + 1);
-  const auto& charge = session.ledger().charges().back();
-  EXPECT_DOUBLE_EQ(charge.epsilon, 2.0 * budget.phase2_epsilon());
-  EXPECT_DOUBLE_EQ(charge.delta, 2.0 * budget.delta);
+  return out;
+}
+
+TEST(SessionTest, AnswerMatchesGoldenAnswersAndChargesLedger) {
+  Rng graph_rng(3);
+  gdp::graph::DblpLikeParams p;
+  p.num_left = 300;
+  p.num_right = 400;
+  p.num_edges = 2000;
+  const BipartiteGraph g = GenerateDblpLike(p, graph_rng);
+  SessionSpec cfg;
+  cfg.hierarchy.depth = 4;
+  cfg.hierarchy.arity = 4;
+  Rng rng(7);
+  DisclosureSession session = DisclosureSession::Open(g, cfg, rng);
+  std::vector<QuerySpec> queries(4);
+  queries[1].kind = QuerySpec::Kind::kGroupCount;
+  queries[2].kind = QuerySpec::Kind::kDegreeHistogram;
+  queries[2].side = gdp::graph::Side::kLeft;
+  queries[2].max_degree = 6;
+  queries[3] = queries[2];
+  queries[3].side = gdp::graph::Side::kRight;
+
+  const std::vector<GoldenAnswer> golden = ReadGoldenAnswers();
+  ASSERT_EQ(golden.size(), 5u * 2u * queries.size());
+  std::size_t next = 0;
+  for (const NoiseKind kind :
+       {NoiseKind::kGaussian, NoiseKind::kAnalyticGaussian, NoiseKind::kLaplace,
+        NoiseKind::kDiscreteGaussian, NoiseKind::kGeometric}) {
+    for (const int level : {1, 3}) {
+      const BudgetSpec budget{0.9, 1e-5, 0.1, kind};
+      Rng answer_rng(2018 + static_cast<std::uint64_t>(level));
+      const std::size_t charges_before = session.ledger().charges().size();
+      const auto results = session.Answer(queries, level, budget, answer_rng);
+      ASSERT_EQ(results.size(), queries.size());
+      for (const QueryResult& r : results) {
+        const GoldenAnswer& want = golden[next++];
+        const std::string where =
+            want.noise + " L" + std::to_string(want.level) + " " + want.query;
+        EXPECT_EQ(want.noise, NoiseKindName(kind)) << where;
+        EXPECT_EQ(want.level, level) << where;
+        EXPECT_EQ(r.query_name, want.query) << where;
+        EXPECT_EQ(r.sensitivity, want.sensitivity) << where;
+        EXPECT_EQ(r.noise_stddev, want.sigma) << where;
+        EXPECT_EQ(r.truth, want.truth) << where;
+        EXPECT_EQ(r.noisy, want.noisy) << where;
+      }
+      // One charge per Answer: k queries at (ε₂, δ) compose to (k·ε₂, k·δ).
+      ASSERT_EQ(session.ledger().charges().size(), charges_before + 1);
+      const auto& charge = session.ledger().charges().back();
+      EXPECT_DOUBLE_EQ(charge.epsilon, 4.0 * budget.phase2_epsilon());
+      EXPECT_DOUBLE_EQ(charge.delta, 4.0 * budget.delta);
+    }
+  }
 }
 
 TEST(SessionTest, AnswerRejectsBadLevelWithoutChargingLedger) {
@@ -451,12 +520,11 @@ TEST(SessionTest, AnswerRejectsBadLevelWithoutChargingLedger) {
   Rng rng(7);
   DisclosureSession session =
       DisclosureSession::Open(g, cfg, rng);
-  gdp::query::Workload workload;
-  workload.Add(std::make_unique<gdp::query::AssociationCountQuery>());
+  const std::vector<QuerySpec> queries(1);  // association count
   const std::size_t charges_before = session.ledger().charges().size();
-  EXPECT_THROW((void)session.Answer(workload, 99, cfg.budget, rng),
+  EXPECT_THROW((void)session.Answer(queries, 99, cfg.budget, rng),
                std::out_of_range);
-  EXPECT_THROW((void)session.Answer(workload, -1, cfg.budget, rng),
+  EXPECT_THROW((void)session.Answer(queries, -1, cfg.budget, rng),
                std::out_of_range);
   EXPECT_EQ(session.ledger().charges().size(), charges_before)
       << "a rejected Answer must not leave phantom spend on the ledger";

@@ -1,91 +1,129 @@
-#include "query/workload.hpp"
-
+// A workload, a list of QuerySpecs answered in one CompiledDisclosure::Answer
+// call: results in list order, the draw order it shares with Release (one
+// level stream, vectors chunked like a level's group counts, with or without
+// a pool), an edgeless graph released exactly, and σ and error falling
+// toward finer levels.
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-#include "graph/generators.hpp"
+#include <cstdint>
+#include <string>
+#include <vector>
 
-namespace gdp::query {
+#include "answer_fixture.hpp"
+#include "core/metrics.hpp"
+
+namespace gdp::core {
 namespace {
 
 using gdp::common::Rng;
 using gdp::graph::BipartiteGraph;
+using gdp::graph::Side;
+using namespace answer_fixture;
 
-BipartiteGraph TestGraph() {
-  Rng rng(3);
-  return gdp::graph::GenerateUniformRandom(50, 50, 600, rng);
-}
-
-TEST(WorkloadTest, RejectsNullQuery) {
-  Workload w;
-  EXPECT_THROW(w.Add(nullptr), std::invalid_argument);
-}
-
-TEST(WorkloadTest, RunsEveryQuery) {
-  const BipartiteGraph g = TestGraph();
-  const Partition top = Partition::TopLevel(50, 50);
-  Workload w;
-  w.Add(std::make_unique<AssociationCountQuery>())
-      .Add(std::make_unique<DegreeHistogramQuery>(Side::kLeft, 20));
-  EXPECT_EQ(w.size(), 2u);
+TEST(AnswerTest, QueriesAnswerInListOrderWithNamesThatEncodeTheSide) {
+  const BipartiteGraph g = SmallGraph();
+  const auto compiled = CompileSmall(g);
+  const std::vector<QuerySpec> queries{
+      Histogram(Side::kLeft, 5), Of(QuerySpec::Kind::kAssociationCount),
+      Histogram(Side::kRight, 5), Of(QuerySpec::Kind::kGroupCount)};
   Rng rng(5);
-  const auto results =
-      w.Run(g, top, gdp::core::NoiseKind::kGaussian, 0.9, 1e-5, rng);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].query_name, "association_count");
-  EXPECT_EQ(results[1].query_name, "degree_histogram_left");
-  for (const auto& r : results) {
-    EXPECT_GT(r.sensitivity, 0.0);
-    EXPECT_GT(r.noise_stddev, 0.0);
-    EXPECT_EQ(r.truth.size(), r.noisy.size());
+  const auto results = compiled->Answer(queries, 1, kBudget, rng);
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results[0].query_name, "degree_histogram_left");
+  EXPECT_EQ(results[1].query_name, "association_count");
+  EXPECT_EQ(results[2].query_name, "degree_histogram_right");
+  EXPECT_EQ(results[3].query_name, "group_counts");
+  for (const QueryResult& r : results) {
+    EXPECT_GT(r.sensitivity, 0.0) << r.query_name;
+    EXPECT_GT(r.noise_stddev, 0.0) << r.query_name;
+    EXPECT_EQ(r.truth.size(), r.noisy.size()) << r.query_name;
   }
 }
 
-TEST(WorkloadTest, MetricsAreConsistent) {
-  const BipartiteGraph g = TestGraph();
-  const Partition singles = Partition::Singletons(50, 50);
-  Workload w;
-  w.Add(std::make_unique<AssociationCountQuery>());
-  Rng rng(7);
-  const auto results =
-      w.Run(g, singles, gdp::core::NoiseKind::kLaplace, 1.0, 1e-5, rng);
-  const auto& r = results[0];
-  // Scalar query: MAE equals |noise| and RER = MAE / truth.
-  EXPECT_NEAR(r.mean_rer, r.mae / r.truth[0], 1e-12);
-  EXPECT_NEAR(r.rmse, r.mae, 1e-9);
-}
-
-TEST(WorkloadTest, ZeroSensitivityReleasedExactly) {
-  // Edgeless graph: all queries have zero group sensitivity.
+TEST(AnswerTest, EdgelessGraphIsReleasedExactlyWithoutADraw) {
   const BipartiteGraph g(10, 10, {});
-  const Partition top = Partition::TopLevel(10, 10);
-  Workload w;
-  w.Add(std::make_unique<AssociationCountQuery>());
-  Rng rng(9);
-  const auto results =
-      w.Run(g, top, gdp::core::NoiseKind::kGaussian, 0.5, 1e-5, rng);
-  EXPECT_EQ(results[0].noisy, results[0].truth);
-  EXPECT_EQ(results[0].noise_stddev, 0.0);
+  const auto compiled = CompileSmall(g);
+  const std::vector<QuerySpec> queries{Of(QuerySpec::Kind::kAssociationCount),
+                                       Of(QuerySpec::Kind::kGroupCount)};
+  for (int level = 0; level < compiled->hierarchy().num_levels(); ++level) {
+    Rng rng(9);
+    const Rng before = rng;
+    for (const QueryResult& r :
+         compiled->Answer(queries, level, kBudget, rng)) {
+      EXPECT_EQ(r.noisy, r.truth) << r.query_name;
+      EXPECT_EQ(r.sensitivity, 0.0) << r.query_name;
+      EXPECT_EQ(r.noise_stddev, 0.0) << r.query_name;
+    }
+    Rng expected = before;
+    EXPECT_EQ(rng(), expected()) << "level " << level;
+  }
 }
 
-TEST(WorkloadTest, FinerLevelYieldsSmallerError) {
-  const BipartiteGraph g = TestGraph();
-  Workload w;
-  w.Add(std::make_unique<AssociationCountQuery>());
+TEST(AnswerTest, SigmaFallsTowardFinerLevels) {
+  const BipartiteGraph g = RandomGraph();
+  const auto compiled = CompileSmall(g, 4);
+  const std::vector<QuerySpec> assoc(1);
+  double previous_sigma = 0.0;
+  for (int level = 0; level < compiled->hierarchy().num_levels(); ++level) {
+    Rng rng(10);
+    const double sigma =
+        compiled->Answer(assoc, level, kBudget, rng)[0].noise_stddev;
+    EXPECT_GE(sigma, previous_sigma) << "level " << level;
+    previous_sigma = sigma;
+  }
+  // And the error follows it: summed over seeds, singletons beat the top.
   double err_fine = 0.0;
   double err_coarse = 0.0;
+  const int top = compiled->hierarchy().depth();
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng r1(seed);
     Rng r2(seed + 1000);
-    err_fine += w.Run(g, Partition::Singletons(50, 50),
-                      gdp::core::NoiseKind::kGaussian, 0.9, 1e-5, r1)[0]
-                    .mean_rer;
-    err_coarse += w.Run(g, Partition::TopLevel(50, 50),
-                        gdp::core::NoiseKind::kGaussian, 0.9, 1e-5, r2)[0]
-                      .mean_rer;
+    const QueryResult fine = compiled->Answer(assoc, 0, kBudget, r1)[0];
+    const QueryResult coarse = compiled->Answer(assoc, top, kBudget, r2)[0];
+    err_fine += MeanRelativeErrorRate(fine.noisy, fine.truth);
+    err_coarse += MeanRelativeErrorRate(coarse.noisy, coarse.truth);
   }
   EXPECT_LT(err_fine, err_coarse);
 }
 
+// One draw order: {association_count, group_counts} at level ℓ from the
+// level-ℓ stream is the level-ℓ total and group counts of a Release, also
+// when the level's groups split into several chunks and when a pool draws
+// them.
+TEST(AnswerTest, AssocAndGroupEqualTheReleaseDrawOfTheLevelStream) {
+  const BipartiteGraph g = RandomGraph();
+  const std::vector<QuerySpec> queries{Of(QuerySpec::Kind::kAssociationCount),
+                                       Of(QuerySpec::Kind::kGroupCount)};
+  constexpr std::size_t kGrain = 16;
+  for (const int threads : {1, 8}) {
+    const auto compiled = CompileSmall(g, 4, threads, kGrain);
+    ASSERT_GT(compiled->plan().GroupDegreeSums(0).size(), 4 * kGrain);
+    for (const NoiseKind kind : {NoiseKind::kGaussian, NoiseKind::kLaplace}) {
+      BudgetSpec budget = kBudget;
+      budget.noise = kind;
+      Rng release_rng(2024);
+      const MultiLevelRelease release = compiled->Release(budget, release_rng);
+      Rng fork_rng(2024);
+      std::vector<Rng> streams = fork_rng.ForkStreams(
+          static_cast<std::size_t>(compiled->hierarchy().num_levels()));
+      for (int level = 0; level < compiled->hierarchy().num_levels();
+           ++level) {
+        const LevelRelease& expected = release.level(level);
+        const auto got = compiled->Answer(
+            queries, level, budget, streams[static_cast<std::size_t>(level)]);
+        const std::string where = std::string(NoiseKindName(kind)) +
+                                  ", level " + std::to_string(level) + ", " +
+                                  std::to_string(threads) + " threads";
+        EXPECT_EQ(got[0].noisy[0], expected.noisy_total) << where;
+        EXPECT_EQ(got[0].noise_stddev, expected.noise_stddev) << where;
+        EXPECT_EQ(got[0].sensitivity, expected.sensitivity) << where;
+        EXPECT_EQ(got[1].noisy, expected.noisy_group_counts) << where;
+        EXPECT_EQ(got[1].truth, expected.true_group_counts) << where;
+        EXPECT_EQ(got[1].noise_stddev, expected.group_noise_stddev) << where;
+      }
+    }
+  }
+}
+
 }  // namespace
-}  // namespace gdp::query
+}  // namespace gdp::core
