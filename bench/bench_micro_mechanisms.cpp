@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the DP primitive layer: noise
 // sampler throughput, Exponential-Mechanism selection cost (which bound the
 // per-release overhead of Phase 2 and the per-cut overhead of Phase 1), the
-// per-charge cost + admission capacity of the accounting policies, and the
+// per-charge cost + admission capacity of the accounting policies, the
 // WAL append path (frame + CRC + storage, memory-backed — the serving
-// layer's per-release durability overhead minus the physical fsync).
+// layer's per-release durability overhead minus the physical fsync), and
+// the GDPNET02 reply codec (encode and decode of a granted Serve reply, in
+// bytes/s — the serving layer's per-reply codec cost).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -21,6 +24,7 @@
 #include "dp/gaussian.hpp"
 #include "dp/laplace.hpp"
 #include "dp/privacy_accountant.hpp"
+#include "net/wire.hpp"
 #include "serve/audit_wal.hpp"
 
 namespace {
@@ -140,6 +144,59 @@ void BM_WalAppend(benchmark::State& state) {
       static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
 }
 BENCHMARK(BM_WalAppend);
+
+// A granted Serve reply of `groups` groups: both f64 columns (true and
+// noisy counts) hold one entry per group.
+net::wire::ServeOutcome ServeReply(std::size_t groups) {
+  common::Rng rng(7);
+  net::wire::ServeOutcome outcome;
+  outcome.granted = true;
+  outcome.privilege = 5;
+  outcome.level = 1;
+  outcome.epsilon_spent = 12.5;
+  outcome.epsilon_remaining = 37.5;
+  outcome.view.level = 1;
+  outcome.view.noise_stddev = 310.0;
+  outcome.view.group_noise_stddev = 220.0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const double truth = static_cast<double>(g % 97 + 1);
+    outcome.view.true_group_counts.push_back(truth);
+    outcome.view.noisy_group_counts.push_back(truth +
+                                              dp::SampleGaussian(rng, 220.0));
+  }
+  return outcome;
+}
+
+// The reply codec at 8 groups (a coarse tier), 1,536 (about the `fine`
+// workload's level 1) and 5,365 (a 10k-edge graph's level 0).  Encode times
+// wire::Encode(outcome) only; decode times wire::DecodeServeResponse(payload)
+// only.  Both report payload bytes/s.
+void BM_EncodeServeReply(benchmark::State& state) {
+  const net::wire::ServeOutcome outcome =
+      ServeReply(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string payload = net::wire::Encode(outcome);
+    bytes = payload.size();
+    benchmark::DoNotOptimize(payload.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeServeReply)->Arg(8)->Arg(1536)->Arg(5365);
+
+void BM_DecodeServeReply(benchmark::State& state) {
+  const std::string payload = net::wire::Encode(
+      ServeReply(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    const net::wire::ServeOutcome outcome =
+        net::wire::DecodeServeResponse(payload);
+    benchmark::DoNotOptimize(outcome.view.noisy_group_counts.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_DecodeServeReply)->Arg(8)->Arg(1536)->Arg(5365);
 
 }  // namespace
 

@@ -46,15 +46,4 @@ double MeanAbsoluteError(std::span<const double> perturbed,
   return sum / static_cast<double>(truth.size());
 }
 
-double RootMeanSquareError(std::span<const double> perturbed,
-                           std::span<const double> truth) {
-  CheckPaired(perturbed, truth, "RootMeanSquareError");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    const double d = perturbed[i] - truth[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum / static_cast<double>(truth.size()));
-}
-
 }  // namespace gdp::core

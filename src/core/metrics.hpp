@@ -18,8 +18,4 @@ namespace gdp::core {
 [[nodiscard]] double MeanAbsoluteError(std::span<const double> perturbed,
                                        std::span<const double> truth);
 
-// Root-mean-square error over paired vectors.  Requires equal, non-zero sizes.
-[[nodiscard]] double RootMeanSquareError(std::span<const double> perturbed,
-                                         std::span<const double> truth);
-
 }  // namespace gdp::core

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -14,6 +15,33 @@ namespace {
 
 using gdp::common::NetProtocolError;
 
+// Little-endian word store and load, shift-assembled like LoadLe32 in
+// common/crc32.cpp: the bytes are in wire order on any host, and compilers
+// fold each into one store or load per word on little-endian targets.
+// StoreLe assembles the word in a local and copies it out, which keeps the
+// f64 column loop a plain word copy under auto-vectorization.
+template <typename U, std::size_t... I>
+void StoreLe(char* out, U v, std::index_sequence<I...>) noexcept {
+  unsigned char bytes[sizeof(U)];
+  ((bytes[I] = static_cast<unsigned char>(v >> (8 * I))), ...);
+  std::memcpy(out, bytes, sizeof(U));
+}
+
+template <typename U>
+void StoreLe(char* out, U v) noexcept {
+  StoreLe(out, v, std::make_index_sequence<sizeof(U)>{});
+}
+
+template <typename U, std::size_t... I>
+U LoadLe(const char* in, std::index_sequence<I...>) noexcept {
+  return ((static_cast<U>(static_cast<unsigned char>(in[I])) << (8 * I)) | ...);
+}
+
+template <typename U>
+U LoadLe(const char* in) noexcept {
+  return LoadLe<U>(in, std::make_index_sequence<sizeof(U)>{});
+}
+
 // Append-only little-endian serializer.  Strings and vectors are prefixed
 // with a u32 count; doubles travel by IEEE-754 bit pattern.
 class Writer {
@@ -21,16 +49,8 @@ class Writer {
   explicit Writer(MsgKind kind) { U8(static_cast<std::uint8_t>(kind)); }
 
   void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  }
+  void U32(std::uint32_t v) { StoreLe(Grow(sizeof(v)), v); }
+  void U64(std::uint64_t v) { StoreLe(Grow(sizeof(v)), v); }
   void I32(std::int32_t v) { U32(std::bit_cast<std::uint32_t>(v)); }
   void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
   void Str(std::string_view s) {
@@ -42,14 +62,23 @@ class Writer {
   }
   void F64Vec(const std::vector<double>& v) {
     U32(static_cast<std::uint32_t>(v.size()));
-    for (double d : v) {
-      F64(d);
+    char* p = Grow(8 * v.size());
+    for (const double d : v) {
+      StoreLe(p, std::bit_cast<std::uint64_t>(d));
+      p += 8;
     }
   }
 
   [[nodiscard]] std::string Take() && { return std::move(out_); }
 
  private:
+  // Extend the payload by `n` bytes and return where they start.
+  char* Grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+
   std::string out_;
 };
 
@@ -66,28 +95,8 @@ class Reader {
     Need(1, "u8");
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
-  [[nodiscard]] std::uint32_t U32() {
-    Need(4, "u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  [[nodiscard]] std::uint64_t U64() {
-    Need(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
+  [[nodiscard]] std::uint32_t U32() { return Word<std::uint32_t>("u32"); }
+  [[nodiscard]] std::uint64_t U64() { return Word<std::uint64_t>("u64"); }
   [[nodiscard]] std::int32_t I32() { return std::bit_cast<std::int32_t>(U32()); }
   [[nodiscard]] double F64() { return std::bit_cast<double>(U64()); }
   [[nodiscard]] std::string Str() {
@@ -97,13 +106,17 @@ class Reader {
     pos_ += len;
     return s;
   }
+  // Count has proved all `count` values are present, so they load with no
+  // per-element check.
   [[nodiscard]] std::vector<double> F64Vec() {
     const std::uint32_t count = Count(8, "f64 vector");
-    std::vector<double> v;
-    v.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      v.push_back(F64());
+    std::vector<double> v(count);
+    const char* p = data_.data() + pos_;
+    for (double& d : v) {
+      d = std::bit_cast<double>(LoadLe<std::uint64_t>(p));
+      p += 8;
     }
+    pos_ += std::size_t{8} * count;
     return v;
   }
   // A declared element count, already proved to fit the remaining bytes at
@@ -131,6 +144,13 @@ class Reader {
     if (Remaining() < n) {
       throw NetProtocolError(std::string("GDPNET02 decode: truncated ") + what);
     }
+  }
+  template <typename U>
+  [[nodiscard]] U Word(const char* what) {
+    Need(sizeof(U), what);
+    const U v = LoadLe<U>(data_.data() + pos_);
+    pos_ += sizeof(U);
+    return v;
   }
 
   std::string_view data_;
@@ -312,14 +332,12 @@ std::string Frame(std::string_view payload) {
   }
   const auto len = static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = gdp::common::Crc32(payload);
+  char header[kFrameHeaderSize];
+  StoreLe(header, len);
+  StoreLe(header + 4, crc);
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((len >> (8 * i)) & 0xFF));
-  }
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
+  out.append(header, kFrameHeaderSize);
   out.append(payload);
   return out;
 }
@@ -328,16 +346,7 @@ std::optional<std::string> TryDeframe(std::string& buffer) {
   if (buffer.size() < kFrameHeaderSize) {
     return std::nullopt;
   }
-  auto u32_at = [&buffer](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(buffer[off + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const std::uint32_t len = u32_at(0);
+  const auto len = LoadLe<std::uint32_t>(buffer.data());
   // Length is validated BEFORE waiting for `len` more bytes: an attacker
   // declaring 4 GiB gets rejected now, not buffered toward the cap.
   if (len == 0 || len > kMaxPayload) {
@@ -347,7 +356,7 @@ std::optional<std::string> TryDeframe(std::string& buffer) {
   if (buffer.size() < kFrameHeaderSize + len) {
     return std::nullopt;
   }
-  const std::uint32_t declared_crc = u32_at(4);
+  const auto declared_crc = LoadLe<std::uint32_t>(buffer.data() + 4);
   std::string payload = buffer.substr(kFrameHeaderSize, len);
   if (gdp::common::Crc32(payload) != declared_crc) {
     throw NetProtocolError("GDPNET02 frame: payload CRC mismatch");

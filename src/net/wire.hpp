@@ -58,7 +58,7 @@ inline constexpr std::size_t kFrameHeaderSize = 8;
 // allocation (a 4 GiB "length" must cost the attacker a closed connection,
 // not the server an allocation).
 inline constexpr std::uint32_t kMaxPayload = 32u << 20;
-static_assert(kMaxPayload == gdp::serve::kMaxAnswerReplyBytes);
+static_assert(kMaxPayload == gdp::serve::kMaxReplyBytes);
 
 enum class MsgKind : std::uint8_t {
   // Requests (client -> server).

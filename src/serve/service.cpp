@@ -199,7 +199,7 @@ DisclosureService::TenantEntry* DisclosureService::EntryFor(
 
 DisclosureService::Admission DisclosureService::Admit(
     const std::string& tenant, const std::string& dataset, ServeResult& result,
-    std::span<const gdp::core::QuerySpec> queries) {
+    const ReplyBytes& reply_bytes) {
   if (wal_failed_.load(std::memory_order_acquire)) {
     fail_closed_rejections_.Add();
     throw gdp::common::DurabilityError(
@@ -240,12 +240,15 @@ DisclosureService::Admission DisclosureService::Admit(
         " but the compiled hierarchy has levels [0, " +
         std::to_string(adm.compiled->hierarchy().num_levels()) + ")");
   }
-  if (AnswerReplyBytes(queries,
-                       adm.compiled->hierarchy().level(adm.level).num_groups()) >
-      kMaxAnswerReplyBytes) {
+  // The reply's size is known once the level is: a reply that could not be
+  // framed is refused here, before anything is attached or charged.
+  const std::uint64_t bytes =
+      reply_bytes(adm.compiled->hierarchy(), adm.level);
+  if (bytes > kMaxReplyBytes) {
     throw std::invalid_argument(
-        "DisclosureService::ServeAnswer: the reply at level " +
-        std::to_string(adm.level) + " would exceed the 32 MiB frame cap");
+        "DisclosureService: the granted reply at level " +
+        std::to_string(adm.level) + " would be " + std::to_string(bytes) +
+        " bytes, past the 32 MiB frame cap");
   }
 
   result.privilege = adm.profile.privilege;
@@ -363,8 +366,19 @@ ServeResult DisclosureService::Serve(const std::string& tenant,
                                      const std::string& dataset,
                                      const gdp::core::BudgetSpec& budget,
                                      gdp::common::Rng& rng) {
+  return ServeOne(tenant, dataset, budget, rng,
+                  [](const gdp::hier::GroupHierarchy& h, int level) {
+                    return ServeReplyBytes(h.level(level).num_groups());
+                  });
+}
+
+ServeResult DisclosureService::ServeOne(const std::string& tenant,
+                                        const std::string& dataset,
+                                        const gdp::core::BudgetSpec& budget,
+                                        gdp::common::Rng& rng,
+                                        const ReplyBytes& reply_bytes) {
   ServeResult result;
-  const Admission adm = Admit(tenant, dataset, result);
+  const Admission adm = Admit(tenant, dataset, result, reply_bytes);
   if (adm.entry == nullptr) {
     return result;
   }
@@ -394,10 +408,14 @@ ServeResult DisclosureService::Serve(const std::string& tenant,
 std::vector<ServeResult> DisclosureService::ServeSweep(
     const std::string& tenant, const std::string& dataset,
     std::span<const gdp::core::BudgetSpec> budgets, gdp::common::Rng& rng) {
+  const ReplyBytes sweep_bytes = [&budgets](const gdp::hier::GroupHierarchy& h,
+                                           int level) {
+    return SweepReplyBytes(budgets.size(), h.level(level).num_groups());
+  };
   std::vector<ServeResult> results;
   results.reserve(budgets.size());
   for (const gdp::core::BudgetSpec& budget : budgets) {
-    results.push_back(Serve(tenant, dataset, budget, rng));
+    results.push_back(ServeOne(tenant, dataset, budget, rng, sweep_bytes));
   }
   return results;
 }
@@ -407,7 +425,13 @@ DrilldownResult DisclosureService::ServeDrilldown(
     const gdp::core::BudgetSpec& budget, gdp::graph::Side side,
     gdp::graph::NodeIndex v, gdp::common::Rng& rng) {
   DrilldownResult result;
-  const Admission adm = Admit(tenant, dataset, result.serve);
+  const Admission adm = Admit(
+      tenant, dataset, result.serve,
+      [](const gdp::hier::GroupHierarchy& h, int level) {
+        // One chain entry per level from the coarsest to the entitled one.
+        const auto entries = static_cast<std::size_t>(h.depth() - level) + 1;
+        return DrilldownReplyBytes(h.level(level).num_groups(), entries);
+      });
   if (adm.entry == nullptr) {
     return result;
   }
@@ -439,10 +463,35 @@ DrilldownResult DisclosureService::ServeDrilldown(
   return result;
 }
 
+namespace {
+
+// A granted outcome: the granted byte, an empty denial reason (its u32
+// length), privilege and level, four ledger f64s and the accounting byte,
+// the view's level and five f64s, then two u32-counted f64 columns.
+std::uint64_t GrantedOutcomeBytes(std::size_t num_groups) {
+  return 98 + 16 * static_cast<std::uint64_t>(num_groups);
+}
+
+}  // namespace
+
+std::uint64_t ServeReplyBytes(std::size_t num_groups) {
+  return 1 + GrantedOutcomeBytes(num_groups);
+}
+
+std::uint64_t SweepReplyBytes(std::size_t points, std::size_t num_groups) {
+  return 1 + 4 + points * GrantedOutcomeBytes(num_groups);
+}
+
+std::uint64_t DrilldownReplyBytes(std::size_t num_groups,
+                                  std::size_t chain_entries) {
+  return 1 + GrantedOutcomeBytes(num_groups) + 4 + 28 * chain_entries;
+}
+
 std::uint64_t AnswerReplyBytes(std::span<const gdp::core::QuerySpec> queries,
                                std::size_t num_groups) {
   using Kind = gdp::core::QuerySpec::Kind;
-  std::uint64_t bytes = 103;
+  // The outcome's columns stay empty; the results' count follows it.
+  std::uint64_t bytes = 1 + GrantedOutcomeBytes(0) + 4;
   for (const gdp::core::QuerySpec& q : queries) {
     const std::uint64_t values =
         q.kind == Kind::kAssociationCount ? 1
@@ -466,7 +515,11 @@ AnswerResult DisclosureService::ServeAnswer(
   // tenant that has never been seen.
   gdp::core::ValidateQueries(queries);
   AnswerResult result;
-  const Admission adm = Admit(tenant, dataset, result.serve, queries);
+  const Admission adm = Admit(
+      tenant, dataset, result.serve,
+      [queries](const gdp::hier::GroupHierarchy& h, int level) {
+        return AnswerReplyBytes(queries, h.level(level).num_groups());
+      });
   if (adm.entry == nullptr) {
     return result;
   }

@@ -117,12 +117,26 @@ struct AnswerResult {
   std::vector<PublishedAnswer> results;
 };
 
-// The exact size of the network reply (docs/FORMATS.md) granting `queries`,
-// each group_counts query holding `num_groups` values: a 103-byte head, then
-// per query a u32-prefixed name, an f64 σ and u32-counted f64 values.
-// ServeAnswer refuses, before the tenant is attached or charged, a list whose
-// reply would exceed kMaxAnswerReplyBytes (the network frame cap).
-inline constexpr std::uint64_t kMaxAnswerReplyBytes = std::uint64_t{32} << 20;
+// The exact sizes of the network replies (docs/FORMATS.md) that grant a
+// request at a level of `num_groups` groups.  A granted outcome is a 98-byte
+// head and two u32-counted f64 columns of num_groups values each (true and
+// noisy counts); an Answer's outcome carries empty columns.
+//   Serve:     the kind byte and one outcome.
+//   Sweep:     the kind byte, a u32 count and `points` outcomes, every point
+//              counted as granted.
+//   Drilldown: the kind byte, one outcome, a u32 count and 28 bytes per
+//              chain entry (one per level from the coarsest to the entitled).
+//   Answer:    a 103-byte head, then per query a u32-prefixed name, an f64 σ
+//              and u32-counted f64 values (num_groups for group_counts).
+// Every serving entry point refuses, before the tenant is attached or
+// charged, a request whose granted reply would exceed kMaxReplyBytes (the
+// network frame cap).
+inline constexpr std::uint64_t kMaxReplyBytes = std::uint64_t{32} << 20;
+[[nodiscard]] std::uint64_t ServeReplyBytes(std::size_t num_groups);
+[[nodiscard]] std::uint64_t SweepReplyBytes(std::size_t points,
+                                            std::size_t num_groups);
+[[nodiscard]] std::uint64_t DrilldownReplyBytes(std::size_t num_groups,
+                                                std::size_t chain_entries);
 [[nodiscard]] std::uint64_t AnswerReplyBytes(
     std::span<const gdp::core::QuerySpec> queries, std::size_t num_groups);
 
@@ -201,6 +215,9 @@ class DisclosureService {
   // bit-identical to a fresh DisclosureSession at the same seeds
   // (serve_test pins this), and the WAL adds no randomness — a durable run
   // releases bit-identical values to a WAL-less run at the same seeds.
+  // Every serving entry point throws std::invalid_argument, before the
+  // tenant is attached or charged, when its granted reply at the tenant's
+  // level would exceed kMaxReplyBytes.
   [[nodiscard]] ServeResult Serve(const std::string& tenant,
                                   const std::string& dataset,
                                   const gdp::core::BudgetSpec& budget,
@@ -212,7 +229,9 @@ class DisclosureService {
   // point is recorded (granted == false) while later points still run.  The
   // sweep is NOT atomic across points — by design, since the serving layer's
   // unit of admission is one request (a half-granted sweep leaves exactly
-  // the charges its granted points made, each durably logged).
+  // the charges its granted points made, each durably logged).  The frame
+  // cap counts every point as granted, so an oversized sweep is refused
+  // whole, before its first point is charged.
   [[nodiscard]] std::vector<ServeResult> ServeSweep(
       const std::string& tenant, const std::string& dataset,
       std::span<const gdp::core::BudgetSpec> budgets, gdp::common::Rng& rng);
@@ -236,8 +255,8 @@ class DisclosureService {
   // charge — k queries are one event of count = k.  Returns granted ==
   // false with empty results on an exhausted grant or retired dataset.
   // Throws std::invalid_argument on an empty list, a bad query shape
-  // (core::ValidateQueries) or a reply past kMaxAnswerReplyBytes at the
-  // tenant's level, before the tenant is attached or charged.
+  // (core::ValidateQueries) or a reply past kMaxReplyBytes at the tenant's
+  // level, before the tenant is attached or charged.
   [[nodiscard]] AnswerResult ServeAnswer(
       const std::string& tenant, const std::string& dataset,
       const gdp::core::BudgetSpec& budget,
@@ -283,17 +302,29 @@ class DisclosureService {
     int level{0};
   };
 
+  // The size of a request's granted reply at `level` of `hierarchy`.
+  using ReplyBytes = std::function<std::uint64_t(
+      const gdp::hier::GroupHierarchy& hierarchy, int level)>;
+
   // The shared front half of every serving entry point: fail-closed check
   // (DurabilityError), profile and dataset lookup (NotFoundError), artifact
-  // resolve/compile, entitled-level resolve (AccessPolicyError), and entry
+  // resolve/compile, entitled-level resolve (AccessPolicyError), the frame
+  // cap on `reply_bytes` at that level (std::invalid_argument), and entry
   // creation with its phase-1 admission.  On an expected denial (retired
   // dataset, grant too small for phase 1) fills `result` and returns an
-  // Admission with entry == nullptr.  An Answer passes its `queries`: once
-  // the level is resolved, and before the entry is created, a list whose
-  // reply would exceed kMaxAnswerReplyBytes throws std::invalid_argument.
-  [[nodiscard]] Admission Admit(
-      const std::string& tenant, const std::string& dataset,
-      ServeResult& result, std::span<const gdp::core::QuerySpec> queries = {});
+  // Admission with entry == nullptr.
+  [[nodiscard]] Admission Admit(const std::string& tenant,
+                                const std::string& dataset,
+                                ServeResult& result,
+                                const ReplyBytes& reply_bytes);
+
+  // Serve's body, admitted against `reply_bytes` (a sweep admits each
+  // point against the whole sweep's reply).
+  [[nodiscard]] ServeResult ServeOne(const std::string& tenant,
+                                     const std::string& dataset,
+                                     const gdp::core::BudgetSpec& budget,
+                                     gdp::common::Rng& rng,
+                                     const ReplyBytes& reply_bytes);
 
   // The write-ahead charge gate for one admitted request: odometer first
   // (commit-at-admit), then the durable append — so the log never records a

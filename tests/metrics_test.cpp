@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace gdp::core {
@@ -46,24 +45,6 @@ TEST(MeanAbsoluteErrorTest, Basic) {
   const std::vector<double> truth{1.0, 2.0, 3.0};
   const std::vector<double> noisy{2.0, 0.0, 3.0};
   EXPECT_NEAR(MeanAbsoluteError(noisy, truth), 1.0, 1e-12);
-}
-
-TEST(RootMeanSquareErrorTest, Basic) {
-  const std::vector<double> truth{0.0, 0.0};
-  const std::vector<double> noisy{3.0, 4.0};
-  EXPECT_NEAR(RootMeanSquareError(noisy, truth), std::sqrt(12.5), 1e-12);
-}
-
-TEST(RootMeanSquareErrorTest, ZeroWhenEqual) {
-  const std::vector<double> v{1.0, 2.0, 3.0};
-  EXPECT_EQ(RootMeanSquareError(v, v), 0.0);
-}
-
-TEST(ErrorMetricsTest, RmseAtLeastMae) {
-  const std::vector<double> truth{10.0, 20.0, 30.0, 40.0};
-  const std::vector<double> noisy{11.0, 17.0, 33.0, 38.0};
-  EXPECT_GE(RootMeanSquareError(noisy, truth) + 1e-12,
-            MeanAbsoluteError(noisy, truth));
 }
 
 }  // namespace

@@ -567,6 +567,68 @@ TEST(NetServerHostileTest, OversizedHistogramIsRefusedBeforeAnyCharge) {
   ::unlink(wal_path.c_str());
 }
 
+// A tier-6 tenant's 400-point Sweep at level 0 of a 10k-edge, depth-6
+// dataset would need a ~34 MB reply, past the 32 MiB frame.  It is refused
+// bad-request before any point is charged: the tenant's ledger, the dataset
+// odometer and the WAL stay as they were.
+TEST(NetServerHostileTest, OversizedSweepIsRefusedBeforeAnyCharge) {
+  const std::string wal_path = ::testing::TempDir() + "/net_server_sweep.wal";
+  ::unlink(wal_path.c_str());
+  auto svc = DisclosureService::Open(
+      [](DisclosureService& s) {
+        Rng rng(7);
+        gdp::graph::DblpLikeParams p;
+        p.num_edges = 10000;
+        p.num_left = 10000 / 5 + 16;
+        p.num_right = 10000 / 3 + 16;
+        gdp::core::SessionSpec spec;
+        spec.hierarchy.depth = 6;
+        s.catalog().Register(
+            "wide", gdp::serve::Dataset{GenerateDblpLike(p, rng), spec, 7,
+                                        {}, {}});
+        s.broker().Register("top", TenantProfile{1e4, 0.4, 6});
+      },
+      wal_path, 4);
+  Server server(*svc, ServerConfig{});
+  Client client(server.port());
+  const auto first = client.Serve(ServeReq("top", 0.3, "wide"));
+  ASSERT_TRUE(first.ok()) << first.message;
+  ASSERT_TRUE(first.value.granted) << first.value.denial_reason;
+  ASSERT_EQ(first.value.level, 0);
+  const std::size_t groups = first.value.view.noisy_group_counts.size();
+  ASSERT_GT(gdp::serve::SweepReplyBytes(400, groups),
+            gdp::serve::kMaxReplyBytes);
+  const std::size_t charges_before =
+      svc->Ledger("top", "wide").charges().size();
+  const auto odometer_before = svc->odometer().All();
+  const std::uint64_t appends_before = svc->durability_stats().wal_appends;
+  const auto wal_bytes_before = std::filesystem::file_size(wal_path);
+
+  wire::SweepRequest sweep;
+  sweep.tenant = "top";
+  sweep.dataset = "wide";
+  sweep.budgets.assign(400, ServeReq("top").budget);
+  const auto refused = client.Sweep(sweep);
+  EXPECT_EQ(refused.status, ReplyStatus::kError);
+  EXPECT_EQ(refused.error_code, wire::ErrorCode::kBadRequest)
+      << refused.message;
+
+  EXPECT_EQ(svc->Ledger("top", "wide").charges().size(), charges_before);
+  const auto odometer_after = svc->odometer().All();
+  ASSERT_EQ(odometer_after.size(), odometer_before.size());
+  for (std::size_t i = 0; i < odometer_after.size(); ++i) {
+    EXPECT_EQ(odometer_after[i].charges, odometer_before[i].charges);
+    EXPECT_EQ(odometer_after[i].epsilon_spent,
+              odometer_before[i].epsilon_spent);
+  }
+  EXPECT_EQ(svc->durability_stats().wal_appends, appends_before);
+  EXPECT_EQ(std::filesystem::file_size(wal_path), wal_bytes_before);
+  // The connection survives the refusal.
+  EXPECT_TRUE(client.Serve(ServeReq("top", 0.3, "wide")).value.granted);
+  server.Stop();
+  ::unlink(wal_path.c_str());
+}
+
 // ---------- concurrency (the TSan target) ----------
 
 TEST(NetServerConcurrentTest, ManyClientsManyWorkersNoLostRequests) {

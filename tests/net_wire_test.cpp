@@ -1,22 +1,33 @@
 // GDPNET02 wire format: encode/decode round trips for every message kind,
+// the golden bytes of every Encode overload (tests/data/golden_wire.hex),
 // framing (CRC, length bounds, partial buffers), and the hostile-input
 // discipline — every decoder must throw NetProtocolError on truncated,
 // oversized, or corrupted bytes, never read past the buffer or allocate from
 // an attacker-declared count.  Mirrors the snapshot hostile-header suite;
-// net_server_test replays the same attacks over a real socket.
+// net_server_test replays the same attacks over a real socket, and
+// NetMutationTest feeds the decoders 100k+ seeded mutants of the golden
+// frames.
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <bit>
 #include <cstring>
+#include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "answer_fixture.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "wire_fixture.hpp"
 
 namespace gdp::net::wire {
 namespace {
@@ -511,6 +522,473 @@ TEST(NetHostileTest, ErrorCodeRangeIsValidated) {
   std::string payload = Encode(ErrorResponse{ErrorCode::kInternal, "x"});
   payload[1] = '\x00';  // 0 is not a valid ErrorCode
   EXPECT_THROW((void)DecodeError(payload), NetProtocolError);
+}
+
+// ---------- golden bytes ----------
+
+// Decode `payload` with the decoder its kind byte names and encode the
+// result again.  GDPNET02 has one encoding per message, so an accepted
+// payload must come back byte for byte.
+std::string Reencode(std::string_view payload) {
+  switch (PeekKind(payload)) {
+    case MsgKind::kServeRequest:
+      return Encode(DecodeServeRequest(payload));
+    case MsgKind::kSweepRequest:
+      return Encode(DecodeSweepRequest(payload));
+    case MsgKind::kDrilldownRequest:
+      return Encode(DecodeDrilldownRequest(payload));
+    case MsgKind::kAnswerRequest:
+      return Encode(DecodeAnswerRequest(payload));
+    case MsgKind::kStatsRequest:
+      DecodeStatsRequest(payload);
+      return EncodeStatsRequest();
+    case MsgKind::kServeResponse:
+      return Encode(DecodeServeResponse(payload));
+    case MsgKind::kSweepResponse:
+      return Encode(DecodeSweepResponse(payload));
+    case MsgKind::kDrilldownResponse:
+      return Encode(DecodeDrilldownResponse(payload));
+    case MsgKind::kAnswerResponse:
+      return Encode(DecodeAnswerResponse(payload));
+    case MsgKind::kStatsResponse:
+      return Encode(DecodeStatsResponse(payload));
+    case MsgKind::kOverloaded:
+      return Encode(DecodeOverloaded(payload));
+    case MsgKind::kError:
+      return Encode(DecodeError(payload));
+  }
+  throw std::logic_error("PeekKind returned an unknown kind");
+}
+
+std::string ToHex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  return hex;
+}
+
+// tests/data/golden_wire.hex: one "<message> <payload hex>" line per Encode
+// overload, written by the byte-at-a-time codec that preceded the
+// word-at-a-time one.
+std::vector<std::pair<std::string, std::string>> GoldenWire() {
+  std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_wire.hex");
+  EXPECT_TRUE(in.good()) << "missing tests/data/golden_wire.hex";
+  std::vector<std::pair<std::string, std::string>> lines;
+  std::string name;
+  std::string hex;
+  while (in >> name >> hex) {
+    std::string bytes;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+      bytes.push_back(
+          static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+    }
+    lines.emplace_back(name, std::move(bytes));
+  }
+  return lines;
+}
+
+TEST(NetWireTest, EveryEncodeMatchesTheGoldenBytes) {
+  const auto golden = GoldenWire();
+  const auto payloads = wire_fixture::GoldenPayloads();
+  ASSERT_EQ(golden.size(), 12u);
+  ASSERT_EQ(payloads.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const auto& [name, bytes] = golden[i];
+    EXPECT_EQ(payloads[i].first, name);
+    EXPECT_EQ(ToHex(payloads[i].second), ToHex(bytes)) << name;
+    EXPECT_EQ(ToHex(Reencode(bytes)), ToHex(bytes)) << name;
+  }
+}
+
+// One granted Serve reply, encoded a byte at a time from docs/FORMATS.md
+// without wire.cpp's helpers.
+std::string ByteAtATimeServeReply(const ServeOutcome& o) {
+  std::string out;
+  const auto put = [&out](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    }
+  };
+  const auto f64 = [&put](double d) {
+    put(std::bit_cast<std::uint64_t>(d), 8);
+  };
+  put(static_cast<std::uint8_t>(MsgKind::kServeResponse), 1);
+  put(o.granted ? 1 : 0, 1);
+  put(o.denial_reason.size(), 4);
+  out += o.denial_reason;
+  put(std::bit_cast<std::uint32_t>(o.privilege), 4);
+  put(std::bit_cast<std::uint32_t>(o.level), 4);
+  f64(o.epsilon_spent);
+  f64(o.epsilon_remaining);
+  put(o.accounting, 1);
+  f64(o.accounted_epsilon);
+  f64(o.accounted_delta);
+  put(std::bit_cast<std::uint32_t>(o.view.level), 4);
+  for (const double d : {o.view.sensitivity, o.view.noise_stddev,
+                         o.view.group_noise_stddev, o.view.true_total,
+                         o.view.noisy_total}) {
+    f64(d);
+  }
+  for (const std::vector<double>* column :
+       {&o.view.true_group_counts, &o.view.noisy_group_counts}) {
+    put(column->size(), 4);
+    for (const double d : *column) {
+      f64(d);
+    }
+  }
+  return out;
+}
+
+// A level-0 sized reply of random bit patterns, a third of them NaNs with
+// random payloads (quiet and signalling, either sign).
+TEST(NetWireTest, LevelZeroColumnsMatchAByteAtATimeEncoder) {
+  constexpr std::size_t kGroups = 5365;
+  gdp::common::Rng rng(19);
+  ServeOutcome outcome = wire_fixture::Granted(0, 0.0);
+  for (std::vector<double>* column : {&outcome.view.true_group_counts,
+                                      &outcome.view.noisy_group_counts}) {
+    for (std::size_t i = 0; i < kGroups; ++i) {
+      std::uint64_t bits = rng();
+      if (i % 3 == 0) {
+        bits |= 0x7ff0000000000001ull;  // exponent all ones, payload non-zero
+      }
+      column->push_back(std::bit_cast<double>(bits));
+    }
+  }
+  const std::string payload = Encode(outcome);
+  EXPECT_EQ(payload.size(), gdp::serve::ServeReplyBytes(kGroups));
+  EXPECT_TRUE(payload == ByteAtATimeServeReply(outcome))
+      << "the encoder's bytes differ from the byte-at-a-time reference";
+
+  std::string framed = Frame(payload);
+  const std::optional<std::string> deframed = TryDeframe(framed);
+  ASSERT_TRUE(deframed.has_value());
+  const ServeOutcome got = DecodeServeResponse(*deframed);
+  ASSERT_EQ(got.view.true_group_counts.size(), kGroups);
+  ASSERT_EQ(got.view.noisy_group_counts.size(), kGroups);
+  for (std::size_t i = 0; i < kGroups; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.view.true_group_counts[i]),
+              std::bit_cast<std::uint64_t>(outcome.view.true_group_counts[i]))
+        << "true column, entry " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.view.noisy_group_counts[i]),
+              std::bit_cast<std::uint64_t>(outcome.view.noisy_group_counts[i]))
+        << "noisy column, entry " << i;
+  }
+}
+
+// The sizes Serve, Sweep and Drilldown are admitted against are the sizes
+// of the replies the service actually grants.
+TEST(NetWireTest, ReplySizeFunctionsAreTheEncodedReplySizes) {
+  gdp::common::Rng graph_rng(3);
+  gdp::graph::DblpLikeParams p;
+  p.num_left = 200;
+  p.num_right = 300;
+  p.num_edges = 1200;
+  gdp::core::SessionSpec spec;
+  spec.hierarchy.depth = 4;
+  spec.hierarchy.arity = 4;
+  gdp::serve::DisclosureService service(4);
+  service.catalog().Register(
+      "dblp", gdp::serve::Dataset{GenerateDblpLike(p, graph_rng), spec, 7,
+                                  {}, {}});
+  gdp::common::Rng rng(5);
+  for (const int tier : {0, 2, 4}) {
+    const std::string tenant = "tier" + std::to_string(tier);
+    service.broker().Register(tenant,
+                              gdp::serve::TenantProfile{50.0, 0.2, tier});
+    const gdp::serve::ServeResult served =
+        service.Serve(tenant, "dblp", spec.budget, rng);
+    ASSERT_TRUE(served.granted) << served.denial_reason;
+    const std::size_t groups = served.view.noisy_group_counts.size();
+    EXPECT_EQ(Encode(ServeOutcome::FromResult(served)).size(),
+              gdp::serve::ServeReplyBytes(groups));
+
+    const std::vector<gdp::core::BudgetSpec> budgets(3, spec.budget);
+    SweepResponse sweep;
+    for (const gdp::serve::ServeResult& r :
+         service.ServeSweep(tenant, "dblp", budgets, rng)) {
+      ASSERT_TRUE(r.granted) << r.denial_reason;
+      sweep.outcomes.push_back(ServeOutcome::FromResult(r));
+    }
+    EXPECT_EQ(Encode(sweep).size(), gdp::serve::SweepReplyBytes(3, groups));
+
+    const gdp::serve::DrilldownResult drilled = service.ServeDrilldown(
+        tenant, "dblp", spec.budget, gdp::graph::Side::kLeft, 17, rng);
+    ASSERT_TRUE(drilled.serve.granted) << drilled.serve.denial_reason;
+    DrilldownResponse drill;
+    drill.outcome = ServeOutcome::FromResult(drilled.serve);
+    for (const gdp::core::DrillDownEntry& e : drilled.chain) {
+      drill.chain.push_back(
+          {e.level, e.group, e.group_size, e.noisy_count, e.true_count});
+    }
+    // One chain entry per level from the coarsest down to the entitled one.
+    EXPECT_EQ(drill.chain.size(),
+              static_cast<std::size_t>(spec.hierarchy.depth - served.level) +
+                  1);
+    EXPECT_EQ(Encode(drill).size(),
+              gdp::serve::DrilldownReplyBytes(groups, drill.chain.size()));
+  }
+}
+
+// ---------- seeded mutants ----------
+
+// A u32 length or count field of a payload: where it sits, and the fewest
+// bytes one counted element takes.
+struct LengthField {
+  std::size_t offset{0};
+  std::size_t elem_size{0};
+};
+
+// Message layouts after the kind byte, one character per field: '1', '4'
+// and '8' are fixed widths, 's' a u32-prefixed string, 'v' a u32-counted
+// f64 column, and "(...)" a u32-counted group (groups do not nest).
+// StatsResponse holds no length field, so its layout is left empty.
+std::string Layout(MsgKind kind) {
+  const std::string budget = "8881";
+  const std::string outcome = "1s4488188488888vv";
+  switch (kind) {
+    case MsgKind::kServeRequest:
+      return "ss" + budget;
+    case MsgKind::kSweepRequest:
+      return "ss(" + budget + ")";
+    case MsgKind::kDrilldownRequest:
+      return "ss" + budget + "14";
+    case MsgKind::kAnswerRequest:
+      return "ss" + budget + "(114)";
+    case MsgKind::kServeResponse:
+      return outcome;
+    case MsgKind::kSweepResponse:
+      return "(" + outcome + ")";
+    case MsgKind::kDrilldownResponse:
+      return outcome + "(44488)";
+    case MsgKind::kAnswerResponse:
+      return outcome + "(s8v)";
+    case MsgKind::kOverloaded:
+      return "s";
+    case MsgKind::kError:
+      return "1s";
+    case MsgKind::kStatsRequest:
+    case MsgKind::kStatsResponse:
+      break;
+  }
+  return "";
+}
+
+std::size_t MinBytes(std::string_view layout) {
+  std::size_t bytes = 0;
+  for (const char c : layout) {
+    bytes += c == '1' ? 1 : c == '8' ? 8 : c == ')' ? 0 : 4;
+  }
+  return bytes;
+}
+
+std::uint32_t U32At(std::string_view bytes, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void SetU32At(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+// Walk a well-formed payload along `layout` from `pos`, collecting its
+// length and count fields; returns the position after the layout.
+std::size_t Walk(std::string_view payload, std::string_view layout,
+                 std::size_t pos, std::vector<LengthField>& fields) {
+  for (std::size_t i = 0; i < layout.size(); ++i) {
+    const char c = layout[i];
+    if (c == '1' || c == '4' || c == '8') {
+      pos += static_cast<std::size_t>(c - '0');
+      continue;
+    }
+    const std::uint32_t n = U32At(payload, pos);
+    if (c == 's' || c == 'v') {
+      const std::size_t elem = c == 's' ? 1 : 8;
+      fields.push_back({pos, elem});
+      pos += 4 + elem * n;
+      continue;
+    }
+    const std::size_t close = layout.find(')', i);
+    const std::string_view group = layout.substr(i + 1, close - i - 1);
+    fields.push_back({pos, MinBytes(group)});
+    pos += 4;
+    for (std::uint32_t k = 0; k < n; ++k) {
+      pos = Walk(payload, group, pos, fields);
+    }
+    i = close;
+  }
+  return pos;
+}
+
+// Holds each payload under test flush against a PROT_NONE page, so a
+// decoder that reads even one byte past the payload faults in every build,
+// not only under ASan.
+class GuardedBuffer {
+ public:
+  static constexpr std::size_t kCapacity = 64 * 1024;
+
+  GuardedBuffer() {
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    data_bytes_ = (kCapacity + page - 1) / page * page;
+    map_bytes_ = data_bytes_ + page;
+    void* map = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED || ::mprotect(static_cast<char*>(map) + data_bytes_,
+                                        page, PROT_NONE) != 0) {
+      throw std::runtime_error("GuardedBuffer: mmap/mprotect failed");
+    }
+    base_ = static_cast<char*>(map);
+  }
+  ~GuardedBuffer() { ::munmap(base_, map_bytes_); }
+  GuardedBuffer(const GuardedBuffer&) = delete;
+  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+
+  [[nodiscard]] std::string_view Place(std::string_view bytes) {
+    if (bytes.size() > kCapacity) {
+      throw std::length_error("GuardedBuffer: payload past capacity");
+    }
+    char* at = base_ + data_bytes_ - bytes.size();
+    std::memcpy(at, bytes.data(), bytes.size());
+    return {at, bytes.size()};
+  }
+
+ private:
+  char* base_{nullptr};
+  std::size_t data_bytes_{0};
+  std::size_t map_bytes_{0};
+};
+
+std::string FrameWithCrc(std::string_view payload, std::uint32_t crc) {
+  std::string frame(kFrameHeaderSize, '\0');
+  SetU32At(frame, 0, static_cast<std::uint32_t>(payload.size()));
+  SetU32At(frame, 4, crc);
+  frame.append(payload);
+  return frame;
+}
+
+// Run one mutant frame through TryDeframe, PeekKind and the matching
+// decoder.  Passing means the frame is incomplete, is refused with
+// NetProtocolError, or decodes to a message that re-encodes to the same
+// payload; anything else is recorded as a failure naming the mutant.
+bool SurvivesMutant(const std::string& frame, GuardedBuffer& guard,
+                    const std::string& what) {
+  try {
+    std::string buffer = frame;
+    const std::optional<std::string> payload = TryDeframe(buffer);
+    if (!payload.has_value()) {
+      return true;
+    }
+    const std::string_view placed = guard.Place(*payload);
+    const std::string reencoded = Reencode(placed);
+    if (reencoded != *payload) {
+      ADD_FAILURE() << what << ": accepted, but re-encodes differently";
+      return false;
+    }
+  } catch (const NetProtocolError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw a non-protocol exception: " << e.what();
+    return false;
+  }
+  return true;
+}
+
+// Seeded mutants of the golden frames: every u32 length or count field set
+// to 0, 1, the exact fit, one past it and 0xFFFFFFFF (the frame's length
+// field too), then a fixed budget of random bit flips, byte splices between
+// corpus entries, truncations and field rewrites.  Most mutants get a fresh
+// CRC so they reach the body decoders; one in eight keeps the stale one.
+TEST(NetMutationTest, DecodersSurviveSeededMutantsOfTheGoldenFrames) {
+  std::vector<std::string> corpus;
+  std::vector<std::vector<LengthField>> fields;
+  for (const auto& [name, payload] : GoldenWire()) {
+    corpus.push_back(payload);
+    fields.emplace_back();
+    const std::size_t end =
+        Walk(payload, Layout(PeekKind(payload)), 1, fields.back());
+    if (!Layout(PeekKind(payload)).empty()) {
+      ASSERT_EQ(end, payload.size()) << name << "'s layout does not cover it";
+    }
+  }
+  ASSERT_EQ(corpus.size(), 12u);
+  GuardedBuffer guard;
+  std::size_t mutants = 0;
+
+  const auto rewrite_values = [](std::size_t exact) {
+    const auto fit = static_cast<std::uint32_t>(exact);
+    return std::vector<std::uint32_t>{0, 1, fit, fit + 1, 0xFFFFFFFFu};
+  };
+  for (std::size_t c = 0; c < corpus.size(); ++c) {
+    const std::string& payload = corpus[c];
+    for (const std::uint32_t v : rewrite_values(payload.size())) {
+      std::string frame = Frame(payload);
+      SetU32At(frame, 0, v);
+      ++mutants;
+      ASSERT_TRUE(SurvivesMutant(frame, guard,
+                                 "frame length " + std::to_string(v) +
+                                     " on corpus " + std::to_string(c)));
+    }
+    for (const LengthField& f : fields[c]) {
+      const std::size_t exact = (payload.size() - f.offset - 4) / f.elem_size;
+      for (const std::uint32_t v : rewrite_values(exact)) {
+        std::string mutant = payload;
+        SetU32At(mutant, f.offset, v);
+        ++mutants;
+        ASSERT_TRUE(SurvivesMutant(
+            Frame(mutant), guard,
+            "field at " + std::to_string(f.offset) + " = " + std::to_string(v) +
+                " on corpus " + std::to_string(c)));
+      }
+    }
+  }
+
+  constexpr std::size_t kRandomMutants = 120'000;
+  gdp::common::Rng rng(0x5eed);
+  for (std::size_t m = 0; m < kRandomMutants; ++m) {
+    const std::size_t c = rng.UniformInt(corpus.size());
+    const std::string& base = corpus[c];
+    std::string mutant = base;
+    const std::uint64_t op = rng.UniformInt(4);
+    if (op == 0) {
+      const std::uint64_t flips = 1 + rng.UniformInt(8);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        mutant[rng.UniformInt(mutant.size())] ^=
+            static_cast<char>(1u << rng.UniformInt(8));
+      }
+    } else if (op == 1) {
+      const std::string& other = corpus[rng.UniformInt(corpus.size())];
+      mutant = base.substr(0, rng.UniformInt(base.size() + 1)) +
+               other.substr(rng.UniformInt(other.size() + 1));
+    } else if (op == 2) {
+      mutant.resize(rng.UniformInt(base.size()));
+    } else if (!fields[c].empty()) {
+      const LengthField& f = fields[c][rng.UniformInt(fields[c].size())];
+      const std::size_t exact = (base.size() - f.offset - 4) / f.elem_size;
+      SetU32At(mutant, f.offset,
+               rewrite_values(exact)[rng.UniformInt(5)]);
+    } else {
+      mutant[rng.UniformInt(mutant.size())] =
+          static_cast<char>(rng.UniformInt(256));
+    }
+    const bool stale_crc = rng.UniformInt(8) == 0;
+    const std::string frame = FrameWithCrc(
+        mutant, gdp::common::Crc32(stale_crc ? base : mutant));
+    ++mutants;
+    ASSERT_TRUE(SurvivesMutant(frame, guard,
+                               "random mutant " + std::to_string(m) +
+                                   " (op " + std::to_string(op) +
+                                   ") of corpus " + std::to_string(c)));
+  }
+  EXPECT_GE(mutants, 100'000u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -429,16 +430,64 @@ TEST_F(ServiceTest, OversizedReplyIsRefusedBeforeTheTenantIsAttached) {
   // The fewest group_counts queries whose reply passes the cap: each adds a
   // 28-byte name, σ and count plus 8 bytes per group (docs/FORMATS.md).
   std::vector<gdp::core::QuerySpec> queries(
-      (kMaxAnswerReplyBytes - 103) / (28 + 8 * groups) + 1, group);
-  ASSERT_GT(AnswerReplyBytes(queries, groups), kMaxAnswerReplyBytes);
+      (kMaxReplyBytes - 103) / (28 + 8 * groups) + 1, group);
+  ASSERT_GT(AnswerReplyBytes(queries, groups), kMaxReplyBytes);
   ASSERT_LE(AnswerReplyBytes(std::span(queries).first(queries.size() - 1),
                              groups),
-            kMaxAnswerReplyBytes);
+            kMaxReplyBytes);
   EXPECT_THROW(
       (void)service_.ServeAnswer("fresh", "dblp", budget_, queries, rng),
       std::invalid_argument);
   EXPECT_THROW((void)service_.Ledger("fresh", "dblp"),
                gdp::common::NotFoundError);
+}
+
+// A sweep's reply counts every point as granted.  One point past the frame
+// cap at the level-0 tier is refused before the never-seen tenant is
+// attached: no ledger, no WAL append, no odometer charge, no draw.  One
+// point fewer is served whole.
+TEST_F(ServiceTest, OversizedSweepIsRefusedBeforeAnyCharge) {
+  auto durable = DisclosureService::Open(
+      [](DisclosureService& svc) {
+        svc.catalog().Register("dblp", SmallDataset());
+        svc.broker().Register("wide", TenantProfile{1e4, 0.4, 5});
+      },
+      std::make_unique<MemoryStorage>());
+  const Dataset& ds = durable->catalog().Get("dblp");
+  const std::size_t groups =
+      durable->registry()
+          .GetOrCompile("dblp", ds.graph, ds.publication, ds.compile_seed)
+          ->hierarchy()
+          .level(0)
+          .num_groups();
+  const std::uint64_t per_point =
+      SweepReplyBytes(1, groups) - SweepReplyBytes(0, groups);
+  const std::size_t fit =
+      (kMaxReplyBytes - SweepReplyBytes(0, groups)) / per_point;
+  ASSERT_LE(SweepReplyBytes(fit, groups), kMaxReplyBytes);
+  ASSERT_GT(SweepReplyBytes(fit + 1, groups), kMaxReplyBytes);
+
+  std::vector<gdp::core::BudgetSpec> budgets(fit + 1, budget_);
+  Rng rng(5);
+  Rng untouched = rng;
+  EXPECT_THROW((void)durable->ServeSweep("wide", "dblp", budgets, rng),
+               std::invalid_argument);
+  EXPECT_THROW((void)durable->Ledger("wide", "dblp"),
+               gdp::common::NotFoundError);
+  EXPECT_EQ(durable->durability_stats().wal_appends, 0u);
+  for (const DatasetOdometer::Snapshot& snap : durable->odometer().All()) {
+    EXPECT_EQ(snap.charges, 0u) << snap.dataset;
+  }
+  EXPECT_EQ(rng(), untouched());
+
+  budgets.pop_back();
+  const std::vector<ServeResult> served =
+      durable->ServeSweep("wide", "dblp", budgets, rng);
+  ASSERT_EQ(served.size(), fit);
+  for (const ServeResult& r : served) {
+    ASSERT_TRUE(r.granted) << r.denial_reason;
+    ASSERT_EQ(r.view.noisy_group_counts.size(), groups);
+  }
 }
 
 TEST_F(ServiceTest, ExplicitAccessLevelsOverrideUniform) {
