@@ -205,8 +205,9 @@ BENCHMARK(BM_ShardedPlanBuild)->Apply([](benchmark::internal::Benchmark* b) {
   }
 });
 
-// The full compile at scale: Phase-1 EM specialization (sharded when
-// threads > 1) + the release plan's one node scan + sharded rollup, i.e.
+// The full compile at scale: Phase-1 EM specialization (on the calling
+// thread) + the release plan's one node scan and rollup (sharded when
+// threads > 1), i.e.
 // exactly what `pack --compile` and a registry MISS pay.  Records wall time
 // AND the process peak RSS (VmHWM, scoped to the timed phase via
 // clear_refs) as the `peak_rss_mb` counter — the bounded-memory claim of

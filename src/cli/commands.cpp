@@ -31,6 +31,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "hier/io.hpp"
+#include "hier/specialization.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "serve/audit_wal.hpp"
@@ -136,6 +137,12 @@ gdp::core::SessionSpec ParseSessionSpec(const Args& args) {
   spec.budget.delta = args.GetDouble("delta", spec.budget.delta);
   spec.hierarchy.depth = GetIntFlag(args, "depth", spec.hierarchy.depth);
   spec.hierarchy.arity = GetIntFlag(args, "arity", spec.hierarchy.arity);
+  // The Specializer's own checks, before any file is read: serve compiles
+  // on a dataset's first request, so a depth past the hierarchy bound (or a
+  // bad arity) found only there would come back to every client as a bad
+  // request.
+  (void)gdp::hier::Specializer(gdp::hier::SpecializationConfig{
+      .depth = spec.hierarchy.depth, .arity = spec.hierarchy.arity});
   spec.exec.num_threads = GetIntFlag(args, "threads", spec.exec.num_threads);
   const std::int64_t grain = args.GetInt(
       "noise-grain", static_cast<std::int64_t>(spec.exec.noise_chunk_grain));

@@ -132,16 +132,16 @@ std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::Compile(
   em.max_cut_candidates = spec.hierarchy.max_cut_candidates;
   em.validate_hierarchy = spec.hierarchy.validate_hierarchy;
 
-  // The pool is created BEFORE Phase 1 so the whole compile — the EM
-  // specialization scan, then the one node scan and the per-level rollup of
-  // the plan build — shards across the same workers the releases will later
-  // reuse.  Every stage returns the same bits for every pool size, none
-  // included (pinned by parallel_compile_test), so the pool policy changes
-  // wall time only, never the artifact.
-  std::unique_ptr<gdp::common::ThreadPool> pool = PoolFor(spec.exec);
+  // Phase 1 runs on the calling thread; the Specializer refuses a bad
+  // config (a depth past kMaxHierarchyDepth included) before it starts.  The
+  // pool then shards the plan build's one node scan and per-level rollup,
+  // and the releases later reuse its workers.  Every stage returns the same
+  // bits for every pool size, none included (pinned by
+  // parallel_compile_test), so the pool policy changes wall time only,
+  // never the artifact.
   const gdp::hier::Specializer specializer(em);
-  gdp::hier::SpecializationResult built =
-      specializer.BuildHierarchy(graph, rng, pool.get());
+  gdp::hier::SpecializationResult built = specializer.BuildHierarchy(graph, rng);
+  std::unique_ptr<gdp::common::ThreadPool> pool = PoolFor(spec.exec);
   ReleasePlan plan = ReleasePlan::Build(graph, built.hierarchy, pool.get());
 
   // Not make_shared: the constructor is private and the control block

@@ -12,6 +12,11 @@
 
 namespace gdp::hier {
 
+// The deepest hierarchy Phase 1 builds (Specializer refuses a deeper one):
+// levels 0..255, so every built hierarchy fits GDPSNAP01's level bound,
+// which storage/snapshot.cpp derives from this.
+inline constexpr int kMaxHierarchyDepth = 255;
+
 class GroupHierarchy {
  public:
   // levels[i] is the partition at level i; levels.front() must be the

@@ -8,6 +8,14 @@
 // counts between the two parts) and one position is sampled with probability
 // proportional to exp(ε·q/2Δq).
 //
+// Range invariant: a cut splits a group's ascending node order into two
+// contiguous parts, so every group of every level is a node range
+// [begin, end) of its side, and each side's groups tile that side in group-id
+// order.  The build keeps only {side, parent, begin, end} per group, reads
+// cut utilities from the group's slice of its side's degree prefix array
+// (the graph's CSR offsets), and writes a level's labels as one fill per
+// group, each side's groups appended in id order.
+//
 // Privacy accounting: cuts of distinct groups in the same round act on
 // disjoint node sets and compose in parallel; the log2(arity) binary rounds
 // within one level and the level transitions compose sequentially.  A full
@@ -38,7 +46,8 @@ enum class SplitQuality {
 
 struct SpecializationConfig {
   // Number of levels above the individual level; the hierarchy has levels
-  // 0..depth.  The paper's experiment uses depth = 9.
+  // 0..depth.  The paper's experiment uses depth = 9.  At most
+  // kMaxHierarchyDepth (255), so every level fits a GDPSNAP01 snapshot.
   int depth{9};
   // Subgroups per group per level transition.  Must be a power of two >= 2.
   // The paper's experiment splits each group 4 ways.
@@ -66,18 +75,20 @@ struct SpecializationResult {
   std::size_t num_em_draws{0};
 };
 
-// Candidate cut positions for a group of `group_size` ordered nodes: all of
-// 1..group_size-1 when few enough, else `max_candidates` evenly spaced.
-// Empty when group_size < 2.
-[[nodiscard]] std::vector<std::size_t> CutCandidates(std::size_t group_size,
-                                                     int max_candidates);
+// Candidate cut positions for a group of `group_size` ordered nodes, written
+// to `cuts` (cleared first): all of 1..group_size-1 when few enough, else
+// `max_candidates` evenly spaced.  Empty when group_size < 2.
+void CutCandidates(std::size_t group_size, int max_candidates,
+                   std::vector<std::size_t>& cuts);
 
-// Utility of each candidate cut.  `ordered_degrees[i]` is the degree of the
-// i-th node of the group in its (public) order; a cut at position c puts
-// nodes [0,c) in the first part.
-[[nodiscard]] std::vector<double> CutUtilities(
-    std::span<const EdgeCount> ordered_degrees,
-    std::span<const std::size_t> cut_positions, SplitQuality quality);
+// Utility of each candidate cut, written to `utilities` (cleared first).
+// `degree_prefix` is the group's slice of a degree prefix array: group_size
+// + 1 entries, where degree_prefix[i] - degree_prefix[0] is the degree sum
+// of the group's first i nodes in its (public) order.  A cut at position c
+// puts nodes [0,c) in the first part.
+void CutUtilities(std::span<const EdgeCount> degree_prefix,
+                  std::span<const std::size_t> cut_positions,
+                  SplitQuality quality, std::vector<double>& utilities);
 
 class Specializer {
  public:
@@ -87,16 +98,13 @@ class Specializer {
   // Throws gdp::common::CapacityError before any allocation when the graph's
   // node count cannot be indexed by 32-bit group ids (kNoParent reserved).
   //
-  // `pool` shards the per-node and per-group work: each round's cut
-  // candidates, degree gathers and cut utilities are pure functions of one
-  // group, so they run in chunks of groups (or, when a round has fewer than
-  // two groups per worker, in node-range chunks within each group), as do
-  // the label writes and the next round's group split.  The Exponential-
-  // Mechanism draws stay on the calling thread, one per splittable group in
-  // group order — the rng consumption order is the determinism contract —
-  // so the hierarchy, num_em_draws and the post-build rng state are the
-  // same for every pool size.  Without a pool every stage is one chunk (or
-  // its chunks run in order): the plain sequential build.
+  // A round costs O(groups + cut candidates) and allocates nothing per
+  // group.  The build runs on the calling thread, one Exponential-Mechanism
+  // draw per splittable group in group order — the rng consumption order is
+  // the determinism contract.  `pool` is not used: the label fills, the one
+  // node-proportional stage, were no faster sharded than as a plain loop,
+  // even at 10M edges (docs/PERF.md).  So the hierarchy, num_em_draws and
+  // the post-build rng state are the same for every pool, none included.
   [[nodiscard]] SpecializationResult BuildHierarchy(
       const BipartiteGraph& graph, gdp::common::Rng& rng,
       gdp::common::ThreadPool* pool = nullptr) const;

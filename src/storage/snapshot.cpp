@@ -38,7 +38,8 @@ constexpr std::size_t kPayloadAlignment = 64;
 // A snapshot has at most 10 sections today; anything bigger is hostile or
 // version skew, and bounding it keeps the table read trivially safe.
 constexpr std::uint32_t kMaxSections = 64;
-constexpr std::uint32_t kMaxHierLevels = 256;
+// Every level of the deepest hierarchy Phase 1 builds.
+constexpr std::uint32_t kMaxHierLevels = gdp::hier::kMaxHierarchyDepth + 1;
 
 enum SectionId : std::uint32_t {
   kGraphMeta = 1,

@@ -400,6 +400,66 @@ TEST(CliDispatchTest, DiscloseRejectsIntFlagsOutsideIntRange) {
   }
 }
 
+TEST_F(CliRoundTripTest, PackRefusesADepthPastTheHierarchyBound) {
+  std::ostringstream out;
+  ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "60",
+                      "--right", "80", "--edges", "300"},
+                     out),
+            0);
+  const std::string snapshot_path = dir_ + "/cli_depth_bound.gdps";
+  const std::string what =
+      FlagError({"pack", "--graph", graph_path_, "--out", snapshot_path,
+                 "--compile", "--depth", "256"});
+  EXPECT_NE(what.find("depth"), std::string::npos) << what;
+  EXPECT_NE(what.find("255"), std::string::npos) << what;
+  EXPECT_FALSE(std::ifstream(snapshot_path).good());
+  std::remove(snapshot_path.c_str());
+}
+
+// serve compiles a dataset on its first request, so the hierarchy flags
+// must be checked when they are parsed: otherwise the server starts and
+// every request gets the Specializer's error back as a bad request.
+TEST_F(CliRoundTripTest, ServeRefusesAHierarchyItCannotBuildAtStartUp) {
+  std::ostringstream out;
+  ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "60",
+                      "--right", "80", "--edges", "300"},
+                     out),
+            0);
+  const std::string tenants_path = dir_ + "/cli_depth_tenants.tsv";
+  const std::string requests_path = dir_ + "/cli_depth_requests.tsv";
+  {
+    std::ofstream tenants(tenants_path);
+    tenants << "alice 10.0 0.4 0\n";
+    std::ofstream requests(requests_path);
+    requests << "alice 0.9\n";
+  }
+  struct Bad {
+    const char* flag;
+    const char* value;
+    const char* named;  // what the error must name
+  };
+  for (const Bad& bad : {Bad{"--depth", "256", "255"},
+                         Bad{"--depth", "0", "255"},
+                         Bad{"--arity", "3", "arity"}}) {
+    out.str("");
+    try {
+      (void)Dispatch({"serve", "--graph", graph_path_, "--tenants",
+                      tenants_path, "--requests", requests_path, bad.flag,
+                      bad.value},
+                     out);
+      ADD_FAILURE() << bad.flag << " " << bad.value << " was served:\n"
+                    << out.str();
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(bad.named), std::string::npos) << what;
+    }
+    EXPECT_EQ(out.str().find("serving"), std::string::npos)
+        << bad.flag << " " << bad.value << ": " << out.str();
+  }
+  std::remove(tenants_path.c_str());
+  std::remove(requests_path.c_str());
+}
+
 TEST_F(CliRoundTripTest, DrilldownRejectsIntFlagsOutsideTheirRange) {
   std::ostringstream out;
   ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "200",

@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -31,6 +33,7 @@
 #include "core/compiled_disclosure.hpp"
 #include "graph/generators.hpp"
 #include "serve/session_registry.hpp"
+#include "snapshot_fixture.hpp"
 
 namespace gdp::storage {
 namespace {
@@ -172,6 +175,45 @@ TEST(SnapshotTest, CompiledRoundTripPlanAndHierarchyBitIdentical) {
     ExpectRangesEq(got.labels(gdp::hier::Side::kRight),
                    want.labels(gdp::hier::Side::kRight), "right labels");
   }
+}
+
+// tests/data/golden_snapshot.hex: the GDPSNAP01 bytes of snapshot_fixture's
+// compiled snapshot, 32 bytes a hex line.  Serializing the fresh compile must
+// reproduce them, and so must re-serializing what Parse reads back from them
+// (its graph, BuildHierarchy(), plan(), fingerprint and Phase-1 spend).
+TEST(SnapshotTest, CompiledSnapshotMatchesTheGoldenBytes) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "GDPSNAP01 is written native-endian; the golden bytes "
+                    "are a little-endian host's";
+  }
+  std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_snapshot.hex");
+  ASSERT_TRUE(in.good()) << "missing tests/data/golden_snapshot.hex";
+  std::string hex;
+  for (std::string line; std::getline(in, line);) {
+    hex += line;
+  }
+  ASSERT_EQ(hex.size() % 2, 0u);
+  std::vector<std::byte> golden;
+  for (std::size_t i = 0; i < hex.size(); i += 2) {
+    golden.push_back(
+        static_cast<std::byte>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+
+  const std::vector<std::byte> fresh = snapshot_fixture::GoldenBytes();
+  ASSERT_EQ(fresh.size(), golden.size());
+  EXPECT_TRUE(fresh == golden) << "serialized snapshot differs from the file";
+
+  const auto snap = Snapshot::Parse(Buffer::FromBytes(golden));
+  ASSERT_TRUE(snap->has_plan());
+  const gdp::hier::GroupHierarchy hierarchy = snap->BuildHierarchy();
+  SnapshotContents contents;
+  contents.graph = &snap->graph();
+  contents.hierarchy = &hierarchy;
+  contents.plan = &snap->plan();
+  contents.phase1_epsilon_spent = snap->phase1_epsilon_spent();
+  contents.fingerprint = snap->fingerprint();
+  EXPECT_TRUE(SerializeSnapshot(contents) == golden)
+      << "re-serialized snapshot differs from the file";
 }
 
 TEST(SnapshotTest, AdoptedPlanReleasesBitIdenticalAcrossThreadCounts) {

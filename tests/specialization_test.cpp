@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <string>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
+#include "hierarchy_fixture.hpp"
 
 namespace gdp::hier {
 namespace {
@@ -14,18 +20,39 @@ using gdp::common::Rng;
 using gdp::graph::BipartiteGraph;
 using gdp::graph::EdgeCount;
 
+std::vector<std::size_t> Candidates(std::size_t group_size,
+                                    int max_candidates) {
+  std::vector<std::size_t> cuts{99};  // stale contents must be cleared
+  CutCandidates(group_size, max_candidates, cuts);
+  return cuts;
+}
+
+// The utilities of a group whose nodes have `degrees`, read through the
+// group's degree prefix array.
+std::vector<double> Utilities(const std::vector<EdgeCount>& degrees,
+                              const std::vector<std::size_t>& cuts,
+                              SplitQuality quality) {
+  std::vector<EdgeCount> prefix{100};  // a slice need not start at 0
+  for (const EdgeCount d : degrees) {
+    prefix.push_back(prefix.back() + d);
+  }
+  std::vector<double> utilities{-99.0};  // stale contents must be cleared
+  CutUtilities(prefix, cuts, quality, utilities);
+  return utilities;
+}
+
 TEST(CutCandidatesTest, SmallGroupEnumeratesAllPositions) {
-  const auto cuts = CutCandidates(5, 63);
+  const auto cuts = Candidates(5, 63);
   EXPECT_EQ(cuts, (std::vector<std::size_t>{1, 2, 3, 4}));
 }
 
 TEST(CutCandidatesTest, TooSmallGroupsHaveNoCuts) {
-  EXPECT_TRUE(CutCandidates(0, 63).empty());
-  EXPECT_TRUE(CutCandidates(1, 63).empty());
+  EXPECT_TRUE(Candidates(0, 63).empty());
+  EXPECT_TRUE(Candidates(1, 63).empty());
 }
 
 TEST(CutCandidatesTest, LargeGroupIsSubsampled) {
-  const auto cuts = CutCandidates(100000, 63);
+  const auto cuts = Candidates(100000, 63);
   EXPECT_LE(cuts.size(), 63u);
   EXPECT_GE(cuts.size(), 32u);
   for (const auto c : cuts) {
@@ -39,13 +66,13 @@ TEST(CutCandidatesTest, LargeGroupIsSubsampled) {
 }
 
 TEST(CutCandidatesTest, RejectsBadMaxCandidates) {
-  EXPECT_THROW((void)CutCandidates(10, 0), std::invalid_argument);
+  EXPECT_THROW((void)Candidates(10, 0), std::invalid_argument);
 }
 
 TEST(CutUtilitiesTest, EdgeBalancePrefersBalancedCut) {
   const std::vector<EdgeCount> degrees{4, 1, 1, 1, 1};  // total 8
   const std::vector<std::size_t> cuts{1, 2, 3, 4};
-  const auto u = CutUtilities(degrees, cuts, SplitQuality::kEdgeBalance);
+  const auto u = Utilities(degrees, cuts, SplitQuality::kEdgeBalance);
   // Cut at 1: |4-4| = 0 (best).  Cut at 4: |7-1| = 6 (worst).
   EXPECT_DOUBLE_EQ(u[0], 0.0);
   EXPECT_DOUBLE_EQ(u[3], -6.0);
@@ -55,7 +82,7 @@ TEST(CutUtilitiesTest, EdgeBalancePrefersBalancedCut) {
 TEST(CutUtilitiesTest, NodeBalanceIgnoresDegrees) {
   const std::vector<EdgeCount> degrees{100, 0, 0, 0};
   const std::vector<std::size_t> cuts{1, 2, 3};
-  const auto u = CutUtilities(degrees, cuts, SplitQuality::kNodeBalance);
+  const auto u = Utilities(degrees, cuts, SplitQuality::kNodeBalance);
   EXPECT_DOUBLE_EQ(u[1], 0.0);  // 2 vs 2
   EXPECT_DOUBLE_EQ(u[0], -2.0);
   EXPECT_DOUBLE_EQ(u[2], -2.0);
@@ -64,7 +91,7 @@ TEST(CutUtilitiesTest, NodeBalanceIgnoresDegrees) {
 TEST(CutUtilitiesTest, RandomQualityIsFlat) {
   const std::vector<EdgeCount> degrees{5, 1, 9};
   const std::vector<std::size_t> cuts{1, 2};
-  const auto u = CutUtilities(degrees, cuts, SplitQuality::kRandom);
+  const auto u = Utilities(degrees, cuts, SplitQuality::kRandom);
   EXPECT_EQ(u, (std::vector<double>{0.0, 0.0}));
 }
 
@@ -72,9 +99,9 @@ TEST(CutUtilitiesTest, RejectsOutOfRangeCut) {
   const std::vector<EdgeCount> degrees{1, 1};
   const std::vector<std::size_t> bad_zero{0};
   const std::vector<std::size_t> bad_end{2};
-  EXPECT_THROW((void)CutUtilities(degrees, bad_zero, SplitQuality::kEdgeBalance),
+  EXPECT_THROW((void)Utilities(degrees, bad_zero, SplitQuality::kEdgeBalance),
                std::invalid_argument);
-  EXPECT_THROW((void)CutUtilities(degrees, bad_end, SplitQuality::kEdgeBalance),
+  EXPECT_THROW((void)Utilities(degrees, bad_end, SplitQuality::kEdgeBalance),
                std::invalid_argument);
 }
 
@@ -97,6 +124,20 @@ TEST(SpecializerConfigTest, Validation) {
   cfg = SpecializationConfig{};
   cfg.max_cut_candidates = 0;
   EXPECT_THROW(Specializer{cfg}, std::invalid_argument);
+  // The depth bound: every level of the deepest hierarchy fits GDPSNAP01.
+  cfg = SpecializationConfig{};
+  cfg.depth = kMaxHierarchyDepth;
+  EXPECT_EQ(kMaxHierarchyDepth, 255);
+  EXPECT_NO_THROW(Specializer{cfg});
+  cfg.depth = kMaxHierarchyDepth + 1;
+  try {
+    Specializer{cfg};
+    ADD_FAILURE() << "depth 256 accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("depth"), std::string::npos) << what;
+    EXPECT_NE(what.find("255"), std::string::npos) << what;
+  }
 }
 
 TEST(SpecializerTest, BuildsValidatedHierarchyOfRequestedDepth) {
@@ -240,6 +281,45 @@ TEST(SpecializerTest, SidePurityPreservedAtEveryLevel) {
       }
     }
     EXPECT_EQ(left_total, 32u) << "level " << lvl;
+  }
+}
+
+// tests/data/golden_hierarchy.tsv: one line per hierarchy_fixture
+// configuration (graph, config, draws, spend bits, next rng output, one CRC
+// per level).  Every line is rebuilt without a pool and at pool sizes 1, 2
+// and 8; all four must equal the file, bit for bit.
+TEST(SpecializerTest, BuildsMatchTheGoldenHierarchies) {
+  using hierarchy_fixture::GoldenConfigs;
+  std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_hierarchy.tsv");
+  ASSERT_TRUE(in.good()) << "missing tests/data/golden_hierarchy.tsv";
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line.front() != '#') {
+      golden.push_back(line);
+    }
+  }
+  ASSERT_EQ(golden.size(), GoldenConfigs().size());
+
+  std::map<std::string, BipartiteGraph> graphs;
+  std::vector<std::unique_ptr<gdp::common::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const int size : {1, 2, 8}) {
+    pools.push_back(std::make_unique<gdp::common::ThreadPool>(size));
+  }
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const hierarchy_fixture::GoldenConfig& config = GoldenConfigs()[i];
+    auto it = graphs.find(config.graph);
+    if (it == graphs.end()) {
+      it = graphs.emplace(config.graph,
+                          hierarchy_fixture::GoldenGraph(config.graph))
+               .first;
+    }
+    for (const auto& pool : pools) {
+      EXPECT_EQ(hierarchy_fixture::GoldenLine(config, it->second, pool.get()),
+                golden[i])
+          << "line " << i + 1 << ", pool size "
+          << (pool ? pool->size() : 0);
+    }
   }
 }
 
