@@ -1,6 +1,10 @@
 // Shared helpers for the benchmark harnesses.
 #pragma once
 
+#include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -16,16 +20,15 @@
 
 namespace gdp::bench {
 
-// Peak resident set size (VmHWM) of this process in bytes, from
-// /proc/self/status; 0 when the field is unavailable (non-Linux).  The
-// high-water mark is process-monotone — call ResetPeakRss() first to scope
-// it to a phase.
-inline std::uint64_t PeakRssBytes() {
+// A memory field of this process's /proc/self/status ("VmHWM", "VmRSS")
+// in bytes; 0 when the field is unavailable (non-Linux).
+inline std::uint64_t ProcStatusBytes(const std::string& field) {
   std::ifstream status("/proc/self/status");
+  const std::string key = field + ":";
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream ss(line.substr(6));
+    if (line.rfind(key, 0) == 0) {
+      std::istringstream ss(line.substr(key.size()));
       std::uint64_t kb = 0;
       ss >> kb;
       return kb * 1024;
@@ -34,17 +37,45 @@ inline std::uint64_t PeakRssBytes() {
   return 0;
 }
 
-// Reset the kernel's RSS high-water mark to the CURRENT RSS (writes "5" to
-// /proc/self/clear_refs).  Best-effort: returns false when the kernel
-// refuses (then PeakRssBytes() still reports the process-lifetime peak,
-// which over-reports but never under-reports a phase).
-inline bool ResetPeakRss() {
-  std::ofstream clear_refs("/proc/self/clear_refs");
-  if (!clear_refs) {
-    return false;
+// Runs fn() once in a forked child and returns the child's peak resident
+// set above its resident set at entry (VmHWM - VmRSS), in bytes: fn's own
+// peak.  A forked child's high-water mark starts at its RSS at fork, so heap
+// that earlier work left resident does not count.  malloc_trim(0) first
+// hands the parent's free heap back to the kernel, so fn's allocations
+// fault in new pages instead of reusing resident free chunks.  The child
+// leaves by _exit, so it never flushes the parent's buffered output or
+// runs on into the caller.  Returns 0 when the pipe, the fork or fn fails.
+template <typename Fn>
+std::uint64_t ForkedPeakAboveEntryBytes(Fn&& fn) {
+  malloc_trim(0);
+  int fds[2];
+  if (pipe(fds) != 0) {
+    return 0;
   }
-  clear_refs << "5";
-  return static_cast<bool>(clear_refs.flush());
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    const std::uint64_t entry = ProcStatusBytes("VmRSS");
+    try {
+      fn();
+    } catch (...) {
+      _exit(1);
+    }
+    const std::uint64_t peak = ProcStatusBytes("VmHWM");
+    const std::uint64_t above = peak > entry ? peak - entry : 0;
+    const bool sent = write(fds[1], &above, sizeof above) == sizeof above;
+    _exit(sent ? 0 : 1);
+  }
+  close(fds[1]);
+  std::uint64_t above = 0;
+  if (pid > 0) {
+    if (read(fds[0], &above, sizeof above) != sizeof above) {
+      above = 0;
+    }
+    waitpid(pid, nullptr, 0);
+  }
+  close(fds[0]);
+  return above;
 }
 
 // Benchmarks default to 1/10 of the paper's DBLP scale so the whole suite

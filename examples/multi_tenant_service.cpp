@@ -41,7 +41,8 @@ int main() {
   publication.exec.include_group_counts = false;
   service.catalog().Register(
       "dblp", serve::Dataset{std::move(graph), publication,
-                             /*compile_seed=*/2027, /*access_levels=*/{}});
+                             /*compile_seed=*/2027, /*access_levels=*/{},
+                             /*snapshot=*/{}});
 
   // Four tenants: three tiers of privilege plus one with a tiny grant.
   service.broker().Register("analyst", serve::TenantProfile{5.0, 1e-3, 2});

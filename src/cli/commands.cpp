@@ -23,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "core/drilldown.hpp"
 #include "core/pipeline.hpp"
 #include "core/release_io.hpp"
@@ -144,6 +145,14 @@ gdp::core::SessionSpec ParseSessionSpec(const Args& args) {
   (void)gdp::hier::Specializer(gdp::hier::SpecializationConfig{
       .depth = spec.hierarchy.depth, .arity = spec.hierarchy.arity});
   spec.exec.num_threads = GetIntFlag(args, "threads", spec.exec.num_threads);
+  if (spec.exec.num_threads < 0 ||
+      spec.exec.num_threads > gdp::common::kMaxThreadCount) {
+    throw std::invalid_argument(
+        "--threads must be in [0, " +
+        std::to_string(gdp::common::kMaxThreadCount) +
+        "] (0 = hardware concurrency), got " +
+        std::to_string(spec.exec.num_threads));
+  }
   const std::int64_t grain = args.GetInt(
       "noise-grain", static_cast<std::int64_t>(spec.exec.noise_chunk_grain));
   if (grain <= 0) {
@@ -699,8 +708,12 @@ int RunServe(const Args& args, std::ostream& out) {
     if (port < 0 || port > 65535) {
       throw std::invalid_argument("--listen must be a port in [0, 65535]");
     }
-    if (args.GetInt("workers", 2) <= 0) {
-      throw std::invalid_argument("--workers must be > 0");
+    const std::int64_t workers = args.GetInt("workers", 2);
+    if (workers <= 0 || workers > gdp::common::kMaxThreadCount) {
+      throw std::invalid_argument(
+          "--workers must be in [1, " +
+          std::to_string(gdp::common::kMaxThreadCount) + "], got " +
+          std::to_string(workers));
     }
     if (args.GetInt("queue-depth", 64) <= 0) {
       throw std::invalid_argument("--queue-depth must be > 0");

@@ -2,7 +2,7 @@
 //
 // Deliberately work-stealing-free: a single mutex-guarded FIFO feeds N
 // worker threads.  The release workload is a handful of coarse per-level
-// tasks plus fixed-size noise/scan chunks, where a lock-free deque would buy
+// tasks plus fixed-size noise chunks, where a lock-free deque would buy
 // nothing and cost auditability — determinism reviews only have to reason
 // about "chunks run exactly once, in some order", which this structure makes
 // obvious.
@@ -33,6 +33,12 @@
 #include <vector>
 
 namespace gdp::common {
+
+// The most OS threads one ThreadPool or net::JobQueue may be asked for.
+// Thread counts come from flags and specs (--threads, --workers,
+// ExecSpec::num_threads); each entry point refuses a count above this
+// before any thread starts.
+inline constexpr int kMaxThreadCount = 256;
 
 class ThreadPool {
  public:
@@ -111,26 +117,6 @@ void ForEachChunk(ThreadPool* pool, std::size_t n, std::size_t grain, Fn&& fn) {
     fn(chunk, begin, end);
     begin = end;
   }
-}
-
-// The shard-count rule of the accumulate-and-merge loops (the degree-sum
-// scan, the hierarchy rollup), where every shard but the first owns a
-// private accumulator that a merge pass folds into the result.  Returns the
-// grain: at least `min_grain` items a shard and at most two shards a worker,
-// so accumulator memory and merge work stay O(workers · accumulator).
-// Without a pool, or with a one-worker pool that could not overlap the
-// shards anyway, the whole range is one shard: the plain loop, nothing to
-// merge.  Sharding an exact integer accumulation never changes its result,
-// so sizing by the pool cannot perturb any output.
-[[nodiscard]] inline std::size_t AccumulatorGrain(const ThreadPool* pool,
-                                                  std::size_t n,
-                                                  std::size_t min_grain) {
-  if (pool == nullptr || pool->size() <= 1) {
-    return std::max<std::size_t>(n, 1);
-  }
-  const auto max_shards = 2 * static_cast<std::size_t>(pool->size());
-  return std::max({std::size_t{1}, min_grain,
-                   (n + max_shards - 1) / max_shards});
 }
 
 }  // namespace gdp::common

@@ -83,6 +83,14 @@ void ValidateSpecForCompile(const SessionSpec& spec, const char* where) {
     throw std::invalid_argument(std::string(where) +
                                 ": noise_chunk_grain must be > 0");
   }
+  // The release pool starts this many OS threads.
+  if (spec.exec.num_threads < 0 ||
+      spec.exec.num_threads > gdp::common::kMaxThreadCount) {
+    throw std::invalid_argument(
+        std::string(where) + ": num_threads must be in [0, " +
+        std::to_string(gdp::common::kMaxThreadCount) + "], got " +
+        std::to_string(spec.exec.num_threads));
+  }
   // Cap shape (the tenant ledger constructor enforces the same rules, but
   // that runs AFTER Phase 1 — a bad default grant must not cost an EM build
   // and a node scan on a large graph first).
@@ -103,8 +111,8 @@ void ValidateSpecForCompile(const SessionSpec& spec, const char* where) {
   }
 }
 
-// The artifact's worker pool: none at num_threads == 1, so that setting
-// runs every stage as its plain loop on the calling thread.
+// The artifact's release pool: none at num_threads == 1, so that setting
+// draws every release on the calling thread.
 std::unique_ptr<gdp::common::ThreadPool> PoolFor(const ExecSpec& exec) {
   if (exec.num_threads == 1) {
     return nullptr;
@@ -132,23 +140,18 @@ std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::Compile(
   em.max_cut_candidates = spec.hierarchy.max_cut_candidates;
   em.validate_hierarchy = spec.hierarchy.validate_hierarchy;
 
-  // Phase 1 runs on the calling thread; the Specializer refuses a bad
-  // config (a depth past kMaxHierarchyDepth included) before it starts.  The
-  // pool then shards the plan build's one node scan and per-level rollup,
-  // and the releases later reuse its workers.  Every stage returns the same
-  // bits for every pool size, none included (pinned by
-  // parallel_compile_test), so the pool policy changes wall time only,
-  // never the artifact.
+  // Phase 1 and the plan build run on the calling thread; the Specializer
+  // refuses a bad config (a depth past kMaxHierarchyDepth included) before
+  // it starts.  The pool serves the releases only.
   const gdp::hier::Specializer specializer(em);
   gdp::hier::SpecializationResult built = specializer.BuildHierarchy(graph, rng);
-  std::unique_ptr<gdp::common::ThreadPool> pool = PoolFor(spec.exec);
-  ReleasePlan plan = ReleasePlan::Build(graph, built.hierarchy, pool.get());
+  ReleasePlan plan = ReleasePlan::Build(graph, built.hierarchy);
 
   // Not make_shared: the constructor is private and the control block
   // indirection is irrelevant next to the artifact's payload.
   return std::shared_ptr<const CompiledDisclosure>(new CompiledDisclosure(
       graph, spec, std::move(built.hierarchy), std::move(plan),
-      std::move(pool), built.epsilon_spent));
+      PoolFor(spec.exec), built.epsilon_spent));
 }
 
 std::shared_ptr<const CompiledDisclosure> CompiledDisclosure::FromPrecompiled(

@@ -86,11 +86,13 @@ struct BudgetSpec {
 // lifetime; none of it is privacy-relevant (the grain is part of the output
 // contract, consistency/clamping are post-processing).
 struct ExecSpec {
-  // Worker threads.  1 (default) runs everything on the calling thread; any
-  // other value builds an owned ThreadPool at Compile that shards Phase 1,
-  // the plan's node scan and rollup, and every release's level/chunk draws;
-  // 0 selects the hardware concurrency.  Wall time only: the artifact and
-  // the released values are bit-identical at every thread count.
+  // Worker threads of the artifact's release pool.  1 (default) runs every
+  // release on the calling thread; any other value builds an owned
+  // ThreadPool at Compile whose workers draw each release's level and chunk
+  // noise; 0 selects the hardware concurrency.  Must be in
+  // [0, common::kMaxThreadCount].  The compile itself (Phase 1 and the plan
+  // build) always runs on the calling thread.  Wall time only: the released
+  // values are bit-identical at every thread count.
   int num_threads{1};
   // Groups per chunk of a level's vector noise draw (GroupDpEngine's one
   // draw order).  Part of the output contract: one RNG substream per chunk,
@@ -185,8 +187,8 @@ void ValidateQueries(std::span<const QuerySpec> queries);
 class CompiledDisclosure {
  public:
   // Run Phase 1 once (EM specialization under spec.budget.phase1_epsilon()),
-  // build the ReleasePlan once (sharded across the owned pool when
-  // spec.exec.num_threads != 1), and freeze the result.  `graph` must
+  // build the ReleasePlan once, both on the calling thread, and freeze the
+  // result with the release pool spec.exec asks for.  `graph` must
   // outlive the artifact.  Deterministic given `rng` state — consumes
   // exactly the draws the one-shot pipeline's Phase 1 consumed.  The
   // spec's caps are validated here (they are the default tenant grant) even

@@ -39,11 +39,8 @@ ReleasePlan ReleasePlan::FromAllSums(
 }
 
 ReleasePlan ReleasePlan::Build(const gdp::graph::BipartiteGraph& graph,
-                               const gdp::hier::GroupHierarchy& hierarchy,
-                               gdp::common::ThreadPool* pool,
-                               std::size_t shard_grain) {
-  return FromAllSums(graph.num_edges(),
-                     hierarchy.AllGroupDegreeSums(graph, pool, shard_grain));
+                               const gdp::hier::GroupHierarchy& hierarchy) {
+  return FromAllSums(graph.num_edges(), hierarchy.AllGroupDegreeSums(graph));
 }
 
 ReleasePlan ReleasePlan::FromColumns(

@@ -37,17 +37,12 @@ namespace gdp::core {
 class ReleasePlan {
  public:
   // One sweep over the graph + one rollup over the hierarchy
-  // (GroupHierarchy::AllGroupDegreeSums).  The plan is bound to the (graph,
-  // hierarchy) pair it was built from; dimensions are validated by the
-  // underlying scan.  `pool` shards the scan and the rollup with exact
-  // integer merges, so the plan is the same for every pool size
-  // (release_plan_test and parallel_compile_test pin it against the no-pool
-  // build, which is the plain sequential loop).
+  // (GroupHierarchy::AllGroupDegreeSums), on the calling thread.  The plan
+  // is bound to the (graph, hierarchy) pair it was built from; dimensions
+  // are validated by the underlying scan.
   [[nodiscard]] static ReleasePlan Build(
       const gdp::graph::BipartiteGraph& graph,
-      const gdp::hier::GroupHierarchy& hierarchy,
-      gdp::common::ThreadPool* pool = nullptr,
-      std::size_t shard_grain = gdp::hier::Partition::kDefaultShardGrain);
+      const gdp::hier::GroupHierarchy& hierarchy);
 
   // Adopt the three serialized plan columns (typically borrowed zero-copy
   // out of a snapshot buffer).  Validates the level-offset table (starts at

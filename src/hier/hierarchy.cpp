@@ -1,11 +1,8 @@
 #include "hier/hierarchy.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <stdexcept>
-
-#include "common/thread_pool.hpp"
 
 namespace gdp::hier {
 
@@ -17,83 +14,32 @@ namespace {
 // side mismatch) or a coarse group's declared size disagrees with the total
 // size of the children that rolled into it — the caller then falls back to a
 // direct scan of the coarse level.
-//
-// Fine groups split into contiguous shards by common::AccumulatorGrain (one
-// shard without a pool).  Shard 0 rolls straight into the result; each later
-// shard owns a full per-parent accumulator, folded in by the merge pass that
-// also runs the conservation check.  Integer sums over disjoint children are
-// order-independent, so every shard layout yields the one-shard rollup
-// bit-for-bit (the same exact-merge contract as the degree-sum scan).
 std::optional<std::vector<EdgeCount>> RollUpLevel(
     const Partition& fine, const Partition& coarse,
-    const std::vector<EdgeCount>& fine_sums, gdp::common::ThreadPool* pool,
-    std::size_t shard_grain) {
+    const std::vector<EdgeCount>& fine_sums) {
   const std::size_t num_fine = fine.num_groups();
   const std::size_t num_coarse = coarse.num_groups();
   const GroupInfo* const children = fine.groups().data();
   const GroupInfo* const parents = coarse.groups().data();
   const EdgeCount* const child_sums = fine_sums.data();
 
-  struct Accumulator {
-    std::vector<EdgeCount> sums;
-    std::vector<NodeIndex> sizes;
-  };
-  Accumulator out{std::vector<EdgeCount>(num_coarse, 0),
-                  std::vector<NodeIndex>(num_coarse, 0)};
-  const std::size_t grain =
-      gdp::common::AccumulatorGrain(pool, num_fine, shard_grain);
-  std::vector<Accumulator> later_shards(
-      std::max<std::size_t>(1, (num_fine + grain - 1) / grain) - 1);
-  std::atomic<bool> links_ok{true};
-  gdp::common::ForEachChunk(
-      pool, num_fine, grain,
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        Accumulator& acc = shard == 0 ? out : later_shards[shard - 1];
-        if (shard != 0) {
-          acc.sums.assign(num_coarse, 0);
-          acc.sizes.assign(num_coarse, 0);
-        }
-        EdgeCount* const sums = acc.sums.data();
-        NodeIndex* const sizes = acc.sizes.data();
-        for (std::size_t g = begin; g < end; ++g) {
-          const GroupInfo& child = children[g];
-          if (child.parent >= num_coarse ||
-              child.side != parents[child.parent].side) {
-            links_ok.store(false, std::memory_order_relaxed);
-            return;
-          }
-          sums[child.parent] += child_sums[g];
-          sizes[child.parent] += child.size;
-        }
-      });
-  if (!links_ok.load(std::memory_order_relaxed)) {
-    return std::nullopt;
+  std::vector<EdgeCount> sums(num_coarse, 0);
+  std::vector<NodeIndex> sizes(num_coarse, 0);
+  for (std::size_t g = 0; g < num_fine; ++g) {
+    const GroupInfo& child = children[g];
+    if (child.parent >= num_coarse ||
+        child.side != parents[child.parent].side) {
+      return std::nullopt;
+    }
+    sums[child.parent] += child_sums[g];
+    sizes[child.parent] += child.size;
   }
-
-  // Merge, parallel over parent ranges: each output slot is owned by exactly
-  // one chunk.  The conservation check rides the same pass — rolled sizes
-  // are complete for a slot once every shard merged into it.
-  std::atomic<bool> conserved{true};
-  constexpr std::size_t kMergeGrain = 8192;
-  gdp::common::ForEachChunk(
-      pool, num_coarse, kMergeGrain,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (const Accumulator& acc : later_shards) {
-          for (std::size_t p = begin; p < end; ++p) {
-            out.sums[p] += acc.sums[p];
-            out.sizes[p] += acc.sizes[p];
-          }
-        }
-        for (std::size_t p = begin; p < end; ++p) {
-          if (out.sizes[p] != parents[p].size) {
-            conserved.store(false, std::memory_order_relaxed);
-          }
-        }
-      });
-  if (!conserved.load(std::memory_order_relaxed)) {
-    return std::nullopt;
+  for (std::size_t p = 0; p < num_coarse; ++p) {
+    if (sizes[p] != parents[p].size) {
+      return std::nullopt;
+    }
   }
-  return std::move(out.sums);
+  return sums;
 }
 
 }  // namespace
@@ -135,15 +81,11 @@ const Partition& GroupHierarchy::level(int i) const {
 }
 
 std::vector<std::vector<EdgeCount>> GroupHierarchy::AllGroupDegreeSums(
-    const BipartiteGraph& graph, gdp::common::ThreadPool* pool,
-    std::size_t shard_grain) const {
-  const auto scan = [&](const Partition& level) {
-    return level.GroupDegreeSums(graph, pool, shard_grain);
-  };
+    const BipartiteGraph& graph) const {
   std::vector<std::vector<EdgeCount>> all;
   all.reserve(levels_.size());
   // The one node scan: singleton sums are exactly the node degrees.
-  all.push_back(scan(levels_.front()));
+  all.push_back(levels_.front().GroupDegreeSums(graph));
   for (std::size_t i = 1; i < levels_.size(); ++i) {
     // Refinement (validated at construction) makes each coarse group the
     // disjoint union of its fine children, so summing child sums into the
@@ -154,8 +96,9 @@ std::vector<std::vector<EdgeCount>> GroupHierarchy::AllGroupDegreeSums(
     // coarse group's declared size must equal the total size of the children
     // that rolled into it — and we fall back to a direct scan when it fails.
     std::optional<std::vector<EdgeCount>> rolled =
-        RollUpLevel(levels_[i - 1], levels_[i], all[i - 1], pool, shard_grain);
-    all.push_back(rolled.has_value() ? std::move(*rolled) : scan(levels_[i]));
+        RollUpLevel(levels_[i - 1], levels_[i], all[i - 1]);
+    all.push_back(rolled.has_value() ? std::move(*rolled)
+                                     : levels_[i].GroupDegreeSums(graph));
   }
   return all;
 }

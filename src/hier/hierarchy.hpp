@@ -45,14 +45,6 @@ class GroupHierarchy {
   // level(i).GroupDegreeSums(graph)[g] exactly (integer arithmetic over the
   // same disjoint union of nodes).
   //
-  // `pool` shards the node scan (Partition::GroupDegreeSums) and each
-  // level's rollup by the same rule (common::AccumulatorGrain over child
-  // groups, at least `shard_grain` a shard): shard 0 rolls into the result,
-  // each later shard into its own per-parent accumulator, and a merge pass
-  // over parent ranges folds those in.  Integer sums over disjoint children
-  // are order-independent, so every pool size returns exactly the no-pool
-  // rollup, which is one shard: the plain loop, no merge.
-  //
   // TRUST CONTRACT: validate=true construction proves parent/label
   // consistency (IsRefinedBy checks every node), making the rollup exact.
   // With validate=false the caller vouches for refinement consistency,
@@ -62,8 +54,7 @@ class GroupHierarchy {
   // permutation is undetectable without the per-level label scan this
   // method exists to eliminate — hand-built hierarchies should validate.
   [[nodiscard]] std::vector<std::vector<EdgeCount>> AllGroupDegreeSums(
-      const BipartiteGraph& graph, gdp::common::ThreadPool* pool = nullptr,
-      std::size_t shard_grain = Partition::kDefaultShardGrain) const;
+      const BipartiteGraph& graph) const;
 
   // Group-level sensitivity of the association-count query at each level:
   // result[i] = max over groups at level i of the group's incident-edge

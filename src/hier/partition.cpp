@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "graph/stats.hpp"
 
 namespace gdp::hier {
@@ -108,12 +107,7 @@ std::vector<NodeIndex> Partition::NodesOf(GroupId id) const {
 }
 
 std::vector<EdgeCount> Partition::GroupDegreeSums(
-    const BipartiteGraph& graph, gdp::common::ThreadPool* pool,
-    std::size_t shard_grain) const {
-  if (shard_grain == 0) {
-    throw std::invalid_argument(
-        "Partition::GroupDegreeSums: shard_grain must be > 0");
-  }
+    const BipartiteGraph& graph) const {
   if (graph.num_left() != num_left_nodes() ||
       graph.num_right() != num_right_nodes()) {
     throw std::invalid_argument(
@@ -121,53 +115,17 @@ std::vector<EdgeCount> Partition::GroupDegreeSums(
   }
   g_degree_sum_scans.fetch_add(1, std::memory_order_relaxed);
 
-  // Nodes are addressed as one range [0, nl + nr): left side first, then
-  // right, so shard boundaries are independent of the side split.
-  const std::size_t nl = left_labels_.size();
-  const std::size_t total = nl + right_labels_.size();
-  const std::size_t grain =
-      gdp::common::AccumulatorGrain(pool, total, shard_grain);
   std::vector<EdgeCount> out(groups_.size(), 0);
-  std::vector<std::vector<EdgeCount>> later_shards(
-      std::max<std::size_t>(1, (total + grain - 1) / grain) - 1);
-  const EdgeCount* const left_offsets = graph.offsets(Side::kLeft).data();
-  const EdgeCount* const right_offsets = graph.offsets(Side::kRight).data();
-  gdp::common::ForEachChunk(
-      pool, total, grain,
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        std::vector<EdgeCount>& acc =
-            shard == 0 ? out : later_shards[shard - 1];
-        if (shard != 0) {
-          acc.assign(groups_.size(), 0);
-        }
-        EdgeCount* const sums = acc.data();
-        const GroupId* const left = left_labels_.data();
-        const GroupId* const right = right_labels_.data();
-        const std::size_t split = std::clamp(nl, begin, end);
-        for (std::size_t v = begin; v < split; ++v) {
-          sums[left[v]] += left_offsets[v + 1] - left_offsets[v];
-        }
-        for (std::size_t v = split; v < end; ++v) {
-          const std::size_t u = v - nl;
-          sums[right[u]] += right_offsets[u + 1] - right_offsets[u];
-        }
-      });
-
-  // Merge, parallel over group ranges: each output slot is owned by exactly
-  // one chunk, and integer addition over disjoint node sets is
-  // order-independent, so this equals the one-shard scan bit-for-bit.
-  if (!later_shards.empty()) {
-    constexpr std::size_t kMergeGrain = 8192;
-    gdp::common::ForEachChunk(
-        pool, out.size(), kMergeGrain,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (const std::vector<EdgeCount>& acc : later_shards) {
-            for (std::size_t g = begin; g < end; ++g) {
-              out[g] += acc[g];
-            }
-          }
-        });
-  }
+  EdgeCount* const sums = out.data();
+  const auto scan_side = [sums](const std::vector<GroupId>& labels,
+                                const EdgeCount* offsets) {
+    const GroupId* const label = labels.data();
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+      sums[label[v]] += offsets[v + 1] - offsets[v];
+    }
+  };
+  scan_side(left_labels_, graph.offsets(Side::kLeft).data());
+  scan_side(right_labels_, graph.offsets(Side::kRight).data());
   return out;
 }
 

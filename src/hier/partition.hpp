@@ -18,10 +18,6 @@
 
 #include "graph/bipartite_graph.hpp"
 
-namespace gdp::common {
-class ThreadPool;
-}  // namespace gdp::common
-
 namespace gdp::hier {
 
 using gdp::graph::BipartiteGraph;
@@ -81,28 +77,11 @@ class Partition {
 
   // Incident-edge count (degree sum) of every group.  This is each group's
   // contribution to the association count; its max over groups is the
-  // group-level sensitivity of the count query.  One O(|V|) node scan,
-  // counted by DegreeSumScanCount.  Requires the graph dimensions to match
-  // the partition and shard_grain > 0.
-  //
-  // The node range (both sides concatenated, left first) is cut into shards
-  // by common::AccumulatorGrain: at least `shard_grain` nodes a shard and at
-  // most two shards a worker of `pool`, so one shard without a pool.  Shard
-  // 0 adds straight into the result; each later shard owns a per-group
-  // vector that a merge pass, parallel over group ranges, folds in.  The
-  // sums are exact integer arithmetic over disjoint node sets, so every pool
-  // size and shard layout returns exactly the no-pool scan (partition_test
-  // pins this), and the no-pool call is the plain loop with no merge.
+  // group-level sensitivity of the count query.  One O(|V|) node scan on
+  // the calling thread, counted by DegreeSumScanCount.  Requires the graph
+  // dimensions to match the partition.
   [[nodiscard]] std::vector<EdgeCount> GroupDegreeSums(
-      const BipartiteGraph& graph, gdp::common::ThreadPool* pool = nullptr,
-      std::size_t shard_grain = kDefaultShardGrain) const;
-
-  // Minimum items a shard for the pooled scan and rollup.  Large enough
-  // that the per-shard accumulator allocation amortises; small enough that
-  // the paper-scale graphs (hundreds of thousands of nodes) split across a
-  // desktop core count (the 2-per-worker cap decides the actual shard size
-  // on big inputs).
-  static constexpr std::size_t kDefaultShardGrain = 32768;
+      const BipartiteGraph& graph) const;
 
   // Process-wide count of full node-scan degree-sum computations (every
   // GroupDegreeSums / MaxGroupDegreeSum call).  Instrumentation for the

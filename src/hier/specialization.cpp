@@ -119,8 +119,7 @@ struct NodeRange {
 }  // namespace
 
 SpecializationResult Specializer::BuildHierarchy(
-    const BipartiteGraph& graph, gdp::common::Rng& rng,
-    gdp::common::ThreadPool* /*pool*/) const {
+    const BipartiteGraph& graph, gdp::common::Rng& rng) const {
   if (graph.num_left() == 0 || graph.num_right() == 0) {
     throw std::invalid_argument("Specializer: graph must have nodes on both sides");
   }

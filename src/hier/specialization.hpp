@@ -30,10 +30,6 @@
 #include "common/rng.hpp"
 #include "hier/hierarchy.hpp"
 
-namespace gdp::common {
-class ThreadPool;
-}  // namespace gdp::common
-
 namespace gdp::hier {
 
 enum class SplitQuality {
@@ -101,13 +97,9 @@ class Specializer {
   // A round costs O(groups + cut candidates) and allocates nothing per
   // group.  The build runs on the calling thread, one Exponential-Mechanism
   // draw per splittable group in group order — the rng consumption order is
-  // the determinism contract.  `pool` is not used: the label fills, the one
-  // node-proportional stage, were no faster sharded than as a plain loop,
-  // even at 10M edges (docs/PERF.md).  So the hierarchy, num_em_draws and
-  // the post-build rng state are the same for every pool, none included.
+  // the determinism contract.
   [[nodiscard]] SpecializationResult BuildHierarchy(
-      const BipartiteGraph& graph, gdp::common::Rng& rng,
-      gdp::common::ThreadPool* pool = nullptr) const;
+      const BipartiteGraph& graph, gdp::common::Rng& rng) const;
 
   [[nodiscard]] const SpecializationConfig& config() const noexcept {
     return config_;

@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "common/thread_pool.hpp"
 
 namespace gdp::net {
 
 JobQueue::JobQueue(std::size_t num_workers, std::size_t capacity)
     : capacity_(capacity) {
-  if (num_workers == 0) {
-    throw std::invalid_argument("JobQueue: num_workers must be >= 1");
+  if (num_workers == 0 ||
+      num_workers > static_cast<std::size_t>(gdp::common::kMaxThreadCount)) {
+    throw std::invalid_argument(
+        "JobQueue: num_workers must be in [1, " +
+        std::to_string(gdp::common::kMaxThreadCount) + "], got " +
+        std::to_string(num_workers));
   }
   if (capacity == 0) {
     throw std::invalid_argument("JobQueue: capacity must be >= 1");

@@ -44,8 +44,9 @@ class JobQueue {
     std::size_t workers{0};
   };
 
-  // Spawns `num_workers` (>= 1) threads draining a queue of at most
-  // `capacity` (>= 1) pending jobs.
+  // Spawns `num_workers` threads, in [1, common::kMaxThreadCount], draining
+  // a queue of at most `capacity` (>= 1) pending jobs.  Both are checked
+  // before any thread starts.
   JobQueue(std::size_t num_workers, std::size_t capacity);
   ~JobQueue();
 

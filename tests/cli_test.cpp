@@ -400,6 +400,18 @@ TEST(CliDispatchTest, DiscloseRejectsIntFlagsOutsideIntRange) {
   }
 }
 
+// --threads sizes each compiled artifact's release pool: -1 is not the
+// documented 0 (hardware concurrency), and 100000 would start that many
+// threads.  Both are refused when the flags are parsed, before the graph
+// file `g` is read.
+TEST(CliDispatchTest, DiscloseRefusesAThreadCountOutsideItsBound) {
+  for (const std::string value : {"-1", "100000"}) {
+    const std::string what = DiscloseFlagError({"--threads", value});
+    EXPECT_NE(what.find("--threads"), std::string::npos) << what;
+    EXPECT_NE(what.find("256"), std::string::npos) << what;
+  }
+}
+
 TEST_F(CliRoundTripTest, PackRefusesADepthPastTheHierarchyBound) {
   std::ostringstream out;
   ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "60",
@@ -458,6 +470,40 @@ TEST_F(CliRoundTripTest, ServeRefusesAHierarchyItCannotBuildAtStartUp) {
   }
   std::remove(tenants_path.c_str());
   std::remove(requests_path.c_str());
+}
+
+// --workers is the job queue's thread count and --threads the release
+// pool's: serve --listen refuses either past the bound before it listens.
+TEST_F(CliRoundTripTest, ServeRefusesAThreadCountOutsideItsBoundBeforeListening) {
+  std::ostringstream out;
+  ASSERT_EQ(Dispatch({"generate", "--out", graph_path_, "--left", "60",
+                      "--right", "80", "--edges", "300"},
+                     out),
+            0);
+  const std::string tenants_path = dir_ + "/cli_workers_tenants.tsv";
+  const std::string port_path = dir_ + "/cli_workers_port";
+  {
+    std::ofstream tenants(tenants_path);
+    tenants << "alice 10.0 0.4 0\n";
+  }
+  for (const char* flag : {"--workers", "--threads"}) {
+    out.str("");
+    try {
+      (void)Dispatch({"serve", "--graph", graph_path_, "--tenants",
+                      tenants_path, "--listen", "0", "--port-file", port_path,
+                      flag, "100000"},
+                     out);
+      ADD_FAILURE() << flag << " 100000 was served:\n" << out.str();
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(flag), std::string::npos) << what;
+      EXPECT_NE(what.find("256"), std::string::npos) << what;
+    }
+    EXPECT_EQ(out.str().find("listening"), std::string::npos)
+        << flag << ": " << out.str();
+    EXPECT_FALSE(std::ifstream(port_path).good()) << flag;
+  }
+  std::remove(tenants_path.c_str());
 }
 
 TEST_F(CliRoundTripTest, DrilldownRejectsIntFlagsOutsideTheirRange) {

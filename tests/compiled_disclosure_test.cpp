@@ -14,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/pipeline.hpp"
 #include "core/session.hpp"
 #include "graph/generators.hpp"
@@ -195,6 +196,26 @@ TEST(CompiledDisclosureTest, ConcurrentTenantHandlesOnSharedPool) {
     ExpectBitIdentical(*concurrent[static_cast<std::size_t>(t)],
                        baseline[static_cast<std::size_t>(t)],
                        "pooled tenant " + std::to_string(t));
+  }
+}
+
+TEST(CompiledDisclosureTest, CompileRefusesAThreadCountOutsideItsBound) {
+  // num_threads sizes the artifact's release pool.  A negative count (only
+  // 0 means the hardware concurrency) or one past common::kMaxThreadCount is
+  // refused before Phase 1 draws or the plan scans.
+  const BipartiteGraph g = TestGraph();
+  for (const int threads : {-1, gdp::common::kMaxThreadCount + 1}) {
+    SessionSpec spec = SmallSpec();
+    spec.exec.num_threads = threads;
+    Rng rng(7);
+    const std::uint64_t scans_before =
+        gdp::hier::Partition::DegreeSumScanCount();
+    EXPECT_THROW((void)CompiledDisclosure::Compile(g, spec, rng),
+                 std::invalid_argument)
+        << threads << " threads";
+    EXPECT_EQ(rng(), Rng(7)()) << threads << " threads: Phase 1 drew";
+    EXPECT_EQ(gdp::hier::Partition::DegreeSumScanCount(), scans_before)
+        << threads << " threads: the plan scanned";
   }
 }
 

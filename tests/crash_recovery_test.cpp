@@ -42,7 +42,7 @@ gdp::core::SessionSpec SmallSpec() {
   return spec;
 }
 
-Dataset SmallDataset() { return Dataset{TestGraph(), SmallSpec(), 7, {}}; }
+Dataset SmallDataset() { return Dataset{TestGraph(), SmallSpec(), 7, {}, {}}; }
 
 void Configure(DisclosureService& service) {
   service.catalog().Register("dblp", SmallDataset());

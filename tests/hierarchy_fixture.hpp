@@ -26,7 +26,6 @@
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
 
@@ -132,8 +131,7 @@ inline std::uint32_t LevelCrc(const Partition& level) {
 
 // The golden line of `config` built over `graph` (GoldenGraph(config.graph)).
 inline std::string GoldenLine(const GoldenConfig& config,
-                              const gdp::graph::BipartiteGraph& graph,
-                              gdp::common::ThreadPool* pool) {
+                              const gdp::graph::BipartiteGraph& graph) {
   SpecializationConfig cfg;
   cfg.depth = config.depth;
   cfg.arity = config.arity;
@@ -142,7 +140,7 @@ inline std::string GoldenLine(const GoldenConfig& config,
   cfg.epsilon_per_level = config.epsilon_per_level;
   gdp::common::Rng rng(config.seed);
   const SpecializationResult built =
-      Specializer(cfg).BuildHierarchy(graph, rng, pool);
+      Specializer(cfg).BuildHierarchy(graph, rng);
   char head[256];
   std::snprintf(head, sizeof head,
                 "%s\t%d\t%d\t%s\t%d\t%g\t%llu\t%zu\t%016llx\t%016llx\t",

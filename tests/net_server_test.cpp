@@ -23,8 +23,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "net/client.hpp"
+#include "net/job_queue.hpp"
 #include "net/wire.hpp"
 #include "serve/service.hpp"
 
@@ -439,6 +441,18 @@ TEST(NetServerHostileTest, IdleConnectionBetweenRequestsIsNotOnTheClock) {
   // Much longer than the read timeout; only MID-message peers are timed.
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   EXPECT_TRUE(client.Serve(ServeReq("alice")).ok());
+}
+
+// --workers reaches the queue as its thread count; a count outside
+// [1, common::kMaxThreadCount] is refused before any worker starts.
+TEST(JobQueueTest, RefusesAWorkerCountOutsideItsBound) {
+  EXPECT_THROW((void)JobQueue(0, 4), std::invalid_argument);
+  EXPECT_THROW(
+      (void)JobQueue(
+          static_cast<std::size_t>(gdp::common::kMaxThreadCount) + 1, 4),
+      std::invalid_argument);
+  JobQueue one(1, 4);
+  EXPECT_EQ(one.GetStats().workers, 1u);
 }
 
 // ---------- shutdown drain ----------

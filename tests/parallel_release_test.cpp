@@ -1,6 +1,7 @@
 // Determinism guarantees of GroupDpEngine's one release path:
 //  - the output depends only on (seed, grain): no pool and pools of 1, 2 and
-//    8 threads release the same bits,
+//    8 threads release the same bits, through the engine and through a
+//    compiled artifact's own pool,
 //  - the draw order is the documented one (per-level streams, then per-chunk
 //    substreams), pinned by a checked-in golden release for every NoiseKind,
 //  - the mechanism cache never perturbs results.
@@ -14,9 +15,11 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/compiled_disclosure.hpp"
 #include "core/group_dp_engine.hpp"
 #include "core/release_io.hpp"
 #include "core/release_plan.hpp"
+#include "core/session.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
 
@@ -119,14 +122,14 @@ TEST(ParallelReleaseTest, SharedPlanAndPoolReuse) {
   const ReleasePlan plan = ReleasePlan::Build(g, h);
   Rng r1(83);
   Rng r2(83);
-  // Same pool twice, same seed: identical output; and identical to a plan
-  // whose node scan was sharded across the pool.
+  // Same pool twice, same seed: identical output; and identical to a
+  // release from a second build of the plan.
   ExpectBitIdentical(engine.Release(plan, r1, &pool),
                      engine.Release(plan, r2, &pool));
   Rng r3(83);
   Rng r4(83);
   ExpectBitIdentical(engine.Release(plan, r3, &pool),
-                     engine.Release(ReleasePlan::Build(g, h, &pool), r4, &pool));
+                     engine.Release(ReleasePlan::Build(g, h), r4, &pool));
 }
 
 TEST(ParallelReleaseTest, WellFormedRelease) {
@@ -142,6 +145,42 @@ TEST(ParallelReleaseTest, WellFormedRelease) {
     EXPECT_GT(r.level(lvl).noise_stddev, 0.0);
     EXPECT_EQ(r.level(lvl).true_group_counts.size(),
               h.level(lvl).num_groups());
+  }
+}
+
+TEST(ParallelReleaseTest, CompiledReleasesIdenticalAcrossThreadCounts) {
+  // End to end through CompiledDisclosure: the full artifact (fingerprinted
+  // plan + hierarchy) and a release drawn from it must not depend on the
+  // thread count, 1 (no pool) included.  60k singleton groups: the level-0
+  // vector noise cuts several chunks at the default grain.
+  Rng graph_rng(11);
+  const BipartiteGraph g =
+      gdp::graph::GenerateUniformRandom(30'000, 30'000, 120'000, graph_rng);
+  SessionSpec spec;
+  spec.hierarchy.depth = 6;
+  spec.hierarchy.arity = 4;
+  auto release_with_threads = [&](int threads) {
+    SessionSpec s = spec;
+    s.exec.num_threads = threads;
+    Rng rng(42);
+    auto compiled = CompiledDisclosure::Compile(g, s, rng);
+    auto session = DisclosureSession::Attach(compiled);
+    Rng release_rng(9);
+    return session.Release(release_rng);
+  };
+  const auto one = release_with_threads(1);
+  for (const int threads : {2, 8}) {
+    const auto other = release_with_threads(threads);
+    ASSERT_EQ(one.num_levels(), other.num_levels());
+    for (int l = 0; l < one.num_levels(); ++l) {
+      EXPECT_EQ(one.level(l).noisy_total, other.level(l).noisy_total)
+          << threads << " threads, level " << l;
+      EXPECT_EQ(one.level(l).true_total, other.level(l).true_total)
+          << threads << " threads, level " << l;
+      EXPECT_EQ(one.level(l).noisy_group_counts,
+                other.level(l).noisy_group_counts)
+          << threads << " threads, level " << l;
+    }
   }
 }
 

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
 
 namespace gdp::hier {
@@ -119,36 +118,6 @@ TEST(PartitionTest, GroupDegreeSumsPerSideTotalEdges) {
   const auto sums = p.GroupDegreeSums(g);
   EXPECT_EQ(sums[0], g.num_edges());
   EXPECT_EQ(sums[1], g.num_edges());
-}
-
-TEST(PartitionTest, ShardedGroupDegreeSumsExactlyEqualSequentialScan) {
-  gdp::common::Rng rng(13);
-  const BipartiteGraph g = gdp::graph::GenerateUniformRandom(90, 70, 800, rng);
-  // Singleton partition: the scan ReleasePlan shards in practice.
-  const Partition p = Partition::Singletons(90, 70);
-  const std::vector<EdgeCount> sequential = p.GroupDegreeSums(g);
-  gdp::common::ThreadPool pool(4);
-  // grain 16 over 160 nodes → 10 shards; exact integer equality required.
-  EXPECT_EQ(p.GroupDegreeSums(g, &pool, 16), sequential);
-  // Shard layout (and therefore the result) is pool-size independent.
-  gdp::common::ThreadPool one(1);
-  EXPECT_EQ(p.GroupDegreeSums(g, &one, 16), sequential);
-}
-
-TEST(PartitionTest, ShardedScanCountsAsOneScanAndFallsBackWhenSmall) {
-  gdp::common::Rng rng(17);
-  const BipartiteGraph g = gdp::graph::GenerateUniformRandom(90, 70, 800, rng);
-  const Partition p = Partition::Singletons(90, 70);
-  gdp::common::ThreadPool pool(2);
-  std::uint64_t before = Partition::DegreeSumScanCount();
-  (void)p.GroupDegreeSums(g, &pool, 16);
-  EXPECT_EQ(Partition::DegreeSumScanCount() - before, 1u);
-  // A grain larger than the node count takes the sequential path (still one
-  // scan, same values).
-  before = Partition::DegreeSumScanCount();
-  EXPECT_EQ(p.GroupDegreeSums(g, &pool, 1 << 20), p.GroupDegreeSums(g));
-  EXPECT_EQ(Partition::DegreeSumScanCount() - before, 2u);
-  EXPECT_THROW((void)p.GroupDegreeSums(g, &pool, 0), std::invalid_argument);
 }
 
 TEST(PartitionTest, GroupDegreeSumsRejectsDimensionMismatch) {

@@ -91,8 +91,7 @@ TEST(PipelineTest, DifferentSeedsGiveDifferentNoise) {
 TEST(PipelineTest, ParallelDisclosureInvariantAcrossThreadCounts) {
   // End-to-end determinism across thread counts, 1 (no pool) included: the
   // graph is big enough (1200 nodes) that with grain 256 the level-0 vector
-  // noise really chunks, and the plan scan really shards on a per-pool basis
-  // inside RunDisclosure.
+  // noise really chunks, and the pool draws the chunks inside RunDisclosure.
   const BipartiteGraph g = TestGraph();
   SessionSpec cfg = SmallSpec();
   cfg.exec.noise_chunk_grain = 256;

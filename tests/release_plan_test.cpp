@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/group_dp_engine.hpp"
 #include "core/group_sensitivity.hpp"
 #include "graph/generators.hpp"
@@ -131,32 +130,6 @@ TEST(ReleasePlanTest, MatchesDirectScansOnSpecializerHierarchy) {
               CountSensitivity(g, h.level(lvl)))
         << "level " << lvl;
   }
-}
-
-TEST(ReleasePlanTest, ShardedBuildExactlyEqualsSequentialBuild) {
-  Rng graph_rng(3);
-  const BipartiteGraph g =
-      gdp::graph::GenerateUniformRandom(96, 80, 1500, graph_rng);
-  gdp::hier::SpecializationConfig cfg;
-  cfg.depth = 5;
-  const gdp::hier::Specializer spec(cfg);
-  Rng rng(11);
-  const GroupHierarchy h = spec.BuildHierarchy(g, rng).hierarchy;
-
-  const ReleasePlan sequential = ReleasePlan::Build(g, h);
-  gdp::common::ThreadPool pool(4);
-  // grain 16 over 176 nodes → 11 shards: the real sharded path, with exact
-  // integer equality demanded level by level.
-  const std::uint64_t before = Partition::DegreeSumScanCount();
-  const ReleasePlan sharded = ReleasePlan::Build(g, h, &pool, 16);
-  EXPECT_EQ(Partition::DegreeSumScanCount() - before, 1u);
-  ASSERT_EQ(sharded.num_levels(), sequential.num_levels());
-  EXPECT_EQ(sharded.num_edges(), sequential.num_edges());
-  for (int lvl = 0; lvl < sequential.num_levels(); ++lvl) {
-    EXPECT_EQ(ToVec(sharded.GroupDegreeSums(lvl)), ToVec(sequential.GroupDegreeSums(lvl)))
-        << "level " << lvl;
-  }
-  EXPECT_EQ(ToVec(sharded.LevelSensitivities()), ToVec(sequential.LevelSensitivities()));
 }
 
 TEST(ReleasePlanTest, VectorSensitivityMatchesSqrtTwoBound) {

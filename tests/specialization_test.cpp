@@ -5,11 +5,9 @@
 #include <cmath>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "hierarchy_fixture.hpp"
 
@@ -286,8 +284,8 @@ TEST(SpecializerTest, SidePurityPreservedAtEveryLevel) {
 
 // tests/data/golden_hierarchy.tsv: one line per hierarchy_fixture
 // configuration (graph, config, draws, spend bits, next rng output, one CRC
-// per level).  Every line is rebuilt without a pool and at pool sizes 1, 2
-// and 8; all four must equal the file, bit for bit.
+// per level).  Every line is rebuilt once and must equal the file, bit for
+// bit.
 TEST(SpecializerTest, BuildsMatchTheGoldenHierarchies) {
   using hierarchy_fixture::GoldenConfigs;
   std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_hierarchy.tsv");
@@ -301,11 +299,6 @@ TEST(SpecializerTest, BuildsMatchTheGoldenHierarchies) {
   ASSERT_EQ(golden.size(), GoldenConfigs().size());
 
   std::map<std::string, BipartiteGraph> graphs;
-  std::vector<std::unique_ptr<gdp::common::ThreadPool>> pools;
-  pools.push_back(nullptr);
-  for (const int size : {1, 2, 8}) {
-    pools.push_back(std::make_unique<gdp::common::ThreadPool>(size));
-  }
   for (std::size_t i = 0; i < golden.size(); ++i) {
     const hierarchy_fixture::GoldenConfig& config = GoldenConfigs()[i];
     auto it = graphs.find(config.graph);
@@ -314,12 +307,8 @@ TEST(SpecializerTest, BuildsMatchTheGoldenHierarchies) {
                           hierarchy_fixture::GoldenGraph(config.graph))
                .first;
     }
-    for (const auto& pool : pools) {
-      EXPECT_EQ(hierarchy_fixture::GoldenLine(config, it->second, pool.get()),
-                golden[i])
-          << "line " << i + 1 << ", pool size "
-          << (pool ? pool->size() : 0);
-    }
+    EXPECT_EQ(hierarchy_fixture::GoldenLine(config, it->second), golden[i])
+        << "line " << i + 1;
   }
 }
 
