@@ -1,7 +1,8 @@
 #include "common/crc32.hpp"
 
 #include <array>
-#include <cstring>
+
+#include "common/le_codec.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -37,22 +38,13 @@ constexpr std::array<std::array<std::uint32_t, 256>, 8> MakeTables() {
 
 constexpr std::array<std::array<std::uint32_t, 256>, 8> kTables = MakeTables();
 
-inline std::uint32_t LoadLe32(const unsigned char* p) noexcept {
-  // Byte-assembled so the result is endianness-independent; compilers fold
-  // this into a single load on little-endian targets.
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 // Advance the raw (pre/post-inversion) CRC state over `len` bytes,
 // slice-by-8.  All paths below share this for tails and as the fallback.
 std::uint32_t UpdateSlice8(std::uint32_t crc, const unsigned char* p,
                            std::size_t len) noexcept {
   while (len >= 8) {
-    const std::uint32_t lo = crc ^ LoadLe32(p);
-    const std::uint32_t hi = LoadLe32(p + 4);
+    const std::uint32_t lo = crc ^ LoadLe<std::uint32_t>(p);
+    const std::uint32_t hi = LoadLe<std::uint32_t>(p + 4);
     crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
           kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
           kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^

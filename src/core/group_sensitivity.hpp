@@ -19,8 +19,6 @@
 // hence ≤ Δℓ in L2).  VectorSensitivity returns that bound.
 #pragma once
 
-#include "common/rng.hpp"
-#include "dp/privacy_params.hpp"
 #include "dp/sensitivity.hpp"
 #include "hier/hierarchy.hpp"
 
@@ -46,18 +44,5 @@ using gdp::hier::Partition;
 // cannot calibrate a mechanism; callers should release the exact zeros).
 [[nodiscard]] gdp::dp::L2Sensitivity VectorSensitivity(
     const BipartiteGraph& graph, const Partition& level);
-
-// DP estimate of a degree cap for worst-case sensitivity bounding.
-//
-// The pipeline's per-level Δ is a *local* sensitivity (computed from the
-// realized data).  For a worst-case deployment, estimate a high degree
-// quantile under ε-DP (Exponential-Mechanism quantile over both sides'
-// degrees), truncate the graph to that cap (graph::TruncateDegreesBothSides),
-// and use  Δℓ = (max level-ℓ group size) · cap  as a data-independent bound.
-// `headroom` multiplies the estimate so that the cap rarely bites typical
-// nodes (default 1.5).  Returns a cap >= 1.
-[[nodiscard]] gdp::graph::EdgeCount EstimateDegreeCapDp(
-    const BipartiteGraph& graph, gdp::dp::Epsilon eps, double quantile,
-    double headroom, gdp::common::Rng& rng);
 
 }  // namespace gdp::core

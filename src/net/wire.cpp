@@ -1,161 +1,37 @@
 #include "net/wire.hpp"
 
-#include <bit>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/le_codec.hpp"
 #include "core/group_dp_engine.hpp"
 
 namespace gdp::net::wire {
 namespace {
 
+using gdp::common::LoadLe;
 using gdp::common::NetProtocolError;
+using Writer = gdp::common::LeWriter;
+using Reader = gdp::common::LeReader<NetProtocolError>;
 
-// Little-endian word store and load, shift-assembled like LoadLe32 in
-// common/crc32.cpp: the bytes are in wire order on any host, and compilers
-// fold each into one store or load per word on little-endian targets.
-// StoreLe assembles the word in a local and copies it out, which keeps the
-// f64 column loop a plain word copy under auto-vectorization.
-template <typename U, std::size_t... I>
-void StoreLe(char* out, U v, std::index_sequence<I...>) noexcept {
-  unsigned char bytes[sizeof(U)];
-  ((bytes[I] = static_cast<unsigned char>(v >> (8 * I))), ...);
-  std::memcpy(out, bytes, sizeof(U));
+// Every payload starts with its kind byte.
+Writer Begin(MsgKind kind) {
+  Writer w;
+  w.U8(static_cast<std::uint8_t>(kind));
+  return w;
 }
 
-template <typename U>
-void StoreLe(char* out, U v) noexcept {
-  StoreLe(out, v, std::make_index_sequence<sizeof(U)>{});
+// The encode-side half of the frame cap: a string that can never fit one
+// frame is refused typed, before it is copied.
+void PutText(Writer& w, std::string_view s) {
+  if (s.size() > kMaxPayload) {
+    throw NetProtocolError("GDPNET02 encode: string exceeds frame cap");
+  }
+  w.Str(s);
 }
-
-template <typename U, std::size_t... I>
-U LoadLe(const char* in, std::index_sequence<I...>) noexcept {
-  return ((static_cast<U>(static_cast<unsigned char>(in[I])) << (8 * I)) | ...);
-}
-
-template <typename U>
-U LoadLe(const char* in) noexcept {
-  return LoadLe<U>(in, std::make_index_sequence<sizeof(U)>{});
-}
-
-// Append-only little-endian serializer.  Strings and vectors are prefixed
-// with a u32 count; doubles travel by IEEE-754 bit pattern.
-class Writer {
- public:
-  explicit Writer(MsgKind kind) { U8(static_cast<std::uint8_t>(kind)); }
-
-  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) { StoreLe(Grow(sizeof(v)), v); }
-  void U64(std::uint64_t v) { StoreLe(Grow(sizeof(v)), v); }
-  void I32(std::int32_t v) { U32(std::bit_cast<std::uint32_t>(v)); }
-  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
-  void Str(std::string_view s) {
-    if (s.size() > kMaxPayload) {
-      throw NetProtocolError("GDPNET02 encode: string exceeds frame cap");
-    }
-    U32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s.data(), s.size());
-  }
-  void F64Vec(const std::vector<double>& v) {
-    U32(static_cast<std::uint32_t>(v.size()));
-    char* p = Grow(8 * v.size());
-    for (const double d : v) {
-      StoreLe(p, std::bit_cast<std::uint64_t>(d));
-      p += 8;
-    }
-  }
-
-  [[nodiscard]] std::string Take() && { return std::move(out_); }
-
- private:
-  // Extend the payload by `n` bytes and return where they start.
-  char* Grow(std::size_t n) {
-    const std::size_t at = out_.size();
-    out_.resize(at + n);
-    return out_.data() + at;
-  }
-
-  std::string out_;
-};
-
-// Bounds-checked little-endian reader over one payload.  Every accessor
-// verifies the remaining byte count BEFORE reading, and every count-prefixed
-// aggregate verifies the declared count against a per-element lower bound on
-// the remaining bytes BEFORE reserving memory — a hostile u32 must never
-// size an allocation.
-class Reader {
- public:
-  explicit Reader(std::string_view payload) : data_(payload) {}
-
-  [[nodiscard]] std::uint8_t U8() {
-    Need(1, "u8");
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  [[nodiscard]] std::uint32_t U32() { return Word<std::uint32_t>("u32"); }
-  [[nodiscard]] std::uint64_t U64() { return Word<std::uint64_t>("u64"); }
-  [[nodiscard]] std::int32_t I32() { return std::bit_cast<std::int32_t>(U32()); }
-  [[nodiscard]] double F64() { return std::bit_cast<double>(U64()); }
-  [[nodiscard]] std::string Str() {
-    const std::uint32_t len = U32();
-    Need(len, "string body");
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-  // Count has proved all `count` values are present, so they load with no
-  // per-element check.
-  [[nodiscard]] std::vector<double> F64Vec() {
-    const std::uint32_t count = Count(8, "f64 vector");
-    std::vector<double> v(count);
-    const char* p = data_.data() + pos_;
-    for (double& d : v) {
-      d = std::bit_cast<double>(LoadLe<std::uint64_t>(p));
-      p += 8;
-    }
-    pos_ += std::size_t{8} * count;
-    return v;
-  }
-  // A declared element count, already proved to fit the remaining bytes at
-  // `min_elem_size` bytes per element.
-  [[nodiscard]] std::uint32_t Count(std::size_t min_elem_size,
-                                    const char* what) {
-    const std::uint32_t count = U32();
-    if (static_cast<std::uint64_t>(count) * min_elem_size > Remaining()) {
-      throw NetProtocolError(
-          std::string("GDPNET02 decode: declared ") + what +
-          " count does not fit the remaining payload");
-    }
-    return count;
-  }
-  [[nodiscard]] std::size_t Remaining() const { return data_.size() - pos_; }
-  void ExpectEnd(const char* what) const {
-    if (pos_ != data_.size()) {
-      throw NetProtocolError(std::string("GDPNET02 decode: trailing bytes after ") +
-                             what);
-    }
-  }
-
- private:
-  void Need(std::size_t n, const char* what) const {
-    if (Remaining() < n) {
-      throw NetProtocolError(std::string("GDPNET02 decode: truncated ") + what);
-    }
-  }
-  template <typename U>
-  [[nodiscard]] U Word(const char* what) {
-    Need(sizeof(U), what);
-    const U v = LoadLe<U>(data_.data() + pos_);
-    pos_ += sizeof(U);
-    return v;
-  }
-
-  std::string_view data_;
-  std::size_t pos_{0};
-};
 
 constexpr std::uint8_t kMaxNoiseKind =
     static_cast<std::uint8_t>(gdp::core::NoiseKind::kGeometric);
@@ -163,7 +39,7 @@ constexpr std::uint8_t kMaxAccounting =
     static_cast<std::uint8_t>(gdp::dp::AccountingPolicy::kRdp);
 
 Reader Open(std::string_view payload, MsgKind expected) {
-  Reader r(payload);
+  Reader r(payload, "GDPNET02 decode");
   const std::uint8_t kind = r.U8();
   if (kind != static_cast<std::uint8_t>(expected)) {
     throw NetProtocolError(std::string("GDPNET02 decode: expected ") +
@@ -193,7 +69,7 @@ WireBudget GetBudget(Reader& r) {
 
 void PutOutcome(Writer& w, const ServeOutcome& o) {
   w.U8(o.granted ? 1 : 0);
-  w.Str(o.denial_reason);
+  PutText(w, o.denial_reason);
   w.I32(o.privilege);
   w.I32(o.level);
   w.F64(o.epsilon_spent);
@@ -330,16 +206,7 @@ std::string Frame(std::string_view payload) {
   if (payload.empty() || payload.size() > kMaxPayload) {
     throw NetProtocolError("GDPNET02 frame: payload size out of range");
   }
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = gdp::common::Crc32(payload);
-  char header[kFrameHeaderSize];
-  StoreLe(header, len);
-  StoreLe(header + 4, crc);
-  std::string out;
-  out.reserve(kFrameHeaderSize + payload.size());
-  out.append(header, kFrameHeaderSize);
-  out.append(payload);
-  return out;
+  return gdp::common::SealFrame(payload);
 }
 
 std::optional<std::string> TryDeframe(std::string& buffer) {
@@ -356,9 +223,8 @@ std::optional<std::string> TryDeframe(std::string& buffer) {
   if (buffer.size() < kFrameHeaderSize + len) {
     return std::nullopt;
   }
-  const auto declared_crc = LoadLe<std::uint32_t>(buffer.data() + 4);
   std::string payload = buffer.substr(kFrameHeaderSize, len);
-  if (gdp::common::Crc32(payload) != declared_crc) {
+  if (gdp::common::Crc32(payload) != LoadLe<std::uint32_t>(buffer.data() + 4)) {
     throw NetProtocolError("GDPNET02 frame: payload CRC mismatch");
   }
   buffer.erase(0, kFrameHeaderSize + len);
@@ -382,17 +248,17 @@ MsgKind PeekKind(std::string_view payload) {
 }
 
 std::string Encode(const ServeRequest& msg) {
-  Writer w(MsgKind::kServeRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
+  Writer w = Begin(MsgKind::kServeRequest);
+  PutText(w, msg.tenant);
+  PutText(w, msg.dataset);
   PutBudget(w, msg.budget);
   return std::move(w).Take();
 }
 
 std::string Encode(const SweepRequest& msg) {
-  Writer w(MsgKind::kSweepRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
+  Writer w = Begin(MsgKind::kSweepRequest);
+  PutText(w, msg.tenant);
+  PutText(w, msg.dataset);
   w.U32(static_cast<std::uint32_t>(msg.budgets.size()));
   for (const WireBudget& b : msg.budgets) {
     PutBudget(w, b);
@@ -401,9 +267,9 @@ std::string Encode(const SweepRequest& msg) {
 }
 
 std::string Encode(const DrilldownRequest& msg) {
-  Writer w(MsgKind::kDrilldownRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
+  Writer w = Begin(MsgKind::kDrilldownRequest);
+  PutText(w, msg.tenant);
+  PutText(w, msg.dataset);
   PutBudget(w, msg.budget);
   w.U8(msg.side);
   w.U32(msg.node);
@@ -411,9 +277,9 @@ std::string Encode(const DrilldownRequest& msg) {
 }
 
 std::string Encode(const AnswerRequest& msg) {
-  Writer w(MsgKind::kAnswerRequest);
-  w.Str(msg.tenant);
-  w.Str(msg.dataset);
+  Writer w = Begin(MsgKind::kAnswerRequest);
+  PutText(w, msg.tenant);
+  PutText(w, msg.dataset);
   PutBudget(w, msg.budget);
   w.U32(static_cast<std::uint32_t>(msg.queries.size()));
   for (const gdp::core::QuerySpec& q : msg.queries) {
@@ -428,18 +294,18 @@ std::string Encode(const AnswerRequest& msg) {
 }
 
 std::string EncodeStatsRequest() {
-  Writer w(MsgKind::kStatsRequest);
+  Writer w = Begin(MsgKind::kStatsRequest);
   return std::move(w).Take();
 }
 
 std::string Encode(const ServeOutcome& msg) {
-  Writer w(MsgKind::kServeResponse);
+  Writer w = Begin(MsgKind::kServeResponse);
   PutOutcome(w, msg);
   return std::move(w).Take();
 }
 
 std::string Encode(const SweepResponse& msg) {
-  Writer w(MsgKind::kSweepResponse);
+  Writer w = Begin(MsgKind::kSweepResponse);
   w.U32(static_cast<std::uint32_t>(msg.outcomes.size()));
   for (const ServeOutcome& o : msg.outcomes) {
     PutOutcome(w, o);
@@ -448,7 +314,7 @@ std::string Encode(const SweepResponse& msg) {
 }
 
 std::string Encode(const DrilldownResponse& msg) {
-  Writer w(MsgKind::kDrilldownResponse);
+  Writer w = Begin(MsgKind::kDrilldownResponse);
   PutOutcome(w, msg.outcome);
   w.U32(static_cast<std::uint32_t>(msg.chain.size()));
   for (const WireDrillEntry& e : msg.chain) {
@@ -462,11 +328,11 @@ std::string Encode(const DrilldownResponse& msg) {
 }
 
 std::string Encode(const AnswerResponse& msg) {
-  Writer w(MsgKind::kAnswerResponse);
+  Writer w = Begin(MsgKind::kAnswerResponse);
   PutOutcome(w, msg.outcome);
   w.U32(static_cast<std::uint32_t>(msg.results.size()));
   for (const gdp::serve::PublishedAnswer& r : msg.results) {
-    w.Str(r.query_name);
+    PutText(w, r.query_name);
     w.F64(r.noise_stddev);
     w.F64Vec(r.noisy);
   }
@@ -474,7 +340,7 @@ std::string Encode(const AnswerResponse& msg) {
 }
 
 std::string Encode(const StatsResponse& msg) {
-  Writer w(MsgKind::kStatsResponse);
+  Writer w = Begin(MsgKind::kStatsResponse);
   w.U64(msg.registry_hits);
   w.U64(msg.registry_misses);
   w.U64(msg.registry_evictions);
@@ -508,15 +374,15 @@ std::string Encode(const StatsResponse& msg) {
 }
 
 std::string Encode(const OverloadedResponse& msg) {
-  Writer w(MsgKind::kOverloaded);
-  w.Str(msg.reason);
+  Writer w = Begin(MsgKind::kOverloaded);
+  PutText(w, msg.reason);
   return std::move(w).Take();
 }
 
 std::string Encode(const ErrorResponse& msg) {
-  Writer w(MsgKind::kError);
+  Writer w = Begin(MsgKind::kError);
   w.U8(static_cast<std::uint8_t>(msg.code));
-  w.Str(msg.message);
+  PutText(w, msg.message);
   return std::move(w).Take();
 }
 

@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/le_codec.hpp"
 #include "core/compiled_disclosure.hpp"
 #include "core/drilldown.hpp"
 #include "core/release.hpp"
@@ -49,8 +50,9 @@ namespace gdp::net::wire {
 inline constexpr char kMagic[8] = {'G', 'D', 'P', 'N', 'E', 'T', '0', '2'};
 inline constexpr std::size_t kMagicSize = 8;
 
-// Frame header: payload length + payload CRC, both u32 little-endian.
-inline constexpr std::size_t kFrameHeaderSize = 8;
+// Frame header: payload length + payload CRC, both u32 little-endian — the
+// frame GDPWAL01 uses too (common/le_codec.hpp).
+inline constexpr std::size_t kFrameHeaderSize = gdp::common::kFrameHeaderSize;
 
 // Upper bound on one frame's payload.  A level-0 view of a large graph
 // carries two f64 columns with one entry per group, so the cap is generous —

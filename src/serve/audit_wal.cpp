@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -12,6 +11,7 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/le_codec.hpp"
 
 namespace gdp::serve {
 
@@ -19,92 +19,17 @@ namespace {
 
 constexpr char kMagic[] = "GDPWAL01";
 constexpr std::size_t kMagicSize = 8;
-constexpr std::size_t kFrameHeaderSize = 8;  // u32 len + u32 crc
+using gdp::common::kFrameHeaderSize;
 
 std::string ErrnoMessage(const char* op, int err) {
   return std::string(op) + " failed: " + std::strerror(err);
 }
 
-// --- little-endian primitives ---------------------------------------------
-
-void PutU8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutF64(std::string& out, double v) {
-  PutU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void PutStr(std::string& out, std::string_view s) {
-  PutU32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-// Cursor over a payload; every read throws IoError past the end — a
-// CRC-valid payload that is too short is writer skew, not a torn write.
-struct Reader {
-  std::string_view data;
-  std::size_t pos{0};
-
-  void Need(std::size_t n) const {
-    if (pos + n > data.size()) {
-      throw gdp::common::IoError(
-          "AuditWal: record payload truncated mid-field (CRC-valid but "
-          "undecodable — version skew or writer bug)");
-    }
-  }
-  std::uint8_t U8() {
-    Need(1);
-    return static_cast<std::uint8_t>(data[pos++]);
-  }
-  std::uint32_t U32() {
-    Need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[pos++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t U64() {
-    Need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[pos++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  double F64() { return std::bit_cast<double>(U64()); }
-  std::string Str() {
-    const std::uint32_t len = U32();
-    Need(len);
-    std::string s(data.substr(pos, len));
-    pos += len;
-    return s;
-  }
-};
-
-std::uint32_t ReadFrameU32(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
+// Every decode failure inside a CRC-valid frame is writer skew, not a torn
+// write, so the cursor throws IoError under this prefix.
+constexpr std::string_view kUndecodable =
+    "AuditWal: CRC-valid GDPWAL01 record is undecodable (version skew or "
+    "writer bug)";
 
 }  // namespace
 
@@ -307,32 +232,32 @@ WalRecord WalRecord::DatasetRetired(std::string dataset, std::string reason) {
 }
 
 std::string EncodeWalRecord(const WalRecord& record) {
-  std::string out;
-  out.reserve(96 + record.tenant.size() + record.dataset.size() +
+  gdp::common::LeWriter out;
+  out.Reserve(96 + record.tenant.size() + record.dataset.size() +
               record.fingerprint.size() + record.label.size());
-  PutU8(out, static_cast<std::uint8_t>(record.kind));
-  PutU64(out, record.seq);
-  PutU32(out, record.epoch);
-  PutStr(out, record.tenant);
-  PutStr(out, record.dataset);
-  PutStr(out, record.fingerprint);
-  PutF64(out, record.epsilon_cap);
-  PutF64(out, record.delta_cap);
-  PutU8(out, static_cast<std::uint8_t>(record.accounting));
-  PutU8(out, static_cast<std::uint8_t>(record.event.kind));
-  PutF64(out, record.event.epsilon);
-  PutF64(out, record.event.delta);
-  PutF64(out, record.event.noise_multiplier);
-  PutU32(out, static_cast<std::uint32_t>(record.event.count));
-  PutU32(out, static_cast<std::uint32_t>(record.event.parallel_width));
-  PutF64(out, record.accounted_epsilon);
-  PutF64(out, record.accounted_delta);
-  PutStr(out, record.label);
-  return out;
+  out.U8(static_cast<std::uint8_t>(record.kind));
+  out.U64(record.seq);
+  out.U32(record.epoch);
+  out.Str(record.tenant);
+  out.Str(record.dataset);
+  out.Str(record.fingerprint);
+  out.F64(record.epsilon_cap);
+  out.F64(record.delta_cap);
+  out.U8(static_cast<std::uint8_t>(record.accounting));
+  out.U8(static_cast<std::uint8_t>(record.event.kind));
+  out.F64(record.event.epsilon);
+  out.F64(record.event.delta);
+  out.F64(record.event.noise_multiplier);
+  out.U32(static_cast<std::uint32_t>(record.event.count));
+  out.U32(static_cast<std::uint32_t>(record.event.parallel_width));
+  out.F64(record.accounted_epsilon);
+  out.F64(record.accounted_delta);
+  out.Str(record.label);
+  return std::move(out).Take();
 }
 
 WalRecord DecodeWalRecord(std::string_view payload) {
-  Reader in{payload};
+  gdp::common::LeReader<gdp::common::IoError> in(payload, kUndecodable);
   WalRecord r;
   const std::uint8_t kind = in.U8();
   if (kind < 1 || kind > 3) {
@@ -367,10 +292,7 @@ WalRecord DecodeWalRecord(std::string_view payload) {
   r.accounted_epsilon = in.F64();
   r.accounted_delta = in.F64();
   r.label = in.Str();
-  if (in.pos != payload.size()) {
-    throw gdp::common::IoError(
-        "AuditWal: record payload has trailing bytes (version skew?)");
-  }
+  in.ExpectEnd("record");
   return r;
 }
 
@@ -396,14 +318,20 @@ WalReplayResult AuditWal::Replay(std::string_view bytes) {
   std::uint64_t last_seq = 0;
   std::uint32_t max_epoch = 0;
   while (pos + kFrameHeaderSize <= bytes.size()) {
-    const std::uint32_t len = ReadFrameU32(bytes, pos);
-    const std::uint32_t crc = ReadFrameU32(bytes, pos + 4);
+    const auto len = gdp::common::LoadLe<std::uint32_t>(bytes.data() + pos);
+    if (len == 0) {
+      // The writer never frames an empty payload, but a zero-filled tail
+      // (a crash after the file grew, before its data landed) reads as
+      // length 0 with the empty payload's CRC, 0: torn, not a record.
+      break;
+    }
     if (pos + kFrameHeaderSize + len > bytes.size()) {
       break;  // length runs past EOF: torn final frame
     }
     const std::string_view payload =
         bytes.substr(pos + kFrameHeaderSize, len);
-    if (gdp::common::Crc32(payload) != crc) {
+    if (gdp::common::Crc32(payload) !=
+        gdp::common::LoadLe<std::uint32_t>(bytes.data() + pos + 4)) {
       break;  // torn or corrupt: trust nothing from here on
     }
     WalRecord record = DecodeWalRecord(payload);  // IoError on skew
@@ -477,12 +405,7 @@ std::uint64_t AuditWal::Append(WalRecord record) {
   const std::lock_guard<std::mutex> lock(mutex_);
   record.seq = next_seq_;
   record.epoch = epoch_;
-  const std::string payload = EncodeWalRecord(record);
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, gdp::common::Crc32(payload));
-  frame.append(payload);
+  const std::string frame = gdp::common::SealFrame(EncodeWalRecord(record));
 
   const std::uint64_t base = storage_->size();
   bool ok = false;

@@ -8,14 +8,17 @@
 // disclosed — budget can be stranded as "spent" by a crash, but disclosure
 // can never outrun the accounting.
 //
-// On-disk format (all integers little-endian):
+// On-disk format (all integers little-endian, through common/le_codec.hpp):
 //
 //   [8-byte magic "GDPWAL01"]
 //   frame*   where frame = [u32 payload_len][u32 crc32(payload)][payload]
 //
-// The payload serializes one WalRecord (see below).  Replay walks frames
-// from the front and stops at the first frame that does not check out —
-// short header, length past EOF, or CRC mismatch.  Everything before the
+// The frame is GDPNET02's, byte for byte.  The payload serializes one
+// WalRecord (see below; docs/DURABILITY.md has the field table).  Replay
+// walks frames from the front and stops at the first frame that does not
+// check out — short header, zero length (the writer never frames an empty
+// payload, but a zero-filled tail reads as one), length past EOF, or CRC
+// mismatch.  Everything before the
 // stop is trusted (CRC-verified), everything after is the torn tail a crash
 // mid-append leaves behind; AuditWal truncates it on open, so an append
 // retried after a crash never leaves a stale half-frame for a later replay

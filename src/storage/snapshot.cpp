@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -16,12 +18,15 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/le_codec.hpp"
 
 namespace gdp::storage {
 
 using gdp::common::Crc32;
 using gdp::common::IoError;
+using gdp::common::LeWriter;
 using gdp::common::SnapshotFormatError;
+using Reader = gdp::common::LeReader<SnapshotFormatError>;
 using gdp::graph::EdgeCount;
 using gdp::graph::NodeIndex;
 
@@ -29,9 +34,16 @@ namespace {
 
 constexpr char kMagic[10] = {'G', 'D', 'P', 'S', 'N', 'A', 'P', '0', '1', '\0'};
 constexpr std::uint16_t kHeaderVersion = 1;
-// Written natively; a reader on the other endianness sees the bytes
-// reversed and rejects the file instead of mis-typing every column.
+// The one host-order field of the header, which is otherwise little-endian:
+// the columns are host-order, so a reader on the other endianness sees the
+// sentinel's bytes reversed and rejects the file instead of mis-typing
+// every column.
 constexpr std::uint32_t kByteOrderSentinel = 0x0A0B0C0Du;
+constexpr auto kSentinelBytes =
+    std::bit_cast<std::array<char, sizeof(kByteOrderSentinel)>>(
+        kByteOrderSentinel);
+constexpr std::string_view kSentinel(kSentinelBytes.data(),
+                                     kSentinelBytes.size());
 constexpr std::size_t kHeaderSize = 48;
 constexpr std::size_t kSectionEntrySize = 32;
 constexpr std::size_t kPayloadAlignment = 64;
@@ -63,80 +75,6 @@ enum SectionId : std::uint32_t {
   return id >= kGraphMeta && id <= kFingerprint;
 }
 
-// --- little-endian primitives (same conventions as the WAL) ---------------
-
-void PutU16(std::vector<std::byte>& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutF64(std::vector<std::byte>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-// Bounds-checked little-endian cursor over untrusted bytes.
-struct ByteReader {
-  std::span<const std::byte> data;
-  std::size_t pos{0};
-  const char* origin;
-
-  void Need(std::size_t n) const {
-    if (pos + n > data.size()) {
-      throw SnapshotFormatError(std::string(origin) +
-                                ": payload truncated mid-field");
-    }
-  }
-  std::uint16_t U16() {
-    Need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<std::uint16_t>(
-          v | static_cast<std::uint16_t>(std::to_integer<unsigned>(data[pos++]))
-                  << (8 * i));
-    }
-    return v;
-  }
-  std::uint32_t U32() {
-    Need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(std::to_integer<unsigned>(data[pos++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t U64() {
-    Need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(std::to_integer<unsigned>(data[pos++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  double F64() {
-    const std::uint64_t bits = U64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-};
-
 [[nodiscard]] std::string_view AsStringView(std::span<const std::byte> bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};  // NOLINT
 }
@@ -144,6 +82,10 @@ struct ByteReader {
 template <typename T>
 [[nodiscard]] std::span<const std::byte> AsBytes(std::span<const T> values) {
   return std::as_bytes(values);
+}
+
+[[nodiscard]] std::span<const std::byte> AsBytes(std::string_view s) {
+  return std::as_bytes(std::span<const char>(s.data(), s.size()));
 }
 
 // One section the writer will emit: id + the byte chunks that concatenate
@@ -229,14 +171,18 @@ void ValidateContents(const SnapshotContents& contents) {
 }
 
 // Everything the two writers need: the section list (chunks point into the
-// caller's columns and into the backing stores below — vectors, so moving
-// the image keeps the spans valid), the laid-out offsets, and the finished
+// caller's columns and into the backing stores below, so the image is built
+// in place and never moved), the laid-out offsets, and the finished
 // header + table bytes.
 struct SnapshotImage {
+  SnapshotImage() = default;
+  SnapshotImage(const SnapshotImage&) = delete;
+  SnapshotImage& operator=(const SnapshotImage&) = delete;
+
   // Backing stores for the small metadata payloads referenced as chunks.
-  std::vector<std::byte> graph_meta;
-  std::vector<std::byte> hier_meta;
-  std::vector<std::byte> plan_meta;
+  LeWriter graph_meta;
+  LeWriter hier_meta;
+  LeWriter plan_meta;
   std::vector<std::vector<std::uint8_t>> level_sides;
   std::vector<std::vector<std::uint32_t>> level_sizes;
   std::vector<std::vector<std::uint32_t>> level_parents;
@@ -244,26 +190,25 @@ struct SnapshotImage {
   std::vector<PendingSection> sections;
   std::vector<std::uint64_t> offsets;  // payload offset per section
   std::size_t file_size{0};
-  std::vector<std::byte> header;
-  std::vector<std::byte> table;
+  LeWriter header;
+  LeWriter table;
 };
 
-// Validate + lay out a snapshot without materialising the payload bytes.
-// Both writers share this; only the final "move the bytes" step differs
-// (memcpy into one buffer vs streaming write(2) calls).
-SnapshotImage BuildSnapshotImage(const SnapshotContents& contents) {
+// Validate + lay out a snapshot into `image` without materialising the
+// payload bytes.  Both writers share this; only the final "move the bytes"
+// step differs (memcpy into one buffer vs streaming write(2) calls).
+void BuildSnapshotImage(const SnapshotContents& contents,
+                        SnapshotImage& image) {
   ValidateContents(contents);
   const auto& graph = *contents.graph;
   using gdp::graph::Side;
 
-  SnapshotImage image;
-  PutU32(image.graph_meta, graph.num_left());
-  PutU32(image.graph_meta, graph.num_right());
-  PutU64(image.graph_meta, graph.num_edges());
+  image.graph_meta.U32(graph.num_left());
+  image.graph_meta.U32(graph.num_right());
+  image.graph_meta.U64(graph.num_edges());
 
   std::vector<PendingSection>& sections = image.sections;
-  sections.push_back(
-      {kGraphMeta, {std::span<const std::byte>(image.graph_meta)}});
+  sections.push_back({kGraphMeta, {AsBytes(image.graph_meta.view())}});
   sections.push_back({kLeftOffsets, {AsBytes(graph.offsets(Side::kLeft))}});
   sections.push_back({kLeftAdjacency, {AsBytes(graph.adjacency(Side::kLeft))}});
   sections.push_back({kRightOffsets, {AsBytes(graph.offsets(Side::kRight))}});
@@ -273,9 +218,9 @@ SnapshotImage BuildSnapshotImage(const SnapshotContents& contents) {
   if (contents.hierarchy != nullptr) {
     const auto& h = *contents.hierarchy;
     const int num_levels = h.num_levels();
-    PutU32(image.hier_meta, static_cast<std::uint32_t>(num_levels));
+    image.hier_meta.U32(static_cast<std::uint32_t>(num_levels));
     for (int l = 0; l < num_levels; ++l) {
-      PutU32(image.hier_meta, h.level(l).num_groups());
+      image.hier_meta.U32(h.level(l).num_groups());
     }
     PendingSection labels{kHierLabels, {}};
     PendingSection sides{kGroupSides, {}};
@@ -304,8 +249,7 @@ SnapshotImage BuildSnapshotImage(const SnapshotContents& contents) {
       sizes.chunks.push_back(AsBytes(std::span<const std::uint32_t>(sz)));
       parents.chunks.push_back(AsBytes(std::span<const std::uint32_t>(pr)));
     }
-    sections.push_back(
-        {kHierMeta, {std::span<const std::byte>(image.hier_meta)}});
+    sections.push_back({kHierMeta, {AsBytes(image.hier_meta.view())}});
     sections.push_back(std::move(labels));
     sections.push_back(std::move(sides));
     sections.push_back(std::move(sizes));
@@ -314,19 +258,15 @@ SnapshotImage BuildSnapshotImage(const SnapshotContents& contents) {
 
   if (contents.plan != nullptr) {
     const auto& plan = *contents.plan;
-    PutU32(image.plan_meta, static_cast<std::uint32_t>(plan.num_levels()));
-    PutU32(image.plan_meta, 0);  // reserved
-    PutU64(image.plan_meta, plan.num_edges());
-    PutF64(image.plan_meta, contents.phase1_epsilon_spent);
-    sections.push_back(
-        {kPlanMeta, {std::span<const std::byte>(image.plan_meta)}});
+    image.plan_meta.U32(static_cast<std::uint32_t>(plan.num_levels()));
+    image.plan_meta.U32(0);  // reserved
+    image.plan_meta.U64(plan.num_edges());
+    image.plan_meta.F64(contents.phase1_epsilon_spent);
+    sections.push_back({kPlanMeta, {AsBytes(image.plan_meta.view())}});
     sections.push_back({kPlanLevelOffsets, {AsBytes(plan.LevelOffsets())}});
     sections.push_back({kPlanSums, {AsBytes(plan.FlatSums())}});
     sections.push_back({kPlanMaxSums, {AsBytes(plan.LevelSensitivities())}});
-    sections.push_back(
-        {kFingerprint,
-         {std::as_bytes(std::span<const char>(contents.fingerprint.data(),
-                                              contents.fingerprint.size()))}});
+    sections.push_back({kFingerprint, {AsBytes(contents.fingerprint)}});
   }
 
   // Layout: header, table, then 64-byte-aligned payloads in table order.
@@ -341,43 +281,41 @@ SnapshotImage BuildSnapshotImage(const SnapshotContents& contents) {
   image.file_size = cursor;
 
   // Section table.
-  std::vector<std::byte>& table = image.table;
-  table.reserve(table_size);
+  LeWriter& table = image.table;
+  table.Reserve(table_size);
   for (std::size_t i = 0; i < sections.size(); ++i) {
-    PutU32(table, sections[i].id);
-    PutU32(table, 0);  // reserved
-    PutU64(table, image.offsets[i]);
-    PutU64(table, sections[i].length());
-    PutU32(table, sections[i].crc());
-    PutU32(table, 0);  // reserved
+    table.U32(sections[i].id);
+    table.U32(0);  // reserved
+    table.U64(image.offsets[i]);
+    table.U64(sections[i].length());
+    table.U32(sections[i].crc());
+    table.U32(0);  // reserved
   }
 
   // Header.
-  std::vector<std::byte>& header = image.header;
-  header.reserve(kHeaderSize);
-  for (const char c : kMagic) {
-    header.push_back(static_cast<std::byte>(c));
-  }
-  PutU16(header, kHeaderVersion);
-  PutU32(header, kByteOrderSentinel);
-  PutU32(header, static_cast<std::uint32_t>(sections.size()));
-  PutU32(header, 0);  // reserved
-  PutU64(header, image.file_size);
-  PutU32(header, Crc32(AsStringView(std::span<const std::byte>(table))));
-  PutU32(header, Crc32(AsStringView(std::span<const std::byte>(header))));
-  header.resize(kHeaderSize, std::byte{0});
-
-  return image;
+  LeWriter& header = image.header;
+  header.Reserve(kHeaderSize);
+  header.Bytes({kMagic, sizeof(kMagic)});
+  header.U16(kHeaderVersion);
+  header.Bytes(kSentinel);
+  header.U32(static_cast<std::uint32_t>(sections.size()));
+  header.U32(0);  // reserved
+  header.U64(image.file_size);
+  header.U32(Crc32(table.view()));
+  header.U32(Crc32(header.view()));
+  header.U64(0);  // padding to kHeaderSize
 }
 
 }  // namespace
 
 std::vector<std::byte> SerializeSnapshot(const SnapshotContents& contents) {
-  const SnapshotImage image = BuildSnapshotImage(contents);
+  SnapshotImage image;
+  BuildSnapshotImage(contents, image);
   std::vector<std::byte> out(image.file_size, std::byte{0});
-  std::memcpy(out.data(), image.header.data(), image.header.size());
-  std::memcpy(out.data() + kHeaderSize, image.table.data(),
-              image.table.size());
+  const std::string_view header = image.header.view();
+  const std::string_view table = image.table.view();
+  std::memcpy(out.data(), header.data(), header.size());
+  std::memcpy(out.data() + kHeaderSize, table.data(), table.size());
   for (std::size_t i = 0; i < image.sections.size(); ++i) {
     std::size_t pos = static_cast<std::size_t>(image.offsets[i]);
     for (const auto& chunk : image.sections[i].chunks) {
@@ -392,7 +330,8 @@ std::vector<std::byte> SerializeSnapshot(const SnapshotContents& contents) {
 
 void WriteSnapshotFile(const std::string& path,
                        const SnapshotContents& contents) {
-  const SnapshotImage image = BuildSnapshotImage(contents);
+  SnapshotImage image;
+  BuildSnapshotImage(contents, image);
   // Write-to-temp + fsync + rename: a crashed pack leaves either the old
   // snapshot or none, never a torn one (the CRCs would catch a torn file,
   // but an operator script should not have to handle that case at all).
@@ -413,10 +352,11 @@ void WriteSnapshotFile(const std::string& path,
     return IoError("WriteSnapshotFile: " + stage + " '" + tmp +
                    "' failed: " + err);
   };
-  const auto write_all = [&](const std::byte* data, std::size_t size) {
+  const auto write_all = [&](std::span<const std::byte> bytes) {
     std::size_t written = 0;
-    while (written < size) {
-      const ssize_t n = ::write(fd, data + written, size - written);
+    while (written < bytes.size()) {
+      const ssize_t n =
+          ::write(fd, bytes.data() + written, bytes.size() - written);
       if (n < 0) {
         if (errno == EINTR) {
           continue;
@@ -429,15 +369,15 @@ void WriteSnapshotFile(const std::string& path,
     }
   };
   static constexpr std::byte kPadding[kPayloadAlignment] = {};
-  write_all(image.header.data(), image.header.size());
-  write_all(image.table.data(), image.table.size());
-  std::size_t cursor = kHeaderSize + image.table.size();
+  write_all(AsBytes(image.header.view()));
+  write_all(AsBytes(image.table.view()));
+  std::size_t cursor = kHeaderSize + image.table.view().size();
   for (std::size_t i = 0; i < image.sections.size(); ++i) {
     const auto offset = static_cast<std::size_t>(image.offsets[i]);
-    write_all(kPadding, offset - cursor);
+    write_all({kPadding, offset - cursor});
     cursor = offset;
     for (const auto& chunk : image.sections[i].chunks) {
-      write_all(chunk.data(), chunk.size());
+      write_all(chunk);
       cursor += chunk.size();
     }
   }
@@ -517,16 +457,19 @@ std::shared_ptr<const Snapshot> Snapshot::Parse(
     Bad(origin, "bad magic (not a GDPSNAP01 snapshot, or an unsupported "
                 "major version)");
   }
-  ByteReader header{bytes.first(kHeaderSize), sizeof(kMagic), origin.c_str()};
+  const std::string where = "Snapshot '" + origin + "'";
+  Reader header(AsStringView(bytes.first(kHeaderSize)), where);
+  (void)header.Bytes(sizeof(kMagic), "magic");
   const std::uint16_t version = header.U16();
-  const std::uint32_t byte_order = header.U32();
+  const std::string_view byte_order =
+      header.Bytes(kSentinel.size(), "byte-order sentinel");
   const std::uint32_t section_count = header.U32();
   (void)header.U32();  // reserved
   const std::uint64_t declared_size = header.U64();
   const std::uint32_t table_crc = header.U32();
-  const std::size_t header_crc_pos = header.pos;
+  const std::size_t header_crc_pos = header.pos();
   const std::uint32_t header_crc = header.U32();
-  if (byte_order != kByteOrderSentinel) {
+  if (byte_order != kSentinel) {
     Bad(origin,
         "endianness sentinel mismatch — snapshot was written on a host with "
         "different byte order");
@@ -559,7 +502,7 @@ std::shared_ptr<const Snapshot> Snapshot::Parse(
   // Decode + structurally validate the table before touching any payload.
   std::map<std::uint32_t, SectionRef> refs;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;  // offset,end
-  ByteReader entries{table, 0, origin.c_str()};
+  Reader entries(AsStringView(table), where);
   for (std::uint32_t i = 0; i < section_count; ++i) {
     const std::uint32_t id = entries.U32();
     (void)entries.U32();  // reserved
@@ -631,7 +574,7 @@ std::shared_ptr<const Snapshot> Snapshot::Parse(
   // --- graph ---------------------------------------------------------------
   {
     const SectionRef meta_ref = require(kGraphMeta, "graph meta");
-    ByteReader meta{payload(meta_ref), 0, origin.c_str()};
+    Reader meta(AsStringView(payload(meta_ref)), where);
     const std::uint32_t num_left = meta.U32();
     const std::uint32_t num_right = meta.U32();
     const std::uint64_t num_edges = meta.U64();
@@ -674,7 +617,7 @@ std::shared_ptr<const Snapshot> Snapshot::Parse(
                         refs.contains(kGroupParents);
   if (any_hier) {
     const SectionRef meta_ref = require(kHierMeta, "hierarchy meta");
-    ByteReader meta{payload(meta_ref), 0, origin.c_str()};
+    Reader meta(AsStringView(payload(meta_ref)), where);
     const std::uint32_t num_levels = meta.U32();
     if (num_levels < 2 || num_levels > kMaxHierLevels) {
       Bad(origin, "implausible hierarchy level count " +
@@ -738,7 +681,7 @@ std::shared_ptr<const Snapshot> Snapshot::Parse(
       Bad(origin, "an embedded plan requires its hierarchy sections");
     }
     const SectionRef meta_ref = require(kPlanMeta, "plan meta");
-    ByteReader meta{payload(meta_ref), 0, origin.c_str()};
+    Reader meta(AsStringView(payload(meta_ref)), where);
     const std::uint32_t num_levels = meta.U32();
     (void)meta.U32();  // reserved
     const std::uint64_t num_edges = meta.U64();

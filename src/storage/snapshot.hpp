@@ -13,7 +13,10 @@
 //     the Phase-1 ε actually spent, so SessionRegistry can adopt the
 //     artifact under its usual fingerprint discipline.
 //
-// File layout (all integers little-endian; docs/FORMATS.md is the spec):
+// File layout (docs/FORMATS.md is the spec).  Header, table and meta fields
+// are little-endian, written and read through common/le_codec.hpp; the
+// columns are host-order memcpy'd on write and mapped zero-copy on load,
+// behind a host-order byte-order sentinel in the header:
 //
 //   [header 48 B] [section table: 32 B per section] [payloads, 64 B aligned]
 //

@@ -1,21 +1,27 @@
-// AuditWal unit coverage: record codec, frame/CRC replay with torn-tail
-// repair, seq/epoch assignment across reopens, fault injection through
+// AuditWal unit coverage: record codec, the golden GDPWAL01 bytes
+// (tests/data/golden_wal.hex), frame/CRC replay with torn-tail repair,
+// seq/epoch assignment across reopens, fault injection through
 // FaultyStorage (transient retry, permanent fail-closed, short writes,
-// simulated crashes), and the POSIX FileStorage round trip.
+// simulated crashes), the POSIX FileStorage round trip, and seeded mutants
+// of the golden log through tests/mutation_driver.hpp.
 #include "serve/audit_wal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/le_codec.hpp"
 #include "common/retry.hpp"
 #include "dp/privacy_accountant.hpp"
+#include "mutation_driver.hpp"
+#include "wal_fixture.hpp"
 
 namespace gdp::serve {
 namespace {
@@ -32,16 +38,7 @@ WalRecord SampleCharge(const std::string& tenant = "alice") {
 
 // Frame a payload the way the WAL does: [u32 len][u32 crc][payload], LE.
 std::string Frame(const std::string& payload) {
-  std::string frame;
-  auto put_u32 = [&frame](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      frame.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  };
-  put_u32(static_cast<std::uint32_t>(payload.size()));
-  put_u32(gdp::common::Crc32(payload));
-  frame.append(payload);
-  return frame;
+  return gdp::common::SealFrame(payload);
 }
 
 constexpr std::string_view kMagic = "GDPWAL01";
@@ -94,6 +91,55 @@ TEST(WalRecordCodecTest, UndecodablePayloadThrowsIoError) {
   const std::string good = EncodeWalRecord(SampleCharge());
   EXPECT_THROW((void)DecodeWalRecord(good.substr(0, good.size() / 2)),
                gdp::common::IoError);
+}
+
+// tests/data/golden_wal.hex: wal_fixture's log, the magic and then one
+// frame a hex line.
+std::vector<std::string> GoldenWalChunks() {
+  std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_wal.hex");
+  EXPECT_TRUE(in.good()) << "missing tests/data/golden_wal.hex";
+  std::vector<std::string> chunks;
+  for (std::string line; std::getline(in, line);) {
+    std::string bytes;
+    for (std::size_t i = 0; i + 1 < line.size(); i += 2) {
+      bytes.push_back(
+          static_cast<char>(std::stoi(line.substr(i, 2), nullptr, 16)));
+    }
+    chunks.push_back(std::move(bytes));
+  }
+  return chunks;
+}
+
+// Appending the fixture's records writes the golden bytes, and every record
+// Replay reads back from them re-encodes to its frame's payload.
+TEST(WalGoldenTest, AppendedRecordsMatchTheGoldenBytes) {
+  const std::vector<std::string> golden = GoldenWalChunks();
+  const std::vector<WalRecord> records = wal_fixture::GoldenRecords();
+  ASSERT_EQ(golden.size(), records.size() + 1);
+  EXPECT_EQ(golden[0], kMagic);
+  const std::vector<std::string> fresh = wal_fixture::GoldenChunks();
+  ASSERT_EQ(fresh.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_TRUE(fresh[i] == golden[i]) << "chunk " << i << " differs";
+  }
+
+  std::string image;
+  for (const std::string& chunk : golden) {
+    image += chunk;
+  }
+  const WalReplayResult replay = AuditWal::Replay(image);
+  ASSERT_EQ(replay.records.size(), records.size());
+  EXPECT_EQ(replay.valid_bytes, image.size());
+  EXPECT_EQ(replay.truncated_bytes, 0u);
+  EXPECT_FALSE(replay.sequence_gap);
+  EXPECT_EQ(replay.next_seq, records.size());
+  EXPECT_EQ(replay.next_epoch, 2u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string payload = golden[i + 1].substr(8);
+    EXPECT_TRUE(EncodeWalRecord(records[i]) == payload) << "record " << i;
+    EXPECT_TRUE(EncodeWalRecord(replay.records[i]) == payload)
+        << "record " << i << " does not re-encode to its frame's payload";
+  }
 }
 
 // ---------- replay ----------
@@ -214,6 +260,34 @@ TEST(AuditWalTest, ReopenContinuesSeqAndBumpsEpoch) {
   ASSERT_EQ(replay.records.size(), 3u);
   EXPECT_EQ(replay.records[2].epoch, 1u);
   EXPECT_FALSE(replay.sequence_gap);
+}
+
+// A crash after the file grew but before its data landed can leave zeros: a
+// zero header declares an empty payload whose CRC, 0, matches.  The writer
+// never frames an empty payload, so that is a torn tail, not a record.
+TEST(AuditWalTest, ZeroFilledTailIsATornTailRepairedOnOpen) {
+  std::string log;
+  {
+    AuditWal wal(std::make_unique<MemoryStorage>());
+    (void)wal.Append(SampleCharge("alice"));
+    log = wal.storage().ReadAll();
+  }
+  for (const std::size_t zeros : {std::size_t{8}, std::size_t{4096}}) {
+    const std::string bytes = log + std::string(zeros, '\0');
+    const WalReplayResult replay = AuditWal::Replay(bytes);
+    ASSERT_EQ(replay.records.size(), 1u) << zeros << " zero bytes";
+    EXPECT_EQ(replay.valid_bytes, log.size());
+    EXPECT_EQ(replay.truncated_bytes, zeros);
+
+    AuditWal reopened(std::make_unique<MemoryStorage>(bytes));
+    EXPECT_EQ(reopened.storage().size(), log.size());
+    EXPECT_EQ(reopened.Append(SampleCharge("bob")), 1u);
+    const WalReplayResult after =
+        AuditWal::Replay(reopened.storage().ReadAll());
+    ASSERT_EQ(after.records.size(), 2u);
+    EXPECT_FALSE(after.torn_tail());
+    EXPECT_FALSE(after.sequence_gap);
+  }
 }
 
 TEST(AuditWalTest, OpenTruncatesTornTailSoItNeverResurfaces) {
@@ -382,6 +456,106 @@ TEST(FileStorageTest, TruncateDiscardsSuffix) {
   storage.Append("xy");
   EXPECT_EQ(storage.ReadAll(), "0123xy");
   std::remove(path.c_str());
+}
+
+// ---------- seeded mutants ----------
+
+// Check one mutant image, placed flush against the guard page.  Replay must
+// throw IoError, or return records that each re-encode to their frame's
+// payload and account for every byte.  An AuditWal adopting the image must
+// throw IoError, or leave a log that one more Append keeps whole.
+bool SurvivesWalMutant(std::string_view image, const std::string& what) {
+  try {
+    try {
+      const WalReplayResult replay = AuditWal::Replay(image);
+      if (replay.valid_bytes + replay.truncated_bytes != image.size()) {
+        ADD_FAILURE() << what << ": replay does not account for every byte";
+        return false;
+      }
+      std::size_t frame = kMagic.size();
+      for (std::size_t i = 0; i < replay.records.size(); ++i) {
+        const std::size_t end = replay.record_end_offsets[i];
+        const std::string_view payload = image.substr(
+            frame + gdp::common::kFrameHeaderSize,
+            end - frame - gdp::common::kFrameHeaderSize);
+        if (EncodeWalRecord(replay.records[i]) != payload) {
+          ADD_FAILURE() << what << ": record " << i
+                        << " does not re-encode to its frame's payload";
+          return false;
+        }
+        frame = end;
+      }
+    } catch (const gdp::common::IoError&) {
+    }
+    try {
+      AuditWal wal(std::make_unique<MemoryStorage>(std::string(image)));
+      (void)wal.Append(SampleCharge("after"));
+      if (AuditWal::Replay(wal.storage().ReadAll()).truncated_bytes != 0) {
+        ADD_FAILURE() << what << ": the log is torn after one Append";
+        return false;
+      }
+    } catch (const gdp::common::IoError&) {
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw a non-IoError exception: " << e.what();
+    return false;
+  }
+  return true;
+}
+
+// Recompute the CRC of every frame Replay would walk to, in place.
+void ResealFrames(std::string& image) {
+  std::size_t pos = kMagic.size();
+  while (pos + gdp::common::kFrameHeaderSize <= image.size()) {
+    const std::uint32_t len = mutation_driver::U32At(image, pos);
+    const std::size_t body = pos + gdp::common::kFrameHeaderSize;
+    if (len > image.size() - body) {
+      return;
+    }
+    mutation_driver::SetU32At(
+        image, pos + 4,
+        gdp::common::Crc32(std::string_view(image).substr(body, len)));
+    pos = body + len;
+  }
+}
+
+// Seeded mutants of the golden log: every frame length and record string
+// length set to 0, 1, the exact fit, one past it and 0xFFFFFFFF, then bit
+// flips, splices, truncations and field rewrites.  Seven in eight get their
+// frame CRCs re-sealed, so they reach the record decoder.
+TEST(WalMutationTest, ReplaySurvivesSeededMutantsOfTheGoldenLog) {
+  std::string image;
+  for (const std::string& chunk : GoldenWalChunks()) {
+    image += chunk;
+  }
+  mutation_driver::Corpus corpus;
+  corpus.entries.push_back(image);
+  corpus.fields.emplace_back();
+  const WalReplayResult golden = AuditWal::Replay(image);
+  ASSERT_EQ(golden.records.size(), wal_fixture::GoldenRecords().size());
+  std::size_t frame = kMagic.size();
+  for (const std::uint64_t end : golden.record_end_offsets) {
+    const std::size_t body = frame + gdp::common::kFrameHeaderSize;
+    corpus.fields.back().push_back(
+        {frame, static_cast<std::uint32_t>(end - body)});
+    // The record layout, in EncodeWalRecord's order.
+    ASSERT_EQ(mutation_driver::Walk(image, "184sss88118884488s", body, end,
+                                    corpus.fields.back()),
+              end);
+    frame = end;
+  }
+
+  mutation_driver::GuardedBuffer guard;
+  constexpr std::size_t kRandomMutants = 24'000;
+  const std::size_t mutants = mutation_driver::Run(
+      corpus, 0x3a1, kRandomMutants, [&](const mutation_driver::Mutant& m) {
+        std::string bytes = m.bytes;
+        if (!m.stale_crc) {
+          ResealFrames(bytes);
+        }
+        return SurvivesWalMutant(guard.Place(bytes), m.what);
+      });
+  EXPECT_GE(mutants, 20'000u);
 }
 
 }  // namespace

@@ -718,6 +718,35 @@ TEST_F(CliWalTest, AuditFlagsTornTailUnlessTolerated) {
   EXPECT_NE(out.str().find("audit OK"), std::string::npos) << out.str();
 }
 
+// Zeros past the last frame (a crash after the file grew, before its data
+// landed) are a torn tail too, not an undecodable record.
+TEST_F(CliWalTest, AuditFlagsZeroFilledTailUnlessTolerated) {
+  {
+    std::ofstream tenants(tenants_path_);
+    tenants << "alice 20.0 0.4 0\n";
+    std::ofstream requests(requests_path_);
+    requests << "alice 0.9\n";
+  }
+  std::ostringstream out;
+  ASSERT_EQ(Dispatch({"serve", "--graph", graph_path_, "--tenants",
+                      tenants_path_, "--requests", requests_path_, "--depth",
+                      "5", "--seed", "11", "--wal", wal_path_},
+                     out),
+            0);
+  {
+    std::ofstream append(wal_path_, std::ios::binary | std::ios::app);
+    const std::string zeros(16, '\0');
+    append.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  out.str("");
+  EXPECT_EQ(Dispatch({"audit", "--verify", wal_path_}, out), 1);
+  EXPECT_NE(out.str().find("16-byte torn"), std::string::npos) << out.str();
+  out.str("");
+  EXPECT_EQ(
+      Dispatch({"audit", "--verify", wal_path_, "--tolerate-tail"}, out), 0);
+  EXPECT_NE(out.str().find("audit OK"), std::string::npos) << out.str();
+}
+
 TEST_F(CliWalTest, ServeWithWalReleasesIdenticalValuesToWalless) {
   {
     std::ofstream tenants(tenants_path_);

@@ -6,12 +6,10 @@
 // an attacker-declared count.  Mirrors the snapshot hostile-header suite;
 // net_server_test replays the same attacks over a real socket, and
 // NetMutationTest feeds the decoders 100k+ seeded mutants of the golden
-// frames.
+// frames through tests/mutation_driver.hpp.
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <bit>
 #include <cstring>
@@ -27,6 +25,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "mutation_driver.hpp"
 #include "wire_fixture.hpp"
 
 namespace gdp::net::wire {
@@ -736,16 +735,7 @@ TEST(NetWireTest, ReplySizeFunctionsAreTheEncodedReplySizes) {
 
 // ---------- seeded mutants ----------
 
-// A u32 length or count field of a payload: where it sits, and the fewest
-// bytes one counted element takes.
-struct LengthField {
-  std::size_t offset{0};
-  std::size_t elem_size{0};
-};
-
-// Message layouts after the kind byte, one character per field: '1', '4'
-// and '8' are fixed widths, 's' a u32-prefixed string, 'v' a u32-counted
-// f64 column, and "(...)" a u32-counted group (groups do not nest).
+// Message layouts after the kind byte, in mutation_driver's layout notation.
 // StatsResponse holds no length field, so its layout is left empty.
 std::string Layout(MsgKind kind) {
   const std::string budget = "8881";
@@ -778,109 +768,12 @@ std::string Layout(MsgKind kind) {
   return "";
 }
 
-std::size_t MinBytes(std::string_view layout) {
-  std::size_t bytes = 0;
-  for (const char c : layout) {
-    bytes += c == '1' ? 1 : c == '8' ? 8 : c == ')' ? 0 : 4;
-  }
-  return bytes;
-}
-
-std::uint32_t U32At(std::string_view bytes, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-void SetU32At(std::string& bytes, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-// Walk a well-formed payload along `layout` from `pos`, collecting its
-// length and count fields; returns the position after the layout.
-std::size_t Walk(std::string_view payload, std::string_view layout,
-                 std::size_t pos, std::vector<LengthField>& fields) {
-  for (std::size_t i = 0; i < layout.size(); ++i) {
-    const char c = layout[i];
-    if (c == '1' || c == '4' || c == '8') {
-      pos += static_cast<std::size_t>(c - '0');
-      continue;
-    }
-    const std::uint32_t n = U32At(payload, pos);
-    if (c == 's' || c == 'v') {
-      const std::size_t elem = c == 's' ? 1 : 8;
-      fields.push_back({pos, elem});
-      pos += 4 + elem * n;
-      continue;
-    }
-    const std::size_t close = layout.find(')', i);
-    const std::string_view group = layout.substr(i + 1, close - i - 1);
-    fields.push_back({pos, MinBytes(group)});
-    pos += 4;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      pos = Walk(payload, group, pos, fields);
-    }
-    i = close;
-  }
-  return pos;
-}
-
-// Holds each payload under test flush against a PROT_NONE page, so a
-// decoder that reads even one byte past the payload faults in every build,
-// not only under ASan.
-class GuardedBuffer {
- public:
-  static constexpr std::size_t kCapacity = 64 * 1024;
-
-  GuardedBuffer() {
-    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    data_bytes_ = (kCapacity + page - 1) / page * page;
-    map_bytes_ = data_bytes_ + page;
-    void* map = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (map == MAP_FAILED || ::mprotect(static_cast<char*>(map) + data_bytes_,
-                                        page, PROT_NONE) != 0) {
-      throw std::runtime_error("GuardedBuffer: mmap/mprotect failed");
-    }
-    base_ = static_cast<char*>(map);
-  }
-  ~GuardedBuffer() { ::munmap(base_, map_bytes_); }
-  GuardedBuffer(const GuardedBuffer&) = delete;
-  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
-
-  [[nodiscard]] std::string_view Place(std::string_view bytes) {
-    if (bytes.size() > kCapacity) {
-      throw std::length_error("GuardedBuffer: payload past capacity");
-    }
-    char* at = base_ + data_bytes_ - bytes.size();
-    std::memcpy(at, bytes.data(), bytes.size());
-    return {at, bytes.size()};
-  }
-
- private:
-  char* base_{nullptr};
-  std::size_t data_bytes_{0};
-  std::size_t map_bytes_{0};
-};
-
-std::string FrameWithCrc(std::string_view payload, std::uint32_t crc) {
-  std::string frame(kFrameHeaderSize, '\0');
-  SetU32At(frame, 0, static_cast<std::uint32_t>(payload.size()));
-  SetU32At(frame, 4, crc);
-  frame.append(payload);
-  return frame;
-}
-
 // Run one mutant frame through TryDeframe, PeekKind and the matching
 // decoder.  Passing means the frame is incomplete, is refused with
 // NetProtocolError, or decodes to a message that re-encodes to the same
 // payload; anything else is recorded as a failure naming the mutant.
-bool SurvivesMutant(const std::string& frame, GuardedBuffer& guard,
+bool SurvivesMutant(const std::string& frame,
+                    mutation_driver::GuardedBuffer& guard,
                     const std::string& what) {
   try {
     std::string buffer = frame;
@@ -902,92 +795,50 @@ bool SurvivesMutant(const std::string& frame, GuardedBuffer& guard,
   return true;
 }
 
-// Seeded mutants of the golden frames: every u32 length or count field set
-// to 0, 1, the exact fit, one past it and 0xFFFFFFFF (the frame's length
-// field too), then a fixed budget of random bit flips, byte splices between
+// Seeded mutants of the golden frames: the frame's length field and every
+// u32 length or count field set to 0, 1, the exact fit, one past it and
+// 0xFFFFFFFF, then a fixed budget of random bit flips, byte splices between
 // corpus entries, truncations and field rewrites.  Most mutants get a fresh
 // CRC so they reach the body decoders; one in eight keeps the stale one.
 TEST(NetMutationTest, DecodersSurviveSeededMutantsOfTheGoldenFrames) {
-  std::vector<std::string> corpus;
-  std::vector<std::vector<LengthField>> fields;
+  mutation_driver::Corpus corpus;
   for (const auto& [name, payload] : GoldenWire()) {
-    corpus.push_back(payload);
-    fields.emplace_back();
-    const std::size_t end =
-        Walk(payload, Layout(PeekKind(payload)), 1, fields.back());
-    if (!Layout(PeekKind(payload)).empty()) {
+    corpus.entries.push_back(payload);
+    corpus.fields.emplace_back();
+    const std::string layout = Layout(PeekKind(payload));
+    const std::size_t end = mutation_driver::Walk(
+        payload, layout, 1, payload.size(), corpus.fields.back());
+    if (!layout.empty()) {
       ASSERT_EQ(end, payload.size()) << name << "'s layout does not cover it";
     }
   }
-  ASSERT_EQ(corpus.size(), 12u);
-  GuardedBuffer guard;
+  ASSERT_EQ(corpus.entries.size(), 12u);
+  mutation_driver::GuardedBuffer guard;
   std::size_t mutants = 0;
 
-  const auto rewrite_values = [](std::size_t exact) {
-    const auto fit = static_cast<std::uint32_t>(exact);
-    return std::vector<std::uint32_t>{0, 1, fit, fit + 1, 0xFFFFFFFFu};
-  };
-  for (std::size_t c = 0; c < corpus.size(); ++c) {
-    const std::string& payload = corpus[c];
-    for (const std::uint32_t v : rewrite_values(payload.size())) {
+  for (std::size_t c = 0; c < corpus.entries.size(); ++c) {
+    const std::string& payload = corpus.entries[c];
+    for (const std::uint32_t v : mutation_driver::RewriteValues(
+             static_cast<std::uint32_t>(payload.size()))) {
       std::string frame = Frame(payload);
-      SetU32At(frame, 0, v);
+      mutation_driver::SetU32At(frame, 0, v);
       ++mutants;
       ASSERT_TRUE(SurvivesMutant(frame, guard,
                                  "frame length " + std::to_string(v) +
                                      " on corpus " + std::to_string(c)));
     }
-    for (const LengthField& f : fields[c]) {
-      const std::size_t exact = (payload.size() - f.offset - 4) / f.elem_size;
-      for (const std::uint32_t v : rewrite_values(exact)) {
-        std::string mutant = payload;
-        SetU32At(mutant, f.offset, v);
-        ++mutants;
-        ASSERT_TRUE(SurvivesMutant(
-            Frame(mutant), guard,
-            "field at " + std::to_string(f.offset) + " = " + std::to_string(v) +
-                " on corpus " + std::to_string(c)));
-      }
-    }
   }
-
   constexpr std::size_t kRandomMutants = 120'000;
-  gdp::common::Rng rng(0x5eed);
-  for (std::size_t m = 0; m < kRandomMutants; ++m) {
-    const std::size_t c = rng.UniformInt(corpus.size());
-    const std::string& base = corpus[c];
-    std::string mutant = base;
-    const std::uint64_t op = rng.UniformInt(4);
-    if (op == 0) {
-      const std::uint64_t flips = 1 + rng.UniformInt(8);
-      for (std::uint64_t f = 0; f < flips; ++f) {
-        mutant[rng.UniformInt(mutant.size())] ^=
-            static_cast<char>(1u << rng.UniformInt(8));
-      }
-    } else if (op == 1) {
-      const std::string& other = corpus[rng.UniformInt(corpus.size())];
-      mutant = base.substr(0, rng.UniformInt(base.size() + 1)) +
-               other.substr(rng.UniformInt(other.size() + 1));
-    } else if (op == 2) {
-      mutant.resize(rng.UniformInt(base.size()));
-    } else if (!fields[c].empty()) {
-      const LengthField& f = fields[c][rng.UniformInt(fields[c].size())];
-      const std::size_t exact = (base.size() - f.offset - 4) / f.elem_size;
-      SetU32At(mutant, f.offset,
-               rewrite_values(exact)[rng.UniformInt(5)]);
-    } else {
-      mutant[rng.UniformInt(mutant.size())] =
-          static_cast<char>(rng.UniformInt(256));
-    }
-    const bool stale_crc = rng.UniformInt(8) == 0;
-    const std::string frame = FrameWithCrc(
-        mutant, gdp::common::Crc32(stale_crc ? base : mutant));
-    ++mutants;
-    ASSERT_TRUE(SurvivesMutant(frame, guard,
-                               "random mutant " + std::to_string(m) +
-                                   " (op " + std::to_string(op) +
-                                   ") of corpus " + std::to_string(c)));
-  }
+  mutants += mutation_driver::Run(
+      corpus, 0x5eed, kRandomMutants,
+      [&](const mutation_driver::Mutant& m) {
+        std::string frame = gdp::common::SealFrame(m.bytes);
+        if (m.stale_crc) {
+          mutation_driver::SetU32At(
+              frame, 4, gdp::common::Crc32(corpus.entries[m.base]));
+        }
+        return SurvivesMutant(frame, guard, m.what);
+      });
   EXPECT_GE(mutants, 100'000u);
 }
 

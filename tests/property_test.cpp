@@ -6,11 +6,9 @@
 #include <tuple>
 
 #include "common/rng.hpp"
-#include "core/group_sensitivity.hpp"
 #include "core/pipeline.hpp"
 #include "dp/gaussian.hpp"
 #include "graph/generators.hpp"
-#include "graph/projection.hpp"
 #include "hier/specialization.hpp"
 
 namespace gdp {
@@ -165,56 +163,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.arity) + "_" +
              core::NoiseKindName(info.param.noise);
     });
-
-// ---------- truncation cap grid ----------
-
-class TruncationProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(TruncationProperty, CapBoundsSensitivityAtSingletonLevel) {
-  const auto cap = static_cast<graph::EdgeCount>(GetParam());
-  Rng grng(999);
-  graph::DblpLikeParams p;
-  p.num_left = 400;
-  p.num_right = 400;
-  p.num_edges = 5000;
-  const graph::BipartiteGraph g = GenerateDblpLike(p, grng);
-  Rng rng(1001);
-  const auto projected = graph::TruncateDegreesBothSides(g, cap, rng);
-  // After projection, singleton-level sensitivity is at most the cap.
-  const auto singles = hier::Partition::Singletons(400, 400);
-  EXPECT_LE(core::CountSensitivity(projected.graph, singles), cap);
-}
-
-INSTANTIATE_TEST_SUITE_P(CapGrid, TruncationProperty,
-                         ::testing::Values(1, 2, 5, 10, 50));
-
-// ---------- DP degree-cap estimation ----------
-
-TEST(EstimateDegreeCapDpTest, CapCoversTypicalNodes) {
-  Rng grng(31);
-  graph::DblpLikeParams p;
-  p.num_left = 2000;
-  p.num_right = 2000;
-  p.num_edges = 20000;
-  const graph::BipartiteGraph g = GenerateDblpLike(p, grng);
-  Rng rng(37);
-  const auto cap =
-      core::EstimateDegreeCapDp(g, dp::Epsilon(1.0), 0.99, 1.5, rng);
-  EXPECT_GE(cap, 1u);
-  // With a 99th-pct cap, the projection should drop only a small fraction.
-  Rng prng(41);
-  const auto projected = graph::TruncateDegreesBothSides(g, cap, prng);
-  EXPECT_LT(static_cast<double>(projected.edges_dropped),
-            0.2 * static_cast<double>(g.num_edges()));
-}
-
-TEST(EstimateDegreeCapDpTest, RejectsBadHeadroom) {
-  const graph::BipartiteGraph g(2, 2, {{0, 0}});
-  Rng rng(1);
-  EXPECT_THROW(
-      (void)core::EstimateDegreeCapDp(g, dp::Epsilon(1.0), 0.99, 0.5, rng),
-      std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace gdp

@@ -3,11 +3,11 @@
 // 200-node graph from an explicit edge list, compiled at depth 4 (graph,
 // hierarchy, plan, fingerprint and Phase-1 spend).  The hierarchy columns
 // come from Phase 1, so the file pins the specializer's output as well as
-// the format.  The format is written native-endian behind a byte-order
-// sentinel, so the bytes are those of a little-endian host.  The file was
-// written by the member-vector Phase 1 that preceded the node-range build,
-// and no test rewrites it: changing the graph or the spec here means
-// regenerating it.
+// the format.  The columns and the byte-order sentinel are host order (the
+// header, table and meta fields are little-endian), so the bytes are those
+// of a little-endian host.  The file was written by the member-vector
+// Phase 1 that preceded the node-range build, and no test rewrites it:
+// changing the graph or the spec here means regenerating it.
 #pragma once
 
 #include <cstddef>

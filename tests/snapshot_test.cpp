@@ -11,6 +11,8 @@
 // overlapping sections, out-of-file extents, unknown ids, a wrong
 // byte-order sentinel, and a tampered max-sums column (which would
 // mis-calibrate noise) must all throw SnapshotFormatError — never load.
+// SnapshotMutationTest feeds Parse seeded mutants of the golden snapshot
+// through tests/mutation_driver.hpp.
 #include "storage/snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +34,7 @@
 #include "common/rng.hpp"
 #include "core/compiled_disclosure.hpp"
 #include "graph/generators.hpp"
+#include "mutation_driver.hpp"
 #include "serve/session_registry.hpp"
 #include "snapshot_fixture.hpp"
 
@@ -178,26 +181,32 @@ TEST(SnapshotTest, CompiledRoundTripPlanAndHierarchyBitIdentical) {
 }
 
 // tests/data/golden_snapshot.hex: the GDPSNAP01 bytes of snapshot_fixture's
-// compiled snapshot, 32 bytes a hex line.  Serializing the fresh compile must
-// reproduce them, and so must re-serializing what Parse reads back from them
-// (its graph, BuildHierarchy(), plan(), fingerprint and Phase-1 spend).
-TEST(SnapshotTest, CompiledSnapshotMatchesTheGoldenBytes) {
-  if constexpr (std::endian::native != std::endian::little) {
-    GTEST_SKIP() << "GDPSNAP01 is written native-endian; the golden bytes "
-                    "are a little-endian host's";
-  }
+// compiled snapshot, 32 bytes a hex line.
+std::vector<std::byte> GoldenSnapshotBytes() {
   std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_snapshot.hex");
-  ASSERT_TRUE(in.good()) << "missing tests/data/golden_snapshot.hex";
+  EXPECT_TRUE(in.good()) << "missing tests/data/golden_snapshot.hex";
   std::string hex;
   for (std::string line; std::getline(in, line);) {
     hex += line;
   }
-  ASSERT_EQ(hex.size() % 2, 0u);
+  EXPECT_EQ(hex.size() % 2, 0u);
   std::vector<std::byte> golden;
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
     golden.push_back(
         static_cast<std::byte>(std::stoul(hex.substr(i, 2), nullptr, 16)));
   }
+  return golden;
+}
+
+// Serializing the fresh compile must reproduce the golden bytes, and so must
+// re-serializing what Parse reads back from them (its graph,
+// BuildHierarchy(), plan(), fingerprint and Phase-1 spend).
+TEST(SnapshotTest, CompiledSnapshotMatchesTheGoldenBytes) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "GDPSNAP01 columns are host-order; the golden bytes are "
+                    "a little-endian host's";
+  }
+  const std::vector<std::byte> golden = GoldenSnapshotBytes();
 
   const std::vector<std::byte> fresh = snapshot_fixture::GoldenBytes();
   ASSERT_EQ(fresh.size(), golden.size());
@@ -443,6 +452,105 @@ TEST(SnapshotHostileTest, TamperedMaxSumsRejected) {
   WriteU32(bytes, entry + 24, gdp::common::Crc32(SvOf(bytes, offset, length)));
   SealFramingCrcs(bytes);
   ExpectRejected(std::move(bytes));
+}
+
+// ---------- seeded mutants ----------
+
+// Recompute a mutant's CRC layers in the order they nest: every section
+// whose table entry lies inside the file, then the table, then the header.
+void ResealSnapshot(std::string& b) {
+  if (b.size() < kHeaderSize) {
+    return;
+  }
+  const std::string_view view(b);
+  const std::uint32_t count = mutation_driver::U32At(b, 16);
+  const std::size_t table_size = std::size_t{count} * kEntrySize;
+  if (count <= 64 && kHeaderSize + table_size <= b.size()) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::size_t entry = kHeaderSize + i * kEntrySize;
+      const std::uint64_t offset = mutation_driver::U64At(b, entry + 8);
+      const std::uint64_t length = mutation_driver::U64At(b, entry + 16);
+      if (offset <= b.size() && length <= b.size() - offset) {
+        mutation_driver::SetU32At(
+            b, entry + 24,
+            gdp::common::Crc32(view.substr(static_cast<std::size_t>(offset),
+                                           static_cast<std::size_t>(length))));
+      }
+    }
+    mutation_driver::SetU32At(
+        b, 32, gdp::common::Crc32(view.substr(kHeaderSize, table_size)));
+  }
+  mutation_driver::SetU32At(b, 36, gdp::common::Crc32(view.substr(0, 36)));
+}
+
+// Parse one mutant, then materialise its hierarchy and plan where present.
+// Passing means SnapshotFormatError or a snapshot that loads; anything else
+// is recorded as a failure naming the mutant.
+bool SurvivesSnapshotMutant(const std::string& bytes, const std::string& what) {
+  try {
+    const auto* data = reinterpret_cast<const std::byte*>(bytes.data());
+    const auto snap = Snapshot::Parse(
+        Buffer::FromBytes(std::vector<std::byte>(data, data + bytes.size())));
+    if (snap->has_hierarchy()) {
+      (void)snap->BuildHierarchy();
+    }
+    if (snap->has_plan()) {
+      (void)snap->plan();
+    }
+  } catch (const SnapshotFormatError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw a non-format exception: " << e.what();
+    return false;
+  }
+  return true;
+}
+
+// Seeded mutants of the golden snapshot: the header's section count and
+// every count in the graph, hierarchy and plan meta sections set to 0, 1,
+// its value, one past it and 0xFFFFFFFF, then bit flips, splices,
+// truncations and count rewrites.  Seven in eight are re-sealed at all three
+// CRC layers, so they reach the structural checks.  Buffer::FromBytes copies
+// onto the heap, so over-reads are the sanitizer job's to catch.
+TEST(SnapshotMutationTest, ParseSurvivesSeededMutantsOfTheGoldenSnapshot) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the golden bytes are a little-endian host's";
+  }
+  const std::vector<std::byte> golden = GoldenSnapshotBytes();
+  const std::string image(reinterpret_cast<const char*>(golden.data()),
+                          golden.size());
+  mutation_driver::Corpus corpus;
+  corpus.entries.push_back(image);
+  std::vector<mutation_driver::LengthField>& fields =
+      corpus.fields.emplace_back();
+  const auto count_at = [&](std::size_t at) {
+    fields.push_back({at, mutation_driver::U32At(image, at)});
+  };
+  count_at(16);  // section count
+  for (const std::uint32_t id : {1u, 6u, 11u}) {  // graph, hierarchy, plan meta
+    const auto at = static_cast<std::size_t>(
+        mutation_driver::U64At(image, FindEntry(golden, id) + 8));
+    count_at(at);
+    if (id == 1) {
+      count_at(at + 4);  // num_right after num_left
+    }
+    if (id == 6) {  // num_levels, then one group count per level
+      for (std::uint32_t l = 0; l < mutation_driver::U32At(image, at); ++l) {
+        count_at(at + 4 + 4 * l);
+      }
+    }
+  }
+  ASSERT_EQ(fields.size(), 10u);
+
+  constexpr std::size_t kRandomMutants = 20'000;
+  const std::size_t mutants = mutation_driver::Run(
+      corpus, 0x5a9, kRandomMutants, [](const mutation_driver::Mutant& m) {
+        std::string bytes = m.bytes;
+        if (!m.stale_crc) {
+          ResealSnapshot(bytes);
+        }
+        return SurvivesSnapshotMutant(bytes, m.what);
+      });
+  EXPECT_GE(mutants, 20'000u);
 }
 
 }  // namespace
