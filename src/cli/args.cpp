@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <system_error>
+
+#include "common/text_reader.hpp"
 
 namespace gdp::cli {
 
@@ -9,6 +12,25 @@ namespace {
 
 bool Contains(const std::vector<std::string>& xs, const std::string& x) {
   return std::find(xs.begin(), xs.end(), x) != xs.end();
+}
+
+// A flag's value, parsed whole as a T; errors name the flag.
+template <typename T>
+T GetNumber(const Args& args, const std::string& name, T fallback,
+            const char* kind) {
+  const auto raw = args.Get(name);
+  if (!raw) {
+    return fallback;
+  }
+  T value{};
+  if (const std::errc ec = gdp::common::ParseNumber(*raw, value);
+      ec != std::errc{}) {
+    const bool range = ec == std::errc::result_out_of_range;
+    throw std::invalid_argument("flag '--" + name + "': " +
+                                (range ? "" : "bad ") + kind + " '" + *raw +
+                                (range ? "' is out of range" : "'"));
+  }
+  return value;
 }
 
 }  // namespace
@@ -56,47 +78,11 @@ std::string Args::GetOr(const std::string& name,
 }
 
 double Args::GetDouble(const std::string& name, double fallback) const {
-  const auto raw = Get(name);
-  if (!raw) {
-    return fallback;
-  }
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(*raw, &consumed);
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("flag '--" + name + "': number '" + *raw +
-                                "' is out of range");
-  } catch (const std::invalid_argument&) {
-    consumed = 0;
-  }
-  if (consumed == 0 || consumed != raw->size()) {
-    throw std::invalid_argument("flag '--" + name + "': bad number '" + *raw +
-                                "'");
-  }
-  return value;
+  return GetNumber(*this, name, fallback, "number");
 }
 
 std::int64_t Args::GetInt(const std::string& name, std::int64_t fallback) const {
-  const auto raw = Get(name);
-  if (!raw) {
-    return fallback;
-  }
-  std::size_t consumed = 0;
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(*raw, &consumed);
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("flag '--" + name + "': integer '" + *raw +
-                                "' is out of range");
-  } catch (const std::invalid_argument&) {
-    consumed = 0;
-  }
-  if (consumed == 0 || consumed != raw->size()) {
-    throw std::invalid_argument("flag '--" + name + "': bad integer '" + *raw +
-                                "'");
-  }
-  return value;
+  return GetNumber(*this, name, fallback, "integer");
 }
 
 }  // namespace gdp::cli

@@ -1,7 +1,6 @@
 #include "cli/commands.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -16,6 +15,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/text_reader.hpp"
 #include "common/thread_pool.hpp"
 #include "core/drilldown.hpp"
 #include "core/pipeline.hpp"
@@ -52,37 +53,35 @@ std::string Require(const Args& args, const std::string& name) {
   return *value;
 }
 
+// The comma-separated items of a list flag ("a,,b" has an empty one).
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> items(1);
+  for (const char c : list) {
+    if (c == ',') {
+      items.emplace_back();
+    } else {
+      items.back() += c;
+    }
+  }
+  return items;
+}
+
 // Parse "--sweep 0.3,0.5,0.999" into (token, value) pairs.  The literal
 // token names the per-ε output file, so `r.tsv` + token "0.3" becomes
 // "r.tsv.eps0.3" with no float re-formatting surprises.
 std::vector<std::pair<std::string, double>> ParseSweepList(
     const std::string& list) {
   std::vector<std::pair<std::string, double>> points;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string token =
-        list.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
+  for (const std::string& token : SplitList(list)) {
     if (token.empty()) {
       throw std::invalid_argument("--sweep: empty epsilon in list '" + list +
                                   "'");
     }
-    std::size_t parsed = 0;
     double value = 0.0;
-    try {
-      value = std::stod(token, &parsed);
-    } catch (const std::exception&) {
-      parsed = 0;
-    }
-    if (parsed != token.size()) {
+    if (gdp::common::ParseNumber(token, value) != std::errc{}) {
       throw std::invalid_argument("--sweep: bad epsilon '" + token + "'");
     }
     points.emplace_back(token, value);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
   }
   return points;
 }
@@ -164,16 +163,14 @@ gdp::core::SessionSpec ParseSessionSpec(const Args& args) {
   return spec;
 }
 
-bool IsCommentOrBlank(const std::string& line) {
-  for (const char c : line) {
-    if (c == '#') {
-      return true;
-    }
-    if (!std::isspace(static_cast<unsigned char>(c))) {
-      return false;
-    }
+// Opens a text input file for one of the readers below; `what` names it.
+std::ifstream OpenInput(const std::string& path, const char* what) {
+  std::ifstream in(path);
+  if (!in) {
+    throw gdp::common::IoError("cannot open " + std::string(what) + " '" +
+                               path + "'");
   }
-  return true;
+  return in;
 }
 
 // Resolve the dataset input for commands that accept either a text edge
@@ -195,130 +192,6 @@ gdp::graph::BipartiteGraph LoadGraphInput(const Args& args) {
         "missing required flag '--graph' (or '--snapshot')");
   }
   return gdp::graph::ReadEdgeListFile(*graph_path);
-}
-
-// tenants.tsv: one tenant per line, `tenant_id epsilon_cap delta_cap
-// privilege [accounting [max_in_flight]]` (whitespace-separated; # comments
-// and blank lines skipped).  The optional 5th field overrides
-// `default_accounting` (the --accounting flag) per tenant; the optional 6th
-// caps the tenant's concurrently queued requests on the socket server (0 =
-// unlimited; ignored by the batch driver, which is sequential anyway).  A
-// malformed ROW is skipped with a warning instead of aborting the batch —
-// one bad tenant must not take down serving for every valid one; `skipped`
-// counts the rows dropped.
-std::vector<std::pair<std::string, gdp::serve::TenantProfile>> ReadTenantSpecs(
-    const std::string& path, gdp::dp::AccountingPolicy default_accounting,
-    std::ostream& out, std::size_t& skipped) {
-  std::ifstream in(path);
-  if (!in) {
-    throw gdp::common::IoError("cannot open tenant spec file '" + path + "'");
-  }
-  std::vector<std::pair<std::string, gdp::serve::TenantProfile>> tenants;
-  std::string line;
-  int line_no = 0;
-  skipped = 0;
-  const auto skip = [&](const std::string& why) {
-    ++skipped;
-    out << "warning: tenant spec line " << line_no << " skipped: " << why
-        << '\n';
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) {
-      continue;
-    }
-    std::istringstream ss(line);
-    std::string id;
-    gdp::serve::TenantProfile profile;
-    profile.accounting = default_accounting;
-    if (!(ss >> id >> profile.epsilon_cap >> profile.delta_cap >>
-          profile.privilege)) {
-      skip("expected 'tenant_id epsilon_cap delta_cap privilege "
-           "[accounting [max_in_flight]]'");
-      continue;
-    }
-    if (std::string policy_token; ss >> policy_token) {
-      try {
-        profile.accounting = gdp::dp::ParseAccountingPolicy(policy_token);
-      } catch (const std::invalid_argument& e) {
-        skip(e.what());
-        continue;
-      }
-      if (ss >> profile.max_in_flight) {
-        if (profile.max_in_flight < 0) {
-          skip("max_in_flight must be >= 0");
-          continue;
-        }
-        if (std::string extra; ss >> extra) {
-          skip("unexpected trailing field '" + extra + "'");
-          continue;
-        }
-      } else if (!ss.eof()) {
-        skip("bad max_in_flight field");
-        continue;
-      }
-    }
-    tenants.emplace_back(std::move(id), profile);
-  }
-  if (tenants.empty()) {
-    throw gdp::common::IoError("tenant spec '" + path + "': no usable tenants");
-  }
-  return tenants;
-}
-
-struct ServeRequest {
-  std::string tenant;
-  double epsilon_g{0.0};
-  double delta{0.0};  // 0 = use the publication default
-};
-
-// reqs.tsv: one request per line, `tenant_id epsilon_g [delta]`.
-std::vector<ServeRequest> ReadServeRequests(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw gdp::common::IoError("cannot open request file '" + path + "'");
-  }
-  std::vector<ServeRequest> requests;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) {
-      continue;
-    }
-    std::istringstream ss(line);
-    ServeRequest req;
-    if (!(ss >> req.tenant >> req.epsilon_g)) {
-      throw gdp::common::IoError("request line " + std::to_string(line_no) +
-                                 ": expected 'tenant_id epsilon_g [delta]'");
-    }
-    // The optional delta must parse FULLY or error loudly — a typo'd delta
-    // silently falling back to the publication default would run the
-    // request at the wrong privacy parameter.
-    if (std::string token; ss >> token) {
-      std::size_t parsed = 0;
-      try {
-        req.delta = std::stod(token, &parsed);
-      } catch (const std::exception&) {
-        parsed = 0;
-      }
-      if (parsed != token.size() || !(req.delta > 0.0)) {
-        throw gdp::common::IoError("request line " + std::to_string(line_no) +
-                                   ": bad delta '" + token + "'");
-      }
-      std::string extra;
-      if (ss >> extra) {
-        throw gdp::common::IoError("request line " + std::to_string(line_no) +
-                                   ": unexpected trailing field '" + extra +
-                                   "'");
-      }
-    }
-    requests.push_back(std::move(req));
-  }
-  if (requests.empty()) {
-    throw gdp::common::IoError("request file '" + path + "': no requests");
-  }
-  return requests;
 }
 
 // --- socket serving (serve --listen) ---------------------------------------
@@ -398,17 +271,11 @@ HostPort ParseHostPort(const std::string& spec) {
                                 "'");
   }
   const std::string port_token = spec.substr(colon + 1);
-  std::size_t parsed = 0;
-  long port = 0;
-  try {
-    port = std::stol(port_token, &parsed);
-  } catch (const std::exception&) {
-    parsed = 0;
-  }
-  if (parsed != port_token.size() || port < 1 || port > 65535) {
+  std::uint16_t port = 0;
+  if (gdp::common::ParseNumber(port_token, port) != std::errc{} || port == 0) {
     throw std::invalid_argument("--connect: bad port '" + port_token + "'");
   }
-  return HostPort{spec.substr(0, colon), static_cast<std::uint16_t>(port)};
+  return HostPort{spec.substr(0, colon), port};
 }
 
 // "--answer assoc,group,degree[:left|right[:MAX]]" — query shapes, never
@@ -417,12 +284,7 @@ HostPort ParseHostPort(const std::string& spec) {
 std::vector<gdp::core::QuerySpec> ParseAnswerSpecs(const std::string& list) {
   using Kind = gdp::core::QuerySpec::Kind;
   std::vector<gdp::core::QuerySpec> queries;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string token =
-        list.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
+  for (const std::string& token : SplitList(list)) {
     std::istringstream ss(token);
     std::string head;
     std::getline(ss, head, ':');
@@ -446,10 +308,8 @@ std::vector<gdp::core::QuerySpec> ParseAnswerSpecs(const std::string& list) {
           // The wire carries MAX as a u32: anything outside [1, 2^32-1]
           // is refused, not wrapped to a different histogram.
           std::uint32_t max_degree = 0;
-          const char* end = max_token.data() + max_token.size();
-          const auto [ptr, ec] =
-              std::from_chars(max_token.data(), end, max_degree);
-          if (ec != std::errc{} || ptr != end || max_degree == 0) {
+          if (gdp::common::ParseNumber(max_token, max_degree) != std::errc{} ||
+              max_degree == 0) {
             throw std::invalid_argument(
                 "--answer: max degree '" + max_token + "' in '" + token +
                 "' is not an integer in [1, 4294967295]");
@@ -463,10 +323,6 @@ std::vector<gdp::core::QuerySpec> ParseAnswerSpecs(const std::string& list) {
           "' (want assoc | group | degree[:left|right[:MAX]])");
     }
     queries.push_back(query);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
   }
   if (queries.empty()) {
     throw std::invalid_argument("--answer: empty query list");
@@ -495,6 +351,79 @@ void WriteResultRow(std::ostream& results_file, std::size_t index,
 }
 
 }  // namespace
+
+std::vector<std::pair<std::string, gdp::serve::TenantProfile>> ReadTenantSpecs(
+    std::istream& in, gdp::dp::AccountingPolicy default_accounting,
+    std::ostream& out, std::size_t& skipped) {
+  gdp::common::TextReader reader(in, "tenant spec");
+  std::vector<std::pair<std::string, gdp::serve::TenantProfile>> tenants;
+  skipped = 0;
+  while (reader.Next()) {
+    std::string id;
+    gdp::serve::TenantProfile profile;
+    profile.accounting = default_accounting;
+    std::string why;  // empty while the row is usable
+    try {
+      id = reader.Word("tenant_id");
+      profile.epsilon_cap = reader.Number<double>("epsilon_cap");
+      profile.delta_cap = reader.Number<double>("delta_cap");
+      profile.privilege = reader.Number<int>("privilege");
+      if (!reader.AtEnd()) {
+        profile.accounting = gdp::dp::ParseAccountingPolicy(
+            std::string(reader.Word("accounting")));
+      }
+      if (!reader.AtEnd()) {
+        profile.max_in_flight = reader.Number<int>("max_in_flight");
+      }
+      reader.End();
+      if (profile.max_in_flight < 0) {
+        why = "max_in_flight must be >= 0";
+      }
+    } catch (const gdp::common::IoError& e) {
+      // The reader's "<where>: <why>"; the warning names the row once.
+      why = std::string(e.what()).substr(reader.Where().size() + 2);
+    } catch (const std::invalid_argument& e) {  // an unknown policy name
+      why = e.what();
+    }
+    if (!why.empty()) {
+      ++skipped;
+      out << "warning: " << reader.Where() << " skipped: " << why << '\n';
+      continue;
+    }
+    tenants.emplace_back(std::move(id), profile);
+  }
+  if (tenants.empty()) {
+    throw gdp::common::IoError("tenant spec: no usable tenants");
+  }
+  return tenants;
+}
+
+std::vector<ServeRequest> ReadServeRequests(std::istream& in) {
+  gdp::common::TextReader reader(in, "request");
+  std::vector<ServeRequest> requests;
+  while (reader.Next()) {
+    ServeRequest req;
+    req.tenant = reader.Word("tenant_id");
+    // Checked here, so such a row stops the batch before any row is served
+    // (and logged), and a typo'd delta never falls back to the default.
+    req.epsilon_g = reader.Number<double>("epsilon_g");
+    if (!(req.epsilon_g > 0.0)) {
+      reader.Fail("epsilon_g must be positive");
+    }
+    if (!reader.AtEnd()) {
+      req.delta = reader.Number<double>("delta");
+      if (!(req.delta > 0.0)) {
+        reader.Fail("delta must be positive");
+      }
+    }
+    reader.End();
+    requests.push_back(std::move(req));
+  }
+  if (requests.empty()) {
+    throw gdp::common::IoError("request file: no requests");
+  }
+  return requests;
+}
 
 int RunGenerate(const Args& args, std::ostream& out) {
   const std::string path = Require(args, "out");
@@ -746,11 +675,13 @@ int RunServe(const Args& args, std::ostream& out) {
   }
 
   std::size_t tenants_skipped = 0;
+  std::ifstream tenants_in = OpenInput(tenants_path, "tenant spec file");
   const auto tenants =
-      ReadTenantSpecs(tenants_path, default_accounting, out, tenants_skipped);
+      ReadTenantSpecs(tenants_in, default_accounting, out, tenants_skipped);
   std::vector<ServeRequest> requests;
   if (requests_path) {
-    requests = ReadServeRequests(*requests_path);
+    std::ifstream requests_in = OpenInput(*requests_path, "request file");
+    requests = ReadServeRequests(requests_in);
   }
 
   const std::string dataset_name = args.GetOr("dataset", "default");
@@ -1010,7 +941,8 @@ int RunClient(const Args& args, std::ostream& out) {
     // Batch mode: the same reqs.tsv the in-process driver consumes, the same
     // results-file format (WriteResultRow — net_parity_test compares the
     // files byte for byte).
-    const auto requests = ReadServeRequests(*requests_path);
+    std::ifstream requests_in = OpenInput(*requests_path, "request file");
+    const auto requests = ReadServeRequests(requests_in);
     std::ofstream results_file;
     if (const auto out_path = args.Get("out")) {
       results_file.open(*out_path);

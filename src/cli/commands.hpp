@@ -33,11 +33,15 @@
 //   audit     --verify audit.wal [--tolerate-tail]
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/args.hpp"
+#include "dp/privacy_accountant.hpp"
+#include "serve/tenant_broker.hpp"
 
 namespace gdp::cli {
 
@@ -58,5 +62,25 @@ int Dispatch(const std::vector<std::string>& tokens, std::ostream& out);
 
 // The usage text.
 [[nodiscard]] std::string UsageText();
+
+// tenants.tsv: `tenant_id epsilon_cap delta_cap privilege [accounting
+// [max_in_flight]]` per line (docs/SERVING.md); `default_accounting` is the
+// --accounting flag.  A malformed row is skipped with a warning on `out` and
+// counted in `skipped`, so one bad tenant cannot stop the others; throws
+// gdp::common::IoError when no row is usable.
+[[nodiscard]] std::vector<std::pair<std::string, gdp::serve::TenantProfile>>
+ReadTenantSpecs(std::istream& in, gdp::dp::AccountingPolicy default_accounting,
+                std::ostream& out, std::size_t& skipped);
+
+struct ServeRequest {
+  std::string tenant;
+  double epsilon_g{0.0};
+  double delta{0.0};  // 0 = use the publication default
+};
+
+// reqs.tsv: `tenant_id epsilon_g [delta]` per line, each budget positive.
+// Throws gdp::common::IoError naming the first malformed row's line (the
+// whole file is refused), or when there are no requests.
+[[nodiscard]] std::vector<ServeRequest> ReadServeRequests(std::istream& in);
 
 }  // namespace gdp::cli

@@ -1,10 +1,12 @@
 #include "core/release_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/text_reader.hpp"
+#include "hier/hierarchy.hpp"
 
 namespace gdp::core {
 
@@ -29,81 +31,50 @@ void WriteRelease(const MultiLevelRelease& release, std::ostream& out) {
   }
 }
 
-namespace {
-
-// A release file's counts are attacker-controlled until validated: a corrupt
-// header must not drive a multi-gigabyte resize before any payload is read.
-// Levels are capped absolutely (the paper uses depth 9; even extravagant
-// hierarchies stay in the hundreds), and per-level group counts are bounded
-// by the group_counts line that must carry them — each (true, noisy) pair
-// costs at least four characters, so a count exceeding the line length is
-// malformed by construction.
-constexpr int kMaxLevels = 100000;
-
-std::string NextContentLine(std::istream& in) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      return line;
-    }
-  }
-  throw IoError("release: unexpected end of input");
-}
-
-}  // namespace
-
 MultiLevelRelease ReadRelease(std::istream& in) {
-  if (NextContentLine(in) != "gdp-release v1") {
-    throw IoError("release: bad magic line (want 'gdp-release v1')");
-  }
-  std::istringstream header(NextContentLine(in));
-  std::string word;
-  int num_levels = 0;
-  if (!(header >> word >> num_levels) || word != "levels" || num_levels <= 0) {
-    throw IoError("release: bad 'levels' line");
-  }
-  if (num_levels > kMaxLevels) {
-    throw IoError("release: implausible level count " +
-                  std::to_string(num_levels) + " (max " +
-                  std::to_string(kMaxLevels) + ")");
+  gdp::common::TextReader reader(in, "release");
+  reader.Record("gdp-release");
+  reader.Expect("v1");
+  reader.End();
+  reader.Record("levels");
+  const auto num_levels = reader.Number<std::uint32_t>("level count");
+  reader.End();
+  // One level per hierarchy level, so no more than a hierarchy can hold.
+  if (num_levels == 0 || num_levels > gdp::hier::kMaxHierarchyLevels) {
+    reader.Fail("level count " + std::to_string(num_levels) + " outside [1, " +
+                std::to_string(gdp::hier::kMaxHierarchyLevels) + "]");
   }
   std::vector<LevelRelease> levels;
-  levels.reserve(static_cast<std::size_t>(num_levels));
-  for (int i = 0; i < num_levels; ++i) {
-    std::istringstream ls(NextContentLine(in));
-    LevelRelease lr;
-    std::size_t num_groups = 0;
-    if (!(ls >> word >> lr.level >> lr.sensitivity >> lr.noise_stddev >>
-          lr.group_noise_stddev >> lr.true_total >> lr.noisy_total >>
-          num_groups) ||
-        word != "level") {
-      throw IoError("release: bad 'level' line for level " + std::to_string(i));
+  levels.reserve(num_levels);
+  for (std::uint32_t i = 0; i < num_levels; ++i) {
+    reader.Record("level");
+    if (reader.Number<std::uint32_t>("level") != i) {
+      reader.Fail("expected level " + std::to_string(i));
     }
-    if (num_groups > 0) {
-      const std::string group_line = NextContentLine(in);
-      // Every group contributes two numbers to this one line, each at least
-      // two characters (" x"): a declared count beyond that bound cannot be
-      // backed by data and would otherwise trigger a giant resize.
-      if (num_groups > group_line.size() / 4) {
-        throw IoError("release: group count " + std::to_string(num_groups) +
-                      " for level " + std::to_string(lr.level) +
-                      " exceeds what its group_counts line could hold");
+    LevelRelease lr;
+    lr.level = static_cast<int>(i);
+    lr.sensitivity = reader.Number<double>("sensitivity");
+    lr.noise_stddev = reader.Number<double>("noise_stddev");
+    lr.group_noise_stddev = reader.Number<double>("group_noise_stddev");
+    lr.true_total = reader.Number<double>("true_total");
+    lr.noisy_total = reader.Number<double>("noisy_total");
+    const auto declared_groups = reader.Number<std::size_t>("group count");
+    reader.End();
+    if (declared_groups > 0) {
+      reader.Record("group_counts");
+      if (reader.Number<std::uint32_t>("level") != i) {
+        reader.Fail("expected level " + std::to_string(i));
       }
-      std::istringstream gs(group_line);
-      int level_echo = -1;
-      if (!(gs >> word >> level_echo) || word != "group_counts" ||
-          level_echo != lr.level) {
-        throw IoError("release: bad 'group_counts' line for level " +
-                      std::to_string(lr.level));
-      }
+      // Each (true, noisy) pair is at least " x y", four bytes of the line.
+      const std::size_t num_groups =
+          reader.Count(declared_groups, 4, "group count pair");
       lr.true_group_counts.resize(num_groups);
       lr.noisy_group_counts.resize(num_groups);
       for (std::size_t g = 0; g < num_groups; ++g) {
-        if (!(gs >> lr.true_group_counts[g] >> lr.noisy_group_counts[g])) {
-          throw IoError("release: truncated group counts for level " +
-                        std::to_string(lr.level));
-        }
+        lr.true_group_counts[g] = reader.Number<double>("true count");
+        lr.noisy_group_counts[g] = reader.Number<double>("noisy count");
       }
+      reader.End();
     }
     levels.push_back(std::move(lr));
   }

@@ -8,7 +8,9 @@
 //   group_counts <i> <true_0> <noisy_0> <true_1> <noisy_1> ...
 // (each level line is one line in the file, wrapped above for width).
 // A stripped release serialises zeros in the true_* slots, so the same
-// format serves both evaluation artifacts and publishable ones.
+// format serves both evaluation artifacts and publishable ones.  The
+// grammar is common/text_reader.hpp's, with no trailing fields and every
+// count bounded (docs/FORMATS.md, "Text formats").
 #pragma once
 
 #include <iosfwd>

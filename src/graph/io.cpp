@@ -1,13 +1,12 @@
 #include "graph/io.hpp"
 
-#include <cctype>
-#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <string>
-#include <system_error>
 
 #include "common/error.hpp"
+#include "common/text_reader.hpp"
 
 namespace gdp::graph {
 
@@ -15,105 +14,65 @@ using gdp::common::IoError;
 
 namespace {
 
-constexpr std::uint64_t kMaxNodeIndex = std::numeric_limits<NodeIndex>::max();
+// An edge line names at most two nodes in at least four bytes ("0\t0\n"),
+// so B bytes name at most B/2 nodes; a header may declare about a million
+// isolated nodes beyond that, and the CSR a parse allocates stays O(B).
+constexpr std::uint64_t kIsolatedNodeAllowance = std::uint64_t{1} << 20;
 
-bool IsCommentOrBlank(const std::string& line) {
-  for (const char c : line) {
-    if (c == '#') {
-      return true;
-    }
-    if (!std::isspace(static_cast<unsigned char>(c))) {
-      return false;
-    }
+// Refuses a header whose node counts the input's `bytes` cannot back.
+void CheckDeclaredNodes(NodeIndex num_left, NodeIndex num_right,
+                        std::uint64_t bytes, std::uint64_t header_line) {
+  const std::uint64_t declared = std::uint64_t{num_left} + num_right;
+  const std::uint64_t allowed = kIsolatedNodeAllowance + bytes / 2;
+  if (declared > allowed) {
+    throw IoError("edge list line " + std::to_string(header_line) + ": " +
+                  std::to_string(declared) + " nodes declared, past the " +
+                  std::to_string(allowed) + " (2^20 + B/2) that B = " +
+                  std::to_string(bytes) + " bytes back");
   }
-  return true;  // all whitespace
 }
 
-const char* SkipFieldSeparators(const char* p, const char* end) {
-  while (p != end && (*p == ' ' || *p == '\t' || *p == '\r')) {
-    ++p;
+// Opens an edge-list file at its start and sets `bytes` to its size.
+std::ifstream OpenEdgeListFile(const std::string& path, std::uint64_t& bytes) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    throw IoError("cannot open edge list file: " + path);
   }
-  return p;
+  const std::streamoff end = in.tellg();
+  bytes = end > 0 ? static_cast<std::uint64_t>(end) : 0;
+  in.seekg(0, std::ios::beg);
+  return in;
 }
 
-std::uint64_t ParseField(const char*& p, const char* end, const char* what,
-                         int line_no) {
-  p = SkipFieldSeparators(p, end);
-  std::uint64_t value = 0;
-  const auto [next, ec] = std::from_chars(p, end, value);
-  if (ec == std::errc::result_out_of_range) {
-    throw IoError("edge list line " + std::to_string(line_no) + ": " + what +
-                  " overflows 64-bit range");
-  }
-  if (ec != std::errc() || next == p) {
-    throw IoError("edge list line " + std::to_string(line_no) + ": expected " +
-                  what);
-  }
-  p = next;
-  return value;
-}
-
-NodeIndex CheckNodeField(std::uint64_t value, const char* what, int line_no) {
-  if (value > kMaxNodeIndex) {
-    throw IoError("edge list line " + std::to_string(line_no) + ": " + what +
-                  " " + std::to_string(value) +
-                  " exceeds the 32-bit node index range");
-  }
-  return static_cast<NodeIndex>(value);
-}
-
-// One parsing pass over an edge list stream: on_header(num_left, num_right)
-// once, then on_edge(l, r) per data line (endpoints already range-checked).
-// Both passes of the streaming reader share this with the one-pass reader's
-// grammar, so the two readers accept exactly the same files.
+// One parsing pass over an edge list stream: on_header(num_left, num_right,
+// header_line) once, then on_edge(l, r) per data line (endpoints already
+// range-checked); returns the bytes read.  Both readers parse through this.
+// A line's fields after its first two (weights, timestamps) are ignored.
 template <typename HeaderFn, typename EdgeFn>
-void ScanEdgeList(std::istream& in, HeaderFn&& on_header, EdgeFn&& on_edge) {
-  std::string line;
-  int line_no = 0;
-  NodeIndex num_left = 0;
-  NodeIndex num_right = 0;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) {
-      continue;
-    }
-    const char* p = line.data();
-    const char* const end = line.data() + line.size();
-    num_left = CheckNodeField(ParseField(p, end, "num_left", line_no),
-                              "num_left", line_no);
-    num_right = CheckNodeField(ParseField(p, end, "num_right", line_no),
-                               "num_right", line_no);
-    have_header = true;
-    break;
+std::uint64_t ScanEdgeList(std::istream& in, HeaderFn&& on_header,
+                           EdgeFn&& on_edge) {
+  gdp::common::TextReader reader(in, "edge list");
+  if (!reader.Next()) {
+    reader.Fail("unexpected end of input, expected the header line");
   }
-  if (!have_header) {
-    throw IoError("edge list: missing header line '<num_left> <num_right>'");
-  }
-  on_header(num_left, num_right);
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) {
-      continue;
-    }
-    const char* p = line.data();
-    const char* const end = line.data() + line.size();
-    const NodeIndex l = CheckNodeField(
-        ParseField(p, end, "left index", line_no), "left index", line_no);
-    const NodeIndex r = CheckNodeField(
-        ParseField(p, end, "right index", line_no), "right index", line_no);
+  const auto num_left = reader.Number<NodeIndex>("num_left");
+  const auto num_right = reader.Number<NodeIndex>("num_right");
+  on_header(num_left, num_right, reader.line_no());
+  while (reader.Next()) {
+    const auto l = reader.Number<NodeIndex>("left index");
+    const auto r = reader.Number<NodeIndex>("right index");
     if (l >= num_left || r >= num_right) {
-      throw IoError("edge list line " + std::to_string(line_no) +
-                    ": endpoint out of range");
+      reader.Fail("endpoint out of range");
     }
     on_edge(l, r);
   }
+  return reader.bytes_read();
 }
 
 }  // namespace
 
 NodeIndex CheckedNodeCount(std::uint64_t value, const char* what) {
-  if (value > kMaxNodeIndex) {
+  if (value > std::numeric_limits<NodeIndex>::max()) {
     throw gdp::common::CapacityError(
         std::string(what) + " " + std::to_string(value) +
         " exceeds the 32-bit node index range");
@@ -122,14 +81,7 @@ NodeIndex CheckedNodeCount(std::uint64_t value, const char* what) {
 }
 
 BipartiteGraph ReadEdgeListFileStreaming(const std::string& path) {
-  const auto open = [&] {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw IoError("cannot open edge list file: " + path);
-    }
-    return in;
-  };
-
+  std::uint64_t file_bytes = 0;
   // Pass 1: degrees, counted straight into the (future) offset columns.
   NodeIndex num_left = 0;
   NodeIndex num_right = 0;
@@ -137,10 +89,13 @@ BipartiteGraph ReadEdgeListFileStreaming(const std::string& path) {
   std::vector<EdgeCount> left_offsets;
   std::vector<EdgeCount> right_offsets;
   {
-    std::ifstream in = open();
+    std::ifstream in = OpenEdgeListFile(path, file_bytes);
+    // The header is checked against the file's size before it sizes the
+    // offset columns (ReadEdgeList checks the bytes it read: the same).
     ScanEdgeList(
         in,
-        [&](NodeIndex nl, NodeIndex nr) {
+        [&](NodeIndex nl, NodeIndex nr, std::uint64_t header_line) {
+          CheckDeclaredNodes(nl, nr, file_bytes, header_line);
           num_left = nl;
           num_right = nr;
           left_offsets.assign(static_cast<std::size_t>(nl) + 1, 0);
@@ -174,11 +129,11 @@ BipartiteGraph ReadEdgeListFileStreaming(const std::string& path) {
       return IoError("edge list file '" + path +
                      "' changed between streaming passes");
     };
-    std::ifstream in = open();
+    std::ifstream in = OpenEdgeListFile(path, file_bytes);
     EdgeCount seen = 0;
     ScanEdgeList(
         in,
-        [&](NodeIndex nl, NodeIndex nr) {
+        [&](NodeIndex nl, NodeIndex nr, std::uint64_t) {
           if (nl != num_left || nr != num_right) {
             throw changed();
           }
@@ -211,66 +166,31 @@ BipartiteGraph ReadEdgeListFileStreaming(const std::string& path) {
 }
 
 BipartiteGraph ReadEdgeList(std::istream& in, std::size_t edge_reserve_hint) {
-  std::string line;
-  int line_no = 0;
-  // Header.
   NodeIndex num_left = 0;
   NodeIndex num_right = 0;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) {
-      continue;
-    }
-    const char* p = line.data();
-    const char* const end = line.data() + line.size();
-    num_left =
-        CheckNodeField(ParseField(p, end, "num_left", line_no), "num_left",
-                       line_no);
-    num_right =
-        CheckNodeField(ParseField(p, end, "num_right", line_no), "num_right",
-                       line_no);
-    have_header = true;
-    break;
-  }
-  if (!have_header) {
-    throw IoError("edge list: missing header line '<num_left> <num_right>'");
-  }
+  std::uint64_t header_line = 0;
   std::vector<Edge> edges;
   edges.reserve(edge_reserve_hint);
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (IsCommentOrBlank(line)) {
-      continue;
-    }
-    const char* p = line.data();
-    const char* const end = line.data() + line.size();
-    const NodeIndex l = CheckNodeField(
-        ParseField(p, end, "left index", line_no), "left index", line_no);
-    const NodeIndex r = CheckNodeField(
-        ParseField(p, end, "right index", line_no), "right index", line_no);
-    if (l >= num_left || r >= num_right) {
-      throw IoError("edge list line " + std::to_string(line_no) +
-                    ": endpoint out of range");
-    }
-    edges.push_back(Edge{l, r});
-  }
+  const std::uint64_t bytes = ScanEdgeList(
+      in,
+      [&](NodeIndex nl, NodeIndex nr, std::uint64_t line) {
+        num_left = nl;
+        num_right = nr;
+        header_line = line;
+      },
+      [&](NodeIndex l, NodeIndex r) { edges.push_back(Edge{l, r}); });
+  // Nothing was sized from the header yet, so all the bytes read count.
+  CheckDeclaredNodes(num_left, num_right, bytes, header_line);
   return BipartiteGraph(num_left, num_right, std::move(edges));
 }
 
 BipartiteGraph ReadEdgeListFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw IoError("cannot open edge list file: " + path);
-  }
+  std::uint64_t bytes = 0;
+  std::ifstream in = OpenEdgeListFile(path, bytes);
   // File size / shortest-possible edge line ("0\t0\n" = 4 bytes) bounds the
   // edge count from above; one reserve up front instead of log2(E)
   // reallocation-and-copy cycles during the read.
-  const std::streamoff bytes = in.tellg();
-  in.seekg(0, std::ios::beg);
-  const std::size_t hint =
-      bytes > 0 ? static_cast<std::size_t>(bytes) / 4 : 0;
-  return ReadEdgeList(in, hint);
+  return ReadEdgeList(in, static_cast<std::size_t>(bytes / 4));
 }
 
 void WriteEdgeList(const BipartiteGraph& graph, std::ostream& out) {

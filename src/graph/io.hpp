@@ -6,7 +6,9 @@
 //   <left_index> <right_index>       -- one association per line
 //
 // This is the interchange format for all examples: a real DBLP extraction
-// pipeline would emit the same file.
+// pipeline would emit the same file.  The grammar is common/text_reader.hpp's;
+// fields after a line's first two are ignored, and the header may declare at
+// most 2^20 + B/2 nodes for B input bytes (docs/FORMATS.md, "Text formats").
 #pragma once
 
 #include <cstddef>
@@ -18,9 +20,9 @@
 namespace gdp::graph {
 
 // Parse a graph from a stream.  Throws gdp::common::IoError on malformed
-// input (bad header, non-numeric fields, out-of-range endpoints, or any
-// index that does not fit the 32-bit NodeIndex — rejected with a clear
-// error, never silently truncated).  `edge_reserve_hint` pre-sizes the edge
+// input (bad header, non-numeric fields, out-of-range endpoints, any index
+// that does not fit the 32-bit NodeIndex — rejected with a clear error,
+// never silently truncated — or more nodes than the input's bytes back).  `edge_reserve_hint` pre-sizes the edge
 // buffer; pass an upper bound when one is known to avoid reallocation.
 [[nodiscard]] BipartiteGraph ReadEdgeList(std::istream& in,
                                           std::size_t edge_reserve_hint = 0);

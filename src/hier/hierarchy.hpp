@@ -6,6 +6,7 @@
 // group is a single node.  Each level strictly refines the level above it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "hier/partition.hpp"
@@ -13,9 +14,10 @@
 namespace gdp::hier {
 
 // The deepest hierarchy Phase 1 builds (Specializer refuses a deeper one):
-// levels 0..255, so every built hierarchy fits GDPSNAP01's level bound,
-// which storage/snapshot.cpp derives from this.
+// levels 0..255.  Every reader of a hierarchy or release (GDPSNAP01, the
+// hierarchy and release text formats) refuses more levels than that.
 inline constexpr int kMaxHierarchyDepth = 255;
+inline constexpr std::uint32_t kMaxHierarchyLevels = kMaxHierarchyDepth + 1;
 
 class GroupHierarchy {
  public:

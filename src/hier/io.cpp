@@ -1,9 +1,10 @@
 #include "hier/io.hpp"
 
+#include <cstdint>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/text_reader.hpp"
 
 namespace gdp::hier {
 
@@ -38,110 +39,74 @@ void WriteHierarchy(const GroupHierarchy& hierarchy, std::ostream& out) {
   }
 }
 
-namespace {
-
-std::string NextContentLine(std::istream& in) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line[0] != '#') {
-      return line;
-    }
-  }
-  throw IoError("hierarchy: unexpected end of input");
-}
-
-std::istringstream ExpectLine(std::istream& in, const std::string& keyword) {
-  std::istringstream ss(NextContentLine(in));
-  std::string word;
-  if (!(ss >> word) || word != keyword) {
-    throw IoError("hierarchy: expected '" + keyword + "' line");
-  }
-  return ss;
-}
-
-}  // namespace
-
 GroupHierarchy ReadHierarchy(std::istream& in) {
-  if (NextContentLine(in) != "gdp-hierarchy v1") {
-    throw IoError("hierarchy: bad magic line");
-  }
-  NodeIndex num_left = 0;
-  NodeIndex num_right = 0;
-  {
-    auto ss = ExpectLine(in, "dims");
-    if (!(ss >> num_left >> num_right)) {
-      throw IoError("hierarchy: bad dims line");
-    }
-  }
-  int num_levels = 0;
-  {
-    auto ss = ExpectLine(in, "levels");
-    if (!(ss >> num_levels) || num_levels < 2) {
-      throw IoError("hierarchy: bad levels line");
-    }
+  gdp::common::TextReader reader(in, "hierarchy");
+  reader.Record("gdp-hierarchy");
+  reader.Expect("v1");
+  reader.End();
+  reader.Record("dims");
+  const auto num_left = reader.Number<NodeIndex>("num_left");
+  const auto num_right = reader.Number<NodeIndex>("num_right");
+  reader.End();
+  reader.Record("levels");
+  const auto num_levels = reader.Number<std::uint32_t>("level count");
+  reader.End();
+  if (num_levels < 2 || num_levels > kMaxHierarchyLevels) {
+    reader.Fail("level count " + std::to_string(num_levels) +
+                " outside [2, " + std::to_string(kMaxHierarchyLevels) + "]");
   }
   std::vector<Partition> levels;
-  levels.reserve(static_cast<std::size_t>(num_levels));
-  for (int lvl = 0; lvl < num_levels; ++lvl) {
-    int echo = -1;
-    GroupId num_groups = 0;
-    {
-      auto ss = ExpectLine(in, "level");
-      if (!(ss >> echo >> num_groups) || echo != lvl || num_groups == 0) {
-        throw IoError("hierarchy: bad level header at level " +
-                      std::to_string(lvl));
-      }
+  levels.reserve(num_levels);
+  for (std::uint32_t lvl = 0; lvl < num_levels; ++lvl) {
+    reader.Record("level");
+    if (reader.Number<std::uint32_t>("level") != lvl) {
+      reader.Fail("expected level " + std::to_string(lvl));
     }
-    std::vector<GroupId> parents(num_groups);
-    {
-      auto ss = ExpectLine(in, "parents");
-      for (GroupId g = 0; g < num_groups; ++g) {
-        long long parent = 0;
-        if (!(ss >> parent)) {
-          throw IoError("hierarchy: truncated parents at level " +
-                        std::to_string(lvl));
-        }
-        parents[g] = parent < 0 ? kNoParent : static_cast<GroupId>(parent);
-      }
+    const auto declared_groups = reader.Number<GroupId>("group count");
+    reader.End();
+    if (declared_groups == 0) {
+      reader.Fail("level " + std::to_string(lvl) + " declares no groups");
     }
-    const auto read_labels = [&](const char* keyword, NodeIndex count) {
-      std::vector<GroupId> labels(count);
-      auto ss = ExpectLine(in, keyword);
-      for (NodeIndex v = 0; v < count; ++v) {
-        if (!(ss >> labels[v])) {
-          throw IoError("hierarchy: truncated " + std::string(keyword) +
-                        " at level " + std::to_string(lvl));
-        }
-        if (labels[v] >= num_groups) {
-          throw IoError("hierarchy: label out of range at level " +
-                        std::to_string(lvl));
-        }
+    // Every count below is proved against the line carrying its elements
+    // (" x" is two bytes) before a vector is sized from it.
+    reader.Record("parents");
+    std::vector<GroupInfo> infos(reader.Count(declared_groups, 2, "parent"));
+    for (GroupInfo& info : infos) {
+      const auto parent = reader.Number<std::int64_t>("parent");
+      if (parent < -1 || parent >= std::int64_t{kNoParent}) {
+        reader.Fail("parent " + std::to_string(parent) + " is not -1 or a group");
       }
+      info.parent = parent == -1 ? kNoParent : static_cast<GroupId>(parent);
+    }
+    reader.End();
+    // Group sides and sizes are reconstructed from the labels.
+    const auto read_labels = [&](const char* keyword, NodeIndex count,
+                                 Side side) {
+      reader.Record(keyword);
+      std::vector<GroupId> labels(reader.Count(count, 2, keyword));
+      for (GroupId& label : labels) {
+        label = reader.Number<GroupId>("label");
+        if (label >= infos.size()) {
+          reader.Fail("label " + std::to_string(label) +
+                      " out of range at level " + std::to_string(lvl));
+        }
+        GroupInfo& info = infos[label];
+        if (info.size > 0 && info.side != side) {
+          reader.Fail("group " + std::to_string(label) +
+                      " spans both sides at level " + std::to_string(lvl));
+        }
+        info.side = side;
+        ++info.size;
+      }
+      reader.End();
       return labels;
     };
-    std::vector<GroupId> left_labels = read_labels("left_labels", num_left);
-    std::vector<GroupId> right_labels = read_labels("right_labels", num_right);
-
-    // Reconstruct sides/sizes from the labels.
-    std::vector<GroupInfo> infos(num_groups);
-    std::vector<bool> side_known(num_groups, false);
-    const auto scan = [&](const std::vector<GroupId>& labels, Side side) {
-      for (const GroupId g : labels) {
-        if (side_known[g] && infos[g].side != side) {
-          throw IoError("hierarchy: group spans both sides at level " +
-                        std::to_string(lvl));
-        }
-        infos[g].side = side;
-        side_known[g] = true;
-        ++infos[g].size;
-      }
-    };
-    scan(left_labels, Side::kLeft);
-    scan(right_labels, Side::kRight);
-    for (GroupId g = 0; g < num_groups; ++g) {
-      infos[g].parent = parents[g];
-      if (!side_known[g]) {
-        throw IoError("hierarchy: empty group at level " + std::to_string(lvl));
+    auto left_labels = read_labels("left_labels", num_left, Side::kLeft);
+    auto right_labels = read_labels("right_labels", num_right, Side::kRight);
+    for (std::size_t g = 0; g < infos.size(); ++g) {
+      if (infos[g].size == 0) {
+        reader.Fail("group " + std::to_string(g) + " is empty at level " +
+                    std::to_string(lvl));
       }
     }
     levels.emplace_back(std::move(left_labels), std::move(right_labels),

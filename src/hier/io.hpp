@@ -12,9 +12,11 @@
 //   right_labels <g_0> ... <g_{num_right-1}>
 //   ... (next level)
 //
-// Group sides/sizes are reconstructed from the labels; the reader re-runs
-// full Partition + refinement validation, so a tampered file cannot produce
-// an inconsistent hierarchy.
+// The grammar is common/text_reader.hpp's, with no trailing fields and
+// every count bounded (docs/FORMATS.md, "Text formats").  Group sides/sizes
+// are reconstructed from the labels; the reader re-runs full Partition +
+// refinement validation, so a tampered file cannot produce an inconsistent
+// hierarchy.
 #pragma once
 
 #include <iosfwd>

@@ -198,7 +198,8 @@ DisclosureService::TenantEntry* DisclosureService::EntryFor(
 }
 
 DisclosureService::Admission DisclosureService::Admit(
-    const std::string& tenant, const std::string& dataset, ServeResult& result,
+    const std::string& tenant, const std::string& dataset,
+    std::span<const gdp::core::BudgetSpec> budgets, ServeResult& result,
     const ReplyBytes& reply_bytes) {
   if (wal_failed_.load(std::memory_order_acquire)) {
     fail_closed_rejections_.Add();
@@ -210,6 +211,11 @@ DisclosureService::Admission DisclosureService::Admit(
   Admission adm;
   adm.profile = broker_.Profile(tenant);      // NotFoundError
   const Dataset& ds = catalog_.Get(dataset);  // NotFoundError
+  // A budget the session would refuse must not attach (and charge phase 1
+  // to) a never-seen tenant; a sweep's points are all checked up front.
+  for (const gdp::core::BudgetSpec& budget : budgets) {
+    gdp::core::ValidateBudgetShape(budget);  // InvalidBudgetError
+  }
   const std::string fingerprint =
       SessionRegistry::Fingerprint(ds.publication, ds.compile_seed);
   // An already-attached tenant serves from the artifact its session pins —
@@ -366,19 +372,19 @@ ServeResult DisclosureService::Serve(const std::string& tenant,
                                      const std::string& dataset,
                                      const gdp::core::BudgetSpec& budget,
                                      gdp::common::Rng& rng) {
-  return ServeOne(tenant, dataset, budget, rng,
+  return ServeOne(tenant, dataset, budget, {&budget, 1}, rng,
                   [](const gdp::hier::GroupHierarchy& h, int level) {
                     return ServeReplyBytes(h.level(level).num_groups());
                   });
 }
 
-ServeResult DisclosureService::ServeOne(const std::string& tenant,
-                                        const std::string& dataset,
-                                        const gdp::core::BudgetSpec& budget,
-                                        gdp::common::Rng& rng,
-                                        const ReplyBytes& reply_bytes) {
+ServeResult DisclosureService::ServeOne(
+    const std::string& tenant, const std::string& dataset,
+    const gdp::core::BudgetSpec& budget,
+    std::span<const gdp::core::BudgetSpec> budgets, gdp::common::Rng& rng,
+    const ReplyBytes& reply_bytes) {
   ServeResult result;
-  const Admission adm = Admit(tenant, dataset, result, reply_bytes);
+  const Admission adm = Admit(tenant, dataset, budgets, result, reply_bytes);
   if (adm.entry == nullptr) {
     return result;
   }
@@ -415,7 +421,8 @@ std::vector<ServeResult> DisclosureService::ServeSweep(
   std::vector<ServeResult> results;
   results.reserve(budgets.size());
   for (const gdp::core::BudgetSpec& budget : budgets) {
-    results.push_back(ServeOne(tenant, dataset, budget, rng, sweep_bytes));
+    results.push_back(
+        ServeOne(tenant, dataset, budget, budgets, rng, sweep_bytes));
   }
   return results;
 }
@@ -426,7 +433,7 @@ DrilldownResult DisclosureService::ServeDrilldown(
     gdp::graph::NodeIndex v, gdp::common::Rng& rng) {
   DrilldownResult result;
   const Admission adm = Admit(
-      tenant, dataset, result.serve,
+      tenant, dataset, {&budget, 1}, result.serve,
       [](const gdp::hier::GroupHierarchy& h, int level) {
         // One chain entry per level from the coarsest to the entitled one.
         const auto entries = static_cast<std::size_t>(h.depth() - level) + 1;
@@ -516,7 +523,7 @@ AnswerResult DisclosureService::ServeAnswer(
   gdp::core::ValidateQueries(queries);
   AnswerResult result;
   const Admission adm = Admit(
-      tenant, dataset, result.serve,
+      tenant, dataset, {&budget, 1}, result.serve,
       [queries](const gdp::hier::GroupHierarchy& h, int level) {
         return AnswerReplyBytes(queries, h.level(level).num_groups());
       });

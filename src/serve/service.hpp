@@ -307,24 +307,25 @@ class DisclosureService {
       const gdp::hier::GroupHierarchy& hierarchy, int level)>;
 
   // The shared front half of every serving entry point: fail-closed check
-  // (DurabilityError), profile and dataset lookup (NotFoundError), artifact
+  // (DurabilityError), profile and dataset lookup (NotFoundError), the
+  // shape of every budget of the request (InvalidBudgetError), artifact
   // resolve/compile, entitled-level resolve (AccessPolicyError), the frame
   // cap on `reply_bytes` at that level (std::invalid_argument), and entry
   // creation with its phase-1 admission.  On an expected denial (retired
   // dataset, grant too small for phase 1) fills `result` and returns an
   // Admission with entry == nullptr.
-  [[nodiscard]] Admission Admit(const std::string& tenant,
-                                const std::string& dataset,
-                                ServeResult& result,
-                                const ReplyBytes& reply_bytes);
+  [[nodiscard]] Admission Admit(
+      const std::string& tenant, const std::string& dataset,
+      std::span<const gdp::core::BudgetSpec> budgets, ServeResult& result,
+      const ReplyBytes& reply_bytes);
 
-  // Serve's body, admitted against `reply_bytes` (a sweep admits each
-  // point against the whole sweep's reply).
-  [[nodiscard]] ServeResult ServeOne(const std::string& tenant,
-                                     const std::string& dataset,
-                                     const gdp::core::BudgetSpec& budget,
-                                     gdp::common::Rng& rng,
-                                     const ReplyBytes& reply_bytes);
+  // Serve's body for `budget`, admitted with the request's `budgets` and
+  // `reply_bytes` (a sweep admits each point with the whole sweep's).
+  [[nodiscard]] ServeResult ServeOne(
+      const std::string& tenant, const std::string& dataset,
+      const gdp::core::BudgetSpec& budget,
+      std::span<const gdp::core::BudgetSpec> budgets, gdp::common::Rng& rng,
+      const ReplyBytes& reply_bytes);
 
   // The write-ahead charge gate for one admitted request: odometer first
   // (commit-at-admit), then the durable append — so the log never records a

@@ -51,7 +51,6 @@ constexpr std::size_t kPayloadAlignment = 64;
 // version skew, and bounding it keeps the table read trivially safe.
 constexpr std::uint32_t kMaxSections = 64;
 // Every level of the deepest hierarchy Phase 1 builds.
-constexpr std::uint32_t kMaxHierLevels = gdp::hier::kMaxHierarchyDepth + 1;
 
 enum SectionId : std::uint32_t {
   kGraphMeta = 1,
@@ -127,7 +126,7 @@ void ValidateContents(const SnapshotContents& contents) {
       throw std::invalid_argument(
           "SerializeSnapshot: hierarchy node counts do not match the graph");
     }
-    if (h.num_levels() > static_cast<int>(kMaxHierLevels)) {
+    if (h.num_levels() > static_cast<int>(gdp::hier::kMaxHierarchyLevels)) {
       throw std::invalid_argument(
           "SerializeSnapshot: hierarchy exceeds the format's level bound");
     }
@@ -619,7 +618,7 @@ std::shared_ptr<const Snapshot> Snapshot::Parse(
     const SectionRef meta_ref = require(kHierMeta, "hierarchy meta");
     Reader meta(AsStringView(payload(meta_ref)), where);
     const std::uint32_t num_levels = meta.U32();
-    if (num_levels < 2 || num_levels > kMaxHierLevels) {
+    if (num_levels < 2 || num_levels > gdp::hier::kMaxHierarchyLevels) {
       Bad(origin, "implausible hierarchy level count " +
                       std::to_string(num_levels));
     }

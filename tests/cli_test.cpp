@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include "core/release_io.hpp"
 #include <fstream>
+#include <iomanip>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -13,6 +17,8 @@
 
 #include "cli/args.hpp"
 #include "common/error.hpp"
+#include "mutation_driver.hpp"
+#include "serve/audit_wal.hpp"
 
 namespace gdp::cli {
 namespace {
@@ -55,6 +61,141 @@ TEST(ArgsTest, RejectsMalformedNumbers) {
                                 {"eps", "depth"});
   EXPECT_THROW((void)args.GetDouble("eps", 0.0), std::invalid_argument);
   EXPECT_THROW((void)args.GetInt("depth", 0), std::invalid_argument);
+}
+
+TEST(ArgsTest, NumbersAreWholeDecimalFields) {
+  const Args args = Args::Parse(
+      {"--a", "+7", "--b", " 7", "--c", "0x10", "--d", "inf", "--e", "nan",
+       "--f", "1e-400"},
+      {"a", "b", "c", "d", "e", "f"});
+  EXPECT_THROW((void)args.GetInt("a", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.GetInt("b", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.GetInt("c", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.GetDouble("d", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.GetDouble("e", 0.0), std::invalid_argument);
+  try {
+    (void)args.GetDouble("f", 0.0);
+    ADD_FAILURE() << "an underflowing double was read";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--f"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos);
+  }
+}
+
+// ---------- tenants.tsv and reqs.tsv under the text mutation driver ----------
+
+using TenantList = std::vector<std::pair<std::string, gdp::serve::TenantProfile>>;
+
+TenantList ParseTenants(const std::string& text) {
+  std::istringstream in(text);
+  std::ostringstream warnings;
+  std::size_t skipped = 0;
+  return ReadTenantSpecs(in, gdp::dp::AccountingPolicy::kSequential, warnings,
+                         skipped);
+}
+
+std::string TenantsText(const TenantList& tenants) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  for (const auto& [id, p] : tenants) {
+    out << id << '\t' << p.epsilon_cap << '\t' << p.delta_cap << '\t'
+        << p.privilege << '\t' << gdp::dp::AccountingPolicyName(p.accounting)
+        << '\t' << p.max_in_flight << '\n';
+  }
+  return out.str();
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool SameTenants(const TenantList& a, const TenantList& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             SameBits(x.second.epsilon_cap,
+                                      y.second.epsilon_cap) &&
+                             SameBits(x.second.delta_cap, y.second.delta_cap) &&
+                             x.second.privilege == y.second.privilege &&
+                             x.second.accounting == y.second.accounting &&
+                             x.second.max_in_flight == y.second.max_in_flight;
+                    });
+}
+
+std::vector<ServeRequest> ParseRequests(const std::string& text) {
+  std::istringstream in(text);
+  return ReadServeRequests(in);
+}
+
+std::string RequestsText(const std::vector<ServeRequest>& requests) {
+  std::ostringstream out;
+  out << std::setprecision(17);
+  for (const ServeRequest& r : requests) {
+    out << r.tenant << '\t' << r.epsilon_g;
+    if (r.delta > 0.0) {
+      out << '\t' << r.delta;
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+bool SameRequests(const std::vector<ServeRequest>& a,
+                  const std::vector<ServeRequest>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ServeRequest& x, const ServeRequest& y) {
+                      return x.tenant == y.tenant &&
+                             SameBits(x.epsilon_g, y.epsilon_g) &&
+                             SameBits(x.delta, y.delta);
+                    });
+}
+
+// Runs `random` seeded mutants of `corpus` (after every integer token's
+// rewrites) through one parser's text contract.
+template <typename Parse, typename Write, typename Equal>
+std::size_t RunTextDriver(const mutation_driver::TextCorpus& corpus,
+                          std::uint64_t seed, std::size_t random,
+                          Parse&& parse, Write&& write, Equal&& equal) {
+  return mutation_driver::Run(
+      corpus, seed, random, [&](const mutation_driver::Mutant& m) {
+        const std::string failure =
+            mutation_driver::TextContract(m.bytes, parse, write, equal);
+        if (!failure.empty()) {
+          ADD_FAILURE() << m.what << ": " << failure;
+        }
+        return failure.empty();
+      });
+}
+
+// Every integer token rewritten to 0, 1, its value - 1 and + 1, 2^32 - 1,
+// 2^32, 2^64 - 1, 2^64 and -1, then bit flips, splices and truncations.
+// Each mutant is refused with IoError or read to tenants that the same
+// columns, written back, read to again (a malformed row is skipped, not
+// refused, so most mutants read).
+TEST(TenantSpecMutationTest, ReadTenantSpecsSurvivesSeededMutants) {
+  mutation_driver::TextCorpus corpus;
+  corpus.Add(
+      "# id eps_cap delta_cap tier [accounting [max_in_flight]]\n"
+      "alice 20.0 0.4 0\n"
+      "bob 5.0 1e-2 3 rdp\n"
+      "carol 1e6 0.5 5 advanced 4\n"
+      "mallory 1.0\n");
+  corpus.Add("alice\t4.0\t0.01\t2\r\n  # note\r\n\r\nbob\t4.0\t0.01\t1\r\n");
+  constexpr std::size_t kRandomMutants = 20'000;
+  EXPECT_GE(RunTextDriver(corpus, 0x7e4a, kRandomMutants, ParseTenants,
+                          TenantsText, SameTenants),
+            kRandomMutants);
+}
+
+// The same driver over reqs.tsv, whose one malformed row refuses the file.
+TEST(RequestFileMutationTest, ReadServeRequestsSurvivesSeededMutants) {
+  mutation_driver::TextCorpus corpus;
+  corpus.Add("# id eps_g [delta]\nalice 0.9\nbob 0.4 1e-6\nalice 0.3\n");
+  corpus.Add("alice\t0.5\r\n\r\n  # note\r\nbob\t0.4\t0.00001\r\n");
+  constexpr std::size_t kRandomMutants = 20'000;
+  EXPECT_GE(RunTextDriver(corpus, 0x4e95, kRandomMutants, ParseRequests,
+                          RequestsText, SameRequests),
+            kRandomMutants);
 }
 
 // ---------- command round trip ----------
@@ -680,6 +821,35 @@ TEST_F(CliWalTest, ServeWalAuditVerifyRoundTripWithRecovery) {
   out.str("");
   ASSERT_EQ(Dispatch({"audit", "--verify", wal_path_}, out), 0);
   EXPECT_NE(out.str().find("audit OK"), std::string::npos) << out.str();
+}
+
+TEST_F(CliWalTest, NonPositiveEpsilonRefusesTheRequestFileBeforeAnyCharge) {
+  // bob's epsilon_g is one the service would refuse: the file is refused
+  // when it is read, naming the row, before alice's charge or bob's open
+  // reaches the log.
+  {
+    std::ofstream tenants(tenants_path_);
+    tenants << "alice 4.0 0.01 2\nbob 4.0 0.01 1\n";
+    std::ofstream requests(requests_path_);
+    requests << "alice 0.5\nbob -0.4\nalice 0.3\n";
+  }
+  std::ostringstream out;
+  try {
+    (void)Dispatch({"serve", "--graph", graph_path_, "--tenants",
+                    tenants_path_, "--requests", requests_path_, "--depth",
+                    "5", "--seed", "7", "--wal", wal_path_},
+                   out);
+    ADD_FAILURE() << "serve accepted a request file with epsilon_g -0.4";
+  } catch (const gdp::common::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  std::ifstream wal(wal_path_, std::ios::binary);
+  if (wal) {
+    const std::string image((std::istreambuf_iterator<char>(wal)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_TRUE(gdp::serve::AuditWal::Replay(image).records.empty());
+  }
 }
 
 TEST_F(CliWalTest, AuditFlagsTornTailUnlessTolerated) {

@@ -129,18 +129,25 @@ inline std::uint32_t LevelCrc(const Partition& level) {
   return gdp::common::Crc32(bytes);
 }
 
-// The golden line of `config` built over `graph` (GoldenGraph(config.graph)).
-inline std::string GoldenLine(const GoldenConfig& config,
-                              const gdp::graph::BipartiteGraph& graph) {
+// Phase 1 of `config` over `graph` (GoldenGraph(config.graph)), drawing
+// from `rng`, which starts at Rng(config.seed).
+inline SpecializationResult BuildGolden(const GoldenConfig& config,
+                                        const gdp::graph::BipartiteGraph& graph,
+                                        gdp::common::Rng& rng) {
   SpecializationConfig cfg;
   cfg.depth = config.depth;
   cfg.arity = config.arity;
   cfg.quality = config.quality;
   cfg.max_cut_candidates = config.max_cut_candidates;
   cfg.epsilon_per_level = config.epsilon_per_level;
+  return Specializer(cfg).BuildHierarchy(graph, rng);
+}
+
+// The golden line of `config` built over `graph` (GoldenGraph(config.graph)).
+inline std::string GoldenLine(const GoldenConfig& config,
+                              const gdp::graph::BipartiteGraph& graph) {
   gdp::common::Rng rng(config.seed);
-  const SpecializationResult built =
-      Specializer(cfg).BuildHierarchy(graph, rng);
+  const SpecializationResult built = BuildGolden(config, graph, rng);
   char head[256];
   std::snprintf(head, sizeof head,
                 "%s\t%d\t%d\t%s\t%d\t%g\t%llu\t%zu\t%016llx\t%016llx\t",

@@ -1,25 +1,35 @@
-// One seeded mutation driver for the three hostile-input decoders: the
-// GDPNET02 frame decoders (net_wire_test), AuditWal::Replay over GDPWAL01
-// images (audit_wal_test) and Snapshot::Parse over GDPSNAP01 files
-// (snapshot_test).  The driver owns what every format shares: the guard
-// page, the u32 field load and store (the codec's own, common/le_codec.hpp),
-// the layout walker that finds a payload's length and count fields, and the
-// mutants themselves.  Each test owns its format's corpus, how a mutant is
-// re-sealed (its CRCs recomputed so the structural checks run, not only the
-// CRC check), and what the decoder must do with it.
+// One seeded mutation driver for every hostile-input parser.  Its binary
+// mode drives the three byte decoders: the GDPNET02 frame decoders
+// (net_wire_test), AuditWal::Replay over GDPWAL01 images (audit_wal_test)
+// and Snapshot::Parse over GDPSNAP01 files (snapshot_test).  Its text mode
+// drives the five text parsers: the edge list (graph_io_test, and the
+// streaming reader in streaming_io_test), gdp-hierarchy v1 (hier_io_test),
+// gdp-release v1 (release_io_test), tenants.tsv and reqs.tsv (cli_test).
+// The driver owns what every format shares: the guard page, the u32 field
+// load and store (the codec's own, common/le_codec.hpp), the layout walker
+// that finds a payload's length and count fields, a text's integer tokens,
+// the text contract, and the mutants themselves.  Each test owns its
+// format's corpus, how a binary mutant is re-sealed (its CRCs recomputed so
+// the structural checks run, not only the CRC check), and what the parser
+// must do with a mutant.
 #pragma once
 
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/le_codec.hpp"
 #include "common/rng.hpp"
 
@@ -37,16 +47,76 @@ inline void SetU32At(std::string& bytes, std::size_t at, std::uint32_t v) {
   gdp::common::StoreLe(bytes.data() + at, v);
 }
 
-// A u32 length or count field: where it sits, and the value that exactly
-// fits what follows it.
-struct LengthField {
-  std::size_t offset{0};
-  std::uint32_t exact{0};
-};
-
 // What every length or count field is rewritten to.
 inline std::vector<std::uint32_t> RewriteValues(std::uint32_t exact) {
   return {0, 1, exact, exact + 1, 0xFFFFFFFFu};
+}
+
+// A u32 length or count field: where it sits, and the value that exactly
+// fits what follows it.
+struct LengthField {
+  static constexpr std::size_t kRewrites = 5;
+
+  std::size_t offset{0};
+  std::uint32_t exact{0};
+
+  // Writes RewriteValues(exact)[k] over the field; returns what it wrote.
+  std::string Rewrite(std::string& bytes, std::size_t k) const {
+    const std::uint32_t v = RewriteValues(exact)[k];
+    SetU32At(bytes, offset, v);
+    return std::to_string(v);
+  }
+};
+
+// An integer token of a text: a field of digits, with an optional leading
+// '-', that fits an int64.
+struct TokenField {
+  static constexpr std::size_t kRewrites = 9;
+
+  std::size_t offset{0};
+  std::size_t length{0};
+  std::int64_t value{0};
+
+  // Replaces the token with its k-th rewrite: 0, 1, value - 1, value + 1,
+  // 2^32 - 1, 2^32, 2^64 - 1, 2^64 and -1.  Returns what it wrote.
+  std::string Rewrite(std::string& text, std::size_t k) const {
+    static constexpr const char* kFixed[] = {
+        "0", "1", "", "", "4294967295", "4294967296",
+        "18446744073709551615", "18446744073709551616", "-1"};
+    const std::string v = k == 2   ? std::to_string(value - 1)
+                          : k == 3 ? std::to_string(value + 1)
+                                   : kFixed[k];
+    text.replace(offset, length, v);
+    return v;
+  }
+};
+
+// Every integer token of `text`.  Fields end at a blank or a line break,
+// as in common/text_reader.hpp.
+inline std::vector<TokenField> IntegerTokens(std::string_view text) {
+  const auto is_break = [](char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+  };
+  std::vector<TokenField> tokens;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (is_break(text[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < text.size() && !is_break(text[end])) {
+      ++end;
+    }
+    std::int64_t value = 0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data() + i, text.data() + end, value);
+    if (ec == std::errc{} && ptr == text.data() + end) {
+      tokens.push_back({i, end - i, value});
+    }
+    i = end;
+  }
+  return tokens;
 }
 
 // A layout, one character per field: '1', '4' and '8' are fixed widths,
@@ -133,37 +203,48 @@ class GuardedBuffer {
   std::size_t map_bytes_{0};
 };
 
-// Well-formed inputs, each with its length and count fields.
-struct Corpus {
+// Well-formed inputs, each with the fields its rewrites target.
+template <typename Field>
+struct BasicCorpus {
   std::vector<std::string> entries;
-  std::vector<std::vector<LengthField>> fields;
+  std::vector<std::vector<Field>> fields;
+};
+
+// Binary mode: the length and count fields of each entry.
+using Corpus = BasicCorpus<LengthField>;
+
+// Text mode: the integer tokens of each entry.
+struct TextCorpus : BasicCorpus<TokenField> {
+  void Add(std::string text) {
+    fields.push_back(IntegerTokens(text));
+    entries.push_back(std::move(text));
+  }
 };
 
 struct Mutant {
   std::string bytes;
   std::size_t base{0};  // the corpus entry it was made from
-  // True for the one mutant in eight that keeps its base's CRCs; the rest
-  // are re-sealed by the format's check.
+  // Binary mode: true for the one mutant in eight that keeps its base's
+  // CRCs; the rest are re-sealed by the format's check.
   bool stale_crc{false};
   std::string what;  // names the mutant in a failure message
 };
 
-// Feeds `check` every field rewrite of every corpus entry (each field set
-// to 0, 1, its exact fit, one past it and 0xFFFFFFFF), then `random` seeded
-// mutants: 1-8 bit flips, a splice of two entries, a truncation, or a field
-// rewrite (a random byte for an entry without fields).  `check(mutant)`
-// returns false to stop at a failure.  Returns the number of mutants run.
-template <typename Check>
-std::size_t Run(const Corpus& corpus, std::uint64_t seed, std::size_t random,
-                Check&& check) {
+// Feeds `check` every field rewrite of every corpus entry (Field::Rewrite),
+// then `random` seeded mutants: 1-8 bit flips, a splice of two entries, a
+// truncation, or a field rewrite (a random byte for an entry without
+// fields).  `check(mutant)` returns false to stop at a failure.  Returns the
+// number of mutants run.
+template <typename Field, typename Check>
+std::size_t Run(const BasicCorpus<Field>& corpus, std::uint64_t seed,
+                std::size_t random, Check&& check) {
   std::size_t mutants = 0;
   for (std::size_t c = 0; c < corpus.entries.size(); ++c) {
-    for (const LengthField& f : corpus.fields[c]) {
-      for (const std::uint32_t v : RewriteValues(f.exact)) {
-        Mutant m{corpus.entries[c], c, false,
-                 "field at " + std::to_string(f.offset) + " = " +
-                     std::to_string(v) + " on corpus " + std::to_string(c)};
-        SetU32At(m.bytes, f.offset, v);
+    for (const Field& f : corpus.fields[c]) {
+      for (std::size_t k = 0; k < Field::kRewrites; ++k) {
+        Mutant m{corpus.entries[c], c, false, ""};
+        m.what = "field at " + std::to_string(f.offset) + " = " +
+                 f.Rewrite(m.bytes, k) + " on corpus " + std::to_string(c);
         ++mutants;
         if (!check(m)) {
           return mutants;
@@ -176,7 +257,7 @@ std::size_t Run(const Corpus& corpus, std::uint64_t seed, std::size_t random,
   for (std::size_t r = 0; r < random; ++r) {
     const std::size_t c = rng.UniformInt(corpus.entries.size());
     const std::string& base = corpus.entries[c];
-    const std::vector<LengthField>& fields = corpus.fields[c];
+    const std::vector<Field>& fields = corpus.fields[c];
     std::string mutant = base;
     const std::uint64_t op = rng.UniformInt(4);
     if (op == 0) {
@@ -194,8 +275,8 @@ std::size_t Run(const Corpus& corpus, std::uint64_t seed, std::size_t random,
     } else if (op == 2) {
       mutant.resize(rng.UniformInt(base.size()));
     } else if (!fields.empty()) {
-      const LengthField& f = fields[rng.UniformInt(fields.size())];
-      SetU32At(mutant, f.offset, RewriteValues(f.exact)[rng.UniformInt(5)]);
+      const Field& f = fields[rng.UniformInt(fields.size())];
+      (void)f.Rewrite(mutant, rng.UniformInt(Field::kRewrites));
     } else {
       mutant[rng.UniformInt(mutant.size())] =
           static_cast<char>(rng.UniformInt(256));
@@ -210,6 +291,36 @@ std::size_t Run(const Corpus& corpus, std::uint64_t seed, std::size_t random,
     }
   }
   return mutants;
+}
+
+// The text mode's contract for one mutant, as a failure message that is
+// empty when it holds: `parse(text)` refuses it with gdp::common::IoError
+// (or with `Also`, a refusal the format's validation may throw), or it
+// returns a value whose `write` output `parse` reads back to an `equal`
+// value.
+struct NoOtherRefusal {};
+
+template <typename Also = NoOtherRefusal, typename Parse, typename Write,
+          typename Equal>
+std::string TextContract(const std::string& text, Parse&& parse,
+                         Write&& write, Equal&& equal) {
+  try {
+    const auto value = parse(text);
+    const std::string written = write(value);
+    try {
+      if (!equal(parse(written), value)) {
+        return "accepted, but its writer's output reads back differently";
+      }
+    } catch (const std::exception& e) {
+      return std::string("accepted, but its writer's output is refused: ") +
+             e.what();
+    }
+  } catch (const gdp::common::IoError&) {
+  } catch (const Also&) {
+  } catch (const std::exception& e) {
+    return std::string("threw a non-format exception: ") + e.what();
+  }
+  return "";
 }
 
 }  // namespace gdp::mutation_driver

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "graph/generators.hpp"
+#include "mutation_driver.hpp"
 
 namespace gdp::core {
 namespace {
@@ -156,6 +163,111 @@ TEST(ReleaseIoTest, FileRoundTrip) {
 TEST(ReleaseIoTest, MissingFileThrows) {
   EXPECT_THROW((void)ReadReleaseFile("/nonexistent/release.tsv"),
                gdp::common::IoError);
+}
+
+std::string ReleaseText(const MultiLevelRelease& release) {
+  std::ostringstream out;
+  WriteRelease(release, out);
+  return out.str();
+}
+
+MultiLevelRelease ParseRelease(const std::string& text) {
+  std::istringstream in(text);
+  return ReadRelease(in);
+}
+
+TEST(ReleaseIoTest, LevelCountIsBoundedByTheHierarchyDepth) {
+  // One level per hierarchy level: 256 levels read, 257 are refused.
+  const auto release_of = [](int levels) {
+    std::string text = "gdp-release v1\nlevels " + std::to_string(levels) + "\n";
+    for (int i = 0; i < levels; ++i) {
+      text += "level " + std::to_string(i) + " 1 1 1 1 1 0\n";
+    }
+    return text;
+  };
+  EXPECT_EQ(ParseRelease(release_of(256)).num_levels(), 256);
+  EXPECT_THROW((void)ParseRelease(release_of(257)), gdp::common::IoError);
+}
+
+TEST(ReleaseIoTest, OutOfOrderLevelIsAFormatError) {
+  EXPECT_THROW(
+      (void)ParseRelease("gdp-release v1\nlevels 1\nlevel 1 1 1 1 1 1 0\n"),
+      gdp::common::IoError);
+}
+
+TEST(ReleaseIoTest, SharesTheTextGrammarOfTheOtherFormats) {
+  const std::string text = ReleaseText(SampleRelease());
+  std::string crlf = "  # note\n \t\n";
+  for (const char c : text) {
+    crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  }
+  EXPECT_EQ(ReleaseText(ParseRelease(crlf)), text);
+  for (const char* bad :
+       {"gdp-release v1\nlevels 1 junk\nlevel 0 1 1 1 1 1 0\n",
+        "gdp-release v1\nlevels +1\nlevel 0 1 1 1 1 1 0\n",
+        "gdp-release v1\nlevels 1\nlevel 0 1 1 1 1 1 0 junk\n",
+        "gdp-release v1\nlevels 1\nlevel 0 1 1 inf 1 1 0\n",
+        "gdp-release v1\nlevels 1\nlevel 0 1 1 1 1 1 1\n"
+        "group_counts 0 1 1 1\n"}) {
+    EXPECT_THROW((void)ParseRelease(bad), gdp::common::IoError) << bad;
+  }
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+bool SameRelease(const MultiLevelRelease& a, const MultiLevelRelease& b) {
+  if (a.num_levels() != b.num_levels()) {
+    return false;
+  }
+  for (int i = 0; i < a.num_levels(); ++i) {
+    const LevelRelease& x = a.level(i);
+    const LevelRelease& y = b.level(i);
+    if (x.level != y.level ||
+        !SameBits({x.sensitivity, x.noise_stddev, x.group_noise_stddev,
+                   x.true_total, x.noisy_total},
+                  {y.sensitivity, y.noise_stddev, y.group_noise_stddev,
+                   y.true_total, y.noisy_total}) ||
+        !SameBits(x.true_group_counts, y.true_group_counts) ||
+        !SameBits(x.noisy_group_counts, y.noisy_group_counts)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Seeded mutants of the six golden releases: every integer token rewritten
+// to 0, 1, its value - 1 and + 1, 2^32 - 1, 2^32, 2^64 - 1, 2^64 and -1,
+// then bit flips, splices and truncations.  Each is refused with IoError or
+// read to a release that WriteRelease writes back to the same bits.
+TEST(ReleaseMutationTest, ReadReleaseSurvivesSeededMutants) {
+  mutation_driver::TextCorpus corpus;
+  for (const char* kind :
+       {"gaussian", "analytic_gaussian", "discrete_gaussian", "laplace",
+        "geometric", "gaussian_totals_clamped"}) {
+    std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_release_" +
+                     kind + ".tsv");
+    ASSERT_TRUE(in) << kind;
+    std::ostringstream text;
+    text << in.rdbuf();
+    corpus.Add(text.str());
+  }
+  constexpr std::size_t kRandomMutants = 20'000;
+  const std::size_t mutants = mutation_driver::Run(
+      corpus, 0x7e1e, kRandomMutants, [](const mutation_driver::Mutant& m) {
+        const std::string failure = mutation_driver::TextContract(
+            m.bytes, ParseRelease, ReleaseText, SameRelease);
+        if (!failure.empty()) {
+          ADD_FAILURE() << m.what << ": " << failure;
+        }
+        return failure.empty();
+      });
+  EXPECT_GE(mutants, kRandomMutants);
 }
 
 }  // namespace

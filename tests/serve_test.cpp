@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -487,6 +489,54 @@ TEST_F(ServiceTest, OversizedSweepIsRefusedBeforeAnyCharge) {
   for (const ServeResult& r : served) {
     ASSERT_TRUE(r.granted) << r.denial_reason;
     ASSERT_EQ(r.view.noisy_group_counts.size(), groups);
+  }
+}
+
+// A budget the session would refuse is refused before a never-seen tenant
+// is attached, at every entry point (a sweep's bad third point included):
+// no ledger, no Phase-1 charge on the odometer, no WAL record.
+TEST_F(ServiceTest, BadBudgetIsRefusedBeforeTheTenantIsAttached) {
+  gdp::core::BudgetSpec bad = budget_;
+  bad.epsilon_g = -0.5;
+  const std::vector<gdp::core::BudgetSpec> sweep = {budget_, budget_, bad};
+  const std::vector<gdp::core::QuerySpec> queries(1);
+  using Call = std::function<void(DisclosureService&, Rng&)>;
+  const std::vector<std::pair<std::string, Call>> calls = {
+      {"Serve",
+       [&](DisclosureService& s, Rng& rng) {
+         (void)s.Serve("fresh", "dblp", bad, rng);
+       }},
+      {"ServeSweep",
+       [&](DisclosureService& s, Rng& rng) {
+         (void)s.ServeSweep("fresh", "dblp", sweep, rng);
+       }},
+      {"ServeDrilldown",
+       [&](DisclosureService& s, Rng& rng) {
+         (void)s.ServeDrilldown("fresh", "dblp", bad, gdp::graph::Side::kLeft,
+                                0, rng);
+       }},
+      {"ServeAnswer",
+       [&](DisclosureService& s, Rng& rng) {
+         (void)s.ServeAnswer("fresh", "dblp", bad, queries, rng);
+       }},
+  };
+  for (const auto& [name, call] : calls) {
+    auto durable = DisclosureService::Open(
+        [](DisclosureService& svc) {
+          svc.catalog().Register("dblp", SmallDataset());
+          svc.broker().Register("fresh", TenantProfile{50.0, 0.4, 0});
+        },
+        std::make_unique<MemoryStorage>());
+    Rng rng(5);
+    EXPECT_THROW(call(*durable, rng), gdp::common::InvalidBudgetError)
+        << name;
+    EXPECT_THROW((void)durable->Ledger("fresh", "dblp"),
+                 gdp::common::NotFoundError)
+        << name;
+    EXPECT_EQ(durable->durability_stats().wal_appends, 0u) << name;
+    for (const DatasetOdometer::Snapshot& snap : durable->odometer().All()) {
+      EXPECT_EQ(snap.charges, 0u) << name << " " << snap.dataset;
+    }
   }
 }
 

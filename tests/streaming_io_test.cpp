@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -19,8 +20,10 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "edge_list_fixture.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "mutation_driver.hpp"
 #include "storage/snapshot.hpp"
 
 namespace gdp::graph {
@@ -139,6 +142,68 @@ TEST(StreamingReaderTest, AcceptsCommentsRejectsMalformed) {
 TEST(StreamingReaderTest, MissingFileThrows) {
   EXPECT_THROW((void)ReadEdgeListFileStreaming("/nonexistent/gdp.tsv"),
                gdp::common::IoError);
+}
+
+TEST(StreamingReaderTest, RefusesAHeaderBeyondTheNodeAllowance) {
+  // Checked against the file size before the offset columns are sized, and
+  // refused the same way by `pack` and `disclose --graph`.
+  const std::string path = ::testing::TempDir() + "/gdp_streaming_hostile.tsv";
+  const std::string snap = ::testing::TempDir() + "/gdp_streaming_hostile.gdps";
+  {
+    std::ofstream f(path);
+    f << "4000000000\t1\n0\t0\n";
+  }
+  EXPECT_THROW((void)ReadEdgeListFileStreaming(path), gdp::common::IoError);
+  std::ostringstream out;
+  EXPECT_THROW((void)gdp::cli::Dispatch(
+                   {"pack", "--graph", path, "--out", snap}, out),
+               gdp::common::IoError);
+  EXPECT_THROW((void)gdp::cli::Dispatch({"disclose", "--graph", path,
+                                         "--release", snap},
+                                        out),
+               gdp::common::IoError);
+  std::remove(path.c_str());
+  std::remove(snap.c_str());
+}
+
+// The edge-list mutants of graph_io_test's driver (the same corpus and
+// seed), each written to a file: the streaming reader refuses exactly the
+// mutants ReadEdgeList refuses, both with IoError, and builds an identical
+// graph from every other one.
+TEST(StreamingReaderTest, AgreesWithReadEdgeListOnSeededMutants) {
+  const std::string path = ::testing::TempDir() + "/gdp_streaming_mutant.tsv";
+  constexpr std::size_t kRandomMutants = 2'000;
+  const std::size_t mutants = mutation_driver::Run(
+      edge_list_fixture::Corpus(), 0xed6e, kRandomMutants,
+      [&](const mutation_driver::Mutant& m) {
+        {
+          std::ofstream f(path, std::ios::binary | std::ios::trunc);
+          f << m.bytes;
+        }
+        std::optional<BipartiteGraph> one_pass;
+        std::optional<BipartiteGraph> streamed;
+        try {
+          std::istringstream in(m.bytes);
+          one_pass.emplace(ReadEdgeList(in));
+        } catch (const gdp::common::IoError&) {
+        }
+        try {
+          streamed.emplace(ReadEdgeListFileStreaming(path));
+        } catch (const gdp::common::IoError&) {
+        }
+        if (one_pass.has_value() != streamed.has_value()) {
+          ADD_FAILURE() << m.what << ": only "
+                        << (one_pass ? "ReadEdgeList" : "the streaming reader")
+                        << " accepts it";
+          return false;
+        }
+        if (one_pass.has_value()) {
+          ExpectGraphsIdentical(*one_pass, *streamed);
+        }
+        return !::testing::Test::HasFailure();
+      });
+  EXPECT_GE(mutants, kRandomMutants);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
