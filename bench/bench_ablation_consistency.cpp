@@ -11,7 +11,6 @@
 
 #include "bench_util.hpp"
 #include "core/consistency.hpp"
-#include "core/group_dp_engine.hpp"
 #include "core/metrics.hpp"
 #include "hier/specialization.hpp"
 
@@ -32,11 +31,7 @@ int main() {
   common::Rng srng(17);
   const auto built = spec.BuildHierarchy(g, srng);
 
-  core::ReleaseConfig rel;
-  rel.epsilon_g = 0.999;
-  rel.include_group_counts = true;
-  const core::GroupDpEngine engine(rel);
-  const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
+  const auto artifact = bench::ArtifactFor(g, built.hierarchy);
 
   constexpr int kTrials = 10;
   const int levels = built.hierarchy.num_levels();
@@ -47,7 +42,7 @@ int main() {
 
   common::Rng rng(23);
   for (int t = 0; t < kTrials; ++t) {
-    const auto raw = engine.Release(plan, rng);
+    const auto raw = artifact->Release(bench::Phase2Budget(0.999), rng);
     const auto adj = core::EnforceHierarchicalConsistency(built.hierarchy, raw);
     for (int lvl = 0; lvl < levels; ++lvl) {
       raw_rer[static_cast<std::size_t>(lvl)] += raw.level(lvl).TotalRer();

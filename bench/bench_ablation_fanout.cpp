@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/group_dp_engine.hpp"
 #include "hier/specialization.hpp"
 
 int main() {
@@ -33,15 +32,15 @@ int main() {
     const auto built = spec.BuildHierarchy(g, rng);
     const auto sens = built.hierarchy.LevelSensitivities(g);
 
-    core::ReleaseConfig rel;
-    rel.epsilon_g = 0.999;
-    rel.include_group_counts = false;
-    const core::GroupDpEngine engine(rel);
-    const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
+    core::ExecSpec exec;
+    exec.include_group_counts = false;
+    const auto artifact = bench::ArtifactFor(g, built.hierarchy, exec);
     const auto mean_rer = [&](int lvl) {
       double total = 0.0;
       for (int t = 0; t < kTrials; ++t) {
-        total += engine.Release(plan, rng).level(lvl).TotalRer();
+        total += artifact->Release(bench::Phase2Budget(0.999), rng)
+                     .level(lvl)
+                     .TotalRer();
       }
       return total / kTrials;
     };

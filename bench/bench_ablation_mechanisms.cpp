@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/group_dp_engine.hpp"
 #include "hier/specialization.hpp"
 
 int main() {
@@ -27,7 +26,9 @@ int main() {
   const hier::Specializer spec(scfg);
   common::Rng srng(13);
   const auto built = spec.BuildHierarchy(g, srng);
-  const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
+  core::ExecSpec exec;
+  exec.include_group_counts = false;
+  const auto artifact = bench::ArtifactFor(g, built.hierarchy, exec);
 
   const std::vector<core::NoiseKind> kinds{
       core::NoiseKind::kGaussian, core::NoiseKind::kAnalyticGaussian,
@@ -43,18 +44,13 @@ int main() {
   common::TextTable table(header);
 
   for (const core::NoiseKind kind : kinds) {
-    core::ReleaseConfig rel;
-    rel.epsilon_g = 0.999;
-    rel.delta = 1e-5;
-    rel.noise = kind;
-    rel.include_group_counts = false;
-    const core::GroupDpEngine engine(rel);
+    const core::BudgetSpec budget = bench::Phase2Budget(0.999, kind);
     common::Rng rng(17);
     std::vector<std::string> row{core::NoiseKindName(kind)};
     for (const int lvl : levels) {
       double total = 0.0;
       for (int t = 0; t < kTrials; ++t) {
-        total += engine.Release(plan, rng).level(lvl).TotalRer();
+        total += artifact->Release(budget, rng).level(lvl).TotalRer();
       }
       row.push_back(common::FormatPercent(total / kTrials, 3));
     }

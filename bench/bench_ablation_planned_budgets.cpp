@@ -12,7 +12,6 @@
 
 #include "bench_util.hpp"
 #include "core/accuracy.hpp"
-#include "core/group_dp_engine.hpp"
 #include "dp/rdp_accountant.hpp"
 #include "hier/specialization.hpp"
 
@@ -52,30 +51,29 @@ int main() {
     budgets.push_back(lb.epsilon);
   }
 
-  core::ReleaseConfig rel;
-  rel.epsilon_g = kBudget;
-  rel.include_group_counts = false;
-  const core::GroupDpEngine engine(rel);
-  const core::ReleasePlan release_plan =
-      core::ReleasePlan::Build(g, built.hierarchy);
+  core::ExecSpec exec;
+  exec.include_group_counts = false;
+  const auto artifact = bench::ArtifactFor(g, built.hierarchy, exec);
+  // The paper's σ per level, read off the releases below.
+  std::vector<double> paper_sigma(level_sens.size(), 0.0);
 
   common::TextTable table({"level", "per_level_RER(paper)", "planned_eps",
                            "simultaneous_RER", "penalty_x"});
   common::Rng rng(23);
   for (int lvl = 0; lvl < built.hierarchy.num_levels(); ++lvl) {
-    // The simultaneous guarantee releases this level at its planned ε,
-    // through an engine of its own.
-    core::ReleaseConfig planned_rel = rel;
-    planned_rel.epsilon_g = budgets[static_cast<std::size_t>(lvl)];
-    const core::GroupDpEngine planned_engine(planned_rel);
+    // The simultaneous guarantee releases this level at its planned ε.
+    const core::BudgetSpec planned =
+        bench::Phase2Budget(budgets[static_cast<std::size_t>(lvl)]);
     double rer_paper = 0.0;
     double rer_planned = 0.0;
     for (int t = 0; t < kTrials; ++t) {
-      rer_paper += engine.Release(release_plan, rng).level(lvl).TotalRer();
+      const core::LevelRelease paper =
+          artifact->Release(bench::Phase2Budget(kBudget), rng).level(lvl);
+      rer_paper += paper.TotalRer();
+      paper_sigma[static_cast<std::size_t>(lvl)] = paper.noise_stddev;
     }
     for (int t = 0; t < kTrials; ++t) {
-      rer_planned +=
-          planned_engine.Release(release_plan, rng).level(lvl).TotalRer();
+      rer_planned += artifact->Release(planned, rng).level(lvl).TotalRer();
     }
     rer_paper /= kTrials;
     rer_planned /= kTrials;
@@ -93,8 +91,8 @@ int main() {
   {
     dp::RdpAccountant accountant;
     for (int lvl = 0; lvl < built.hierarchy.num_levels(); ++lvl) {
-      const double sigma = engine.NoiseStddevFor(sens[static_cast<std::size_t>(lvl)]);
-      accountant.AddGaussian(sigma / sens[static_cast<std::size_t>(lvl)]);
+      const auto i = static_cast<std::size_t>(lvl);
+      accountant.AddGaussian(paper_sigma[i] / sens[i]);
     }
     const double naive = kBudget * built.hierarchy.num_levels();
     const double rdp_eps = accountant.EpsilonFor(dp::Delta(1e-5));

@@ -15,7 +15,6 @@
 #include "baseline/individual_dp.hpp"
 #include "baseline/safe_grouping.hpp"
 #include "bench_util.hpp"
-#include "core/group_dp_engine.hpp"
 #include "core/pipeline.hpp"
 
 int main() {
@@ -91,15 +90,12 @@ int main() {
   }
   // Group-DP at the target level.
   {
-    core::ReleaseConfig rel;
-    rel.epsilon_g = kEps;
-    rel.include_group_counts = false;
-    const core::GroupDpEngine engine(rel);
-    const core::ReleasePlan plan = core::ReleasePlan::Build(g, built.hierarchy);
+    const auto artifact =
+        bench::ArtifactFor(g, built.hierarchy, spec.exec);
     double rer = 0.0;
     double sigma = 0.0;
     for (int t = 0; t < kTrials; ++t) {
-      const auto release = engine.Release(plan, rng);
+      const auto release = artifact->Release(bench::Phase2Budget(kEps), rng);
       const core::LevelRelease& lr = release.level(kTargetLevel);
       rer += lr.TotalRer();
       sigma = lr.noise_stddev;

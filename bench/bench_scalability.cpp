@@ -15,8 +15,6 @@
 #include "graph/io.hpp"
 #include "serve/session_registry.hpp"
 #include "storage/snapshot.hpp"
-#include "common/thread_pool.hpp"
-#include "core/group_dp_engine.hpp"
 #include "core/pipeline.hpp"
 #include "core/release_plan.hpp"
 #include "core/session.hpp"
@@ -98,7 +96,10 @@ BENCHMARK(BM_LevelSensitivities)->Arg(10'000)->Arg(100'000)->Arg(640'000)
     ->Unit(benchmark::kMillisecond);
 
 // One full release from the plan, with the plan's node scan and rollup
-// inside the loop: the end-to-end cost of a release from a graph.
+// inside the loop: the end-to-end cost of a release from a graph.  The
+// artifact adopts its hierarchy by value, so it is built once, outside the
+// loop; each iteration builds the plan again from that hierarchy and draws
+// one release from the artifact, whose plan is bit-identical.
 void BM_ReleaseAll_Planned(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
   hier::SpecializationConfig cfg;
@@ -107,13 +108,11 @@ void BM_ReleaseAll_Planned(benchmark::State& state) {
   const hier::Specializer spec(cfg);
   common::Rng rng(5);
   const auto built = spec.BuildHierarchy(g, rng);
-  core::ReleaseConfig rel;
-  rel.epsilon_g = 0.999;
-  rel.include_group_counts = true;
-  const core::GroupDpEngine engine(rel);
+  const auto artifact = bench::ArtifactFor(g, built.hierarchy);
   for (auto _ : state) {
-    auto release =
-        engine.Release(core::ReleasePlan::Build(g, built.hierarchy), rng);
+    auto plan = core::ReleasePlan::Build(g, artifact->hierarchy());
+    benchmark::DoNotOptimize(plan.num_levels());
+    auto release = artifact->Release(bench::Phase2Budget(0.999), rng);
     benchmark::DoNotOptimize(release.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -142,11 +141,12 @@ BENCHMARK(BM_BuildReleasePlan)->Apply([](benchmark::internal::Benchmark* b) {
   }
 });
 
-// Thread sweep of GroupDpEngine::Release (depth 9): plan and pool are
-// prebuilt, so this isolates the noise stage — per-level streams plus the
-// chunked within-level draw (one RNG substream per 8192-group chunk) — and
-// its multicore scaling.  Output is identical at every thread count.
-// Arg pair = {edges, threads}.
+// Thread sweep of CompiledDisclosure::Release (depth 9): the artifact's
+// plan and pool are prebuilt, so this isolates the noise stage — per-level
+// streams plus the chunked within-level draw (one RNG substream per
+// 8192-group chunk) — and its multicore scaling.  Output is identical at
+// every thread count; 1 thread draws on the calling thread, with no pool.
+// Arg pair = {edges, ExecSpec::num_threads}.
 void BM_ParallelReleaseAll(benchmark::State& state) {
   const auto g = MakeGraph(state.range(0));
   hier::SpecializationConfig cfg;
@@ -155,14 +155,11 @@ void BM_ParallelReleaseAll(benchmark::State& state) {
   const hier::Specializer spec(cfg);
   common::Rng rng(5);
   const auto built = spec.BuildHierarchy(g, rng);
-  core::ReleaseConfig rel;
-  rel.epsilon_g = 0.999;
-  rel.include_group_counts = true;
-  const core::GroupDpEngine engine(rel);
-  const auto plan = core::ReleasePlan::Build(g, built.hierarchy);
-  common::ThreadPool pool(static_cast<int>(state.range(1)));
+  core::ExecSpec exec;
+  exec.num_threads = static_cast<int>(state.range(1));
+  const auto artifact = bench::ArtifactFor(g, built.hierarchy, exec);
   for (auto _ : state) {
-    auto release = engine.Release(plan, rng, &pool);
+    auto release = artifact->Release(bench::Phase2Budget(0.999), rng);
     benchmark::DoNotOptimize(release.num_levels());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
+#include "core/compiled_disclosure.hpp"
 #include "graph/generators.hpp"
 
 namespace gdp::bench {
@@ -107,6 +109,26 @@ inline gdp::graph::BipartiteGraph MakeDblpLikeGraph(double fraction,
             << gdp::common::FormatDouble(sw.ElapsedSeconds(), 2) << "s (scale "
             << fraction << " of DBLP)\n";
   return graph;
+}
+
+// A budget whose whole ε is Phase 2, so the noise is calibrated to exactly
+// `epsilon`.
+inline gdp::core::BudgetSpec Phase2Budget(
+    double epsilon, gdp::core::NoiseKind noise = gdp::core::NoiseKind::kGaussian) {
+  return gdp::core::BudgetSpec{epsilon, 1e-5, 0.0, noise};
+}
+
+// An artifact adopting a hierarchy the bench built itself, with its plan
+// built here; its Release is the one release path.  `graph` must outlive it.
+inline std::shared_ptr<const gdp::core::CompiledDisclosure> ArtifactFor(
+    const gdp::graph::BipartiteGraph& graph,
+    const gdp::hier::GroupHierarchy& hierarchy,
+    const gdp::core::ExecSpec& exec = {}) {
+  gdp::core::SessionSpec spec;
+  spec.exec = exec;
+  return gdp::core::CompiledDisclosure::FromPrecompiled(
+      graph, spec, hierarchy, gdp::core::ReleasePlan::Build(graph, hierarchy),
+      0.0);
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper_ref) {

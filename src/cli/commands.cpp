@@ -53,11 +53,12 @@ std::string Require(const Args& args, const std::string& name) {
   return *value;
 }
 
-// The comma-separated items of a list flag ("a,,b" has an empty one).
-std::vector<std::string> SplitList(const std::string& list) {
+// The `separator`-separated items of a list flag ("a,,b" has an empty one).
+std::vector<std::string> SplitList(const std::string& list,
+                                   char separator = ',') {
   std::vector<std::string> items(1);
   for (const char c : list) {
-    if (c == ',') {
+    if (c == separator) {
       items.emplace_back();
     } else {
       items.back() += c;
@@ -280,14 +281,15 @@ HostPort ParseHostPort(const std::string& spec) {
 
 // "--answer assoc,group,degree[:left|right[:MAX]]" — query shapes, never
 // levels: the server answers at the tenant's entitled level, so a remote
-// caller cannot name a finer partition than its tier.
+// caller cannot name a finer partition than its tier.  Every field is whole:
+// a field past the shape's last is refused.
 std::vector<gdp::core::QuerySpec> ParseAnswerSpecs(const std::string& list) {
   using Kind = gdp::core::QuerySpec::Kind;
   std::vector<gdp::core::QuerySpec> queries;
   for (const std::string& token : SplitList(list)) {
-    std::istringstream ss(token);
-    std::string head;
-    std::getline(ss, head, ':');
+    const std::vector<std::string> fields = SplitList(token, ':');
+    const std::string& head = fields[0];
+    std::size_t shape_fields = 1;
     gdp::core::QuerySpec query;  // degree: left side, max degree 8
     if (head == "assoc") {
       query.kind = Kind::kAssociationCount;
@@ -295,7 +297,9 @@ std::vector<gdp::core::QuerySpec> ParseAnswerSpecs(const std::string& list) {
       query.kind = Kind::kGroupCount;
     } else if (head == "degree") {
       query.kind = Kind::kDegreeHistogram;
-      if (std::string side; std::getline(ss, side, ':')) {
+      shape_fields = 3;
+      if (fields.size() > 1) {
+        const std::string& side = fields[1];
         if (side == "left") {
           query.side = gdp::graph::Side::kLeft;
         } else if (side == "right") {
@@ -304,23 +308,29 @@ std::vector<gdp::core::QuerySpec> ParseAnswerSpecs(const std::string& list) {
           throw std::invalid_argument("--answer: bad side '" + side +
                                       "' in '" + token + "'");
         }
-        if (std::string max_token; std::getline(ss, max_token, ':')) {
-          // The wire carries MAX as a u32: anything outside [1, 2^32-1]
-          // is refused, not wrapped to a different histogram.
-          std::uint32_t max_degree = 0;
-          if (gdp::common::ParseNumber(max_token, max_degree) != std::errc{} ||
-              max_degree == 0) {
-            throw std::invalid_argument(
-                "--answer: max degree '" + max_token + "' in '" + token +
-                "' is not an integer in [1, 4294967295]");
-          }
-          query.max_degree = max_degree;
+      }
+      if (fields.size() > 2) {
+        // The wire carries MAX as a u32: anything outside [1, 2^32-1] is
+        // refused, not wrapped to a different histogram.
+        const std::string& max_token = fields[2];
+        std::uint32_t max_degree = 0;
+        if (gdp::common::ParseNumber(max_token, max_degree) != std::errc{} ||
+            max_degree == 0) {
+          throw std::invalid_argument(
+              "--answer: max degree '" + max_token + "' in '" + token +
+              "' is not an integer in [1, 4294967295]");
         }
+        query.max_degree = max_degree;
       }
     } else {
       throw std::invalid_argument(
           "--answer: bad query '" + token +
           "' (want assoc | group | degree[:left|right[:MAX]])");
+    }
+    if (fields.size() > shape_fields) {
+      throw std::invalid_argument("--answer: unexpected field '" +
+                                  fields[shape_fields] + "' in '" + token +
+                                  "'");
     }
     queries.push_back(query);
   }
@@ -404,19 +414,23 @@ std::vector<ServeRequest> ReadServeRequests(std::istream& in) {
   while (reader.Next()) {
     ServeRequest req;
     req.tenant = reader.Word("tenant_id");
-    // Checked here, so such a row stops the batch before any row is served
+    // Checked here, by the dp::Epsilon and dp::Delta rules a budget's shape
+    // check runs, so such a row stops the batch before any row is served
     // (and logged), and a typo'd delta never falls back to the default.
     req.epsilon_g = reader.Number<double>("epsilon_g");
-    if (!(req.epsilon_g > 0.0)) {
-      reader.Fail("epsilon_g must be positive");
-    }
-    if (!reader.AtEnd()) {
+    const bool has_delta = !reader.AtEnd();
+    if (has_delta) {
       req.delta = reader.Number<double>("delta");
-      if (!(req.delta > 0.0)) {
-        reader.Fail("delta must be positive");
-      }
     }
     reader.End();
+    try {
+      (void)gdp::dp::Epsilon(req.epsilon_g);
+      if (has_delta) {
+        (void)gdp::dp::Delta(req.delta);
+      }
+    } catch (const std::invalid_argument& e) {
+      reader.Fail(e.what());
+    }
     requests.push_back(std::move(req));
   }
   if (requests.empty()) {

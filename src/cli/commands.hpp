@@ -78,7 +78,8 @@ struct ServeRequest {
   double delta{0.0};  // 0 = use the publication default
 };
 
-// reqs.tsv: `tenant_id epsilon_g [delta]` per line, each budget positive.
+// reqs.tsv: `tenant_id epsilon_g [delta]` per line, epsilon_g in (0, 1e9)
+// and delta in (0, 1) (the dp::Epsilon and dp::Delta ranges).
 // Throws gdp::common::IoError naming the first malformed row's line (the
 // whole file is refused), or when there are no requests.
 [[nodiscard]] std::vector<ServeRequest> ReadServeRequests(std::istream& in);

@@ -9,8 +9,8 @@
 //
 // Determinism contract: the pool never owns randomness.  Callers that need
 // reproducible output fork one RNG stream per work unit BEFORE submission
-// (see GroupDpEngine::Release), so
-// scheduling order cannot leak into results.
+// (see CompiledDisclosure::Release), so scheduling order cannot leak into
+// results.
 //
 // CALLER PARTICIPATION: ParallelForChunked never parks the calling thread
 // while work remains.  The caller claims chunks from the same shared counter

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -20,8 +22,8 @@ void ValidateBudgetShape(const BudgetSpec& budget) {
   try {
     (void)gdp::dp::Epsilon(budget.epsilon_g);
     (void)gdp::dp::Epsilon(budget.phase2_epsilon());
-    // Every engine config validates δ regardless of noise kind (pure-ε
-    // mechanisms simply ignore it), so the artifact does too.
+    // δ is validated regardless of noise kind (pure-ε mechanisms simply
+    // ignore it).
     (void)gdp::dp::Delta(budget.delta);
   } catch (const std::invalid_argument& e) {
     throw gdp::common::InvalidBudgetError(std::string("BudgetSpec: ") +
@@ -109,6 +111,13 @@ void ValidateSpecForCompile(const SessionSpec& spec, const char* where) {
         gdp::dp::AccountingPolicyName(spec.accounting) +
         " accounting policy requires delta_cap > 0");
   }
+}
+
+// The group vector's calibration Δ at `level`: √2·Δℓ, or 0 at a level that
+// is released exactly.
+double GroupCountSensitivity(const ReleasePlan& plan, int level) {
+  return plan.CountSensitivity(level) == 0 ? 0.0
+                                           : plan.VectorSensitivity(level);
 }
 
 // The artifact's release pool: none at num_threads == 1, so that setting
@@ -280,20 +289,60 @@ MultiLevelRelease CompiledDisclosure::Release(const BudgetSpec& budget,
 
 MultiLevelRelease CompiledDisclosure::DrawRelease(const BudgetSpec& budget,
                                                   gdp::common::Rng& rng) const {
-  ReleaseConfig rel;
-  rel.epsilon_g = budget.phase2_epsilon();
-  rel.delta = budget.delta;
-  rel.noise = budget.noise;
-  rel.include_group_counts = spec_.exec.include_group_counts;
-  rel.clamp_nonnegative = spec_.exec.clamp_nonnegative;
-  rel.noise_chunk_grain = spec_.exec.noise_chunk_grain;
-
-  const GroupDpEngine engine(rel, &mech_cache_);
-  MultiLevelRelease release = engine.Release(plan_, rng, pool_.get());
+  const auto n = static_cast<std::size_t>(plan_.num_levels());
+  // One stream per level, forked in level order before any draw: level ℓ's
+  // noise depends only on (rng state, ℓ, grain), never on who draws it.
+  std::vector<gdp::common::Rng> streams = rng.ForkStreams(n);
+  std::vector<LevelRelease> levels(n);
+  // One chunk per level.  Each level's noise chunks nest on the same pool;
+  // caller participation in ParallelForChunked makes the nesting
+  // deadlock-free.
+  gdp::common::ForEachChunk(
+      pool_.get(), n, 1, [&](std::size_t i, std::size_t, std::size_t) {
+        levels[i] = DrawLevel(budget, static_cast<int>(i), streams[i]);
+      });
+  MultiLevelRelease release(std::move(levels));
   if (spec_.exec.enforce_consistency) {
     release = EnforceHierarchicalConsistency(hierarchy_, release);
   }
   return release;
+}
+
+LevelRelease CompiledDisclosure::DrawLevel(const BudgetSpec& budget, int level,
+                                           gdp::common::Rng& rng) const {
+  LevelRelease out;
+  out.level = level;
+  out.sensitivity = static_cast<double>(plan_.CountSensitivity(level));
+  out.true_total = static_cast<double>(plan_.num_edges());
+  out.noisy_total = out.true_total;
+  out.noise_stddev = DrawStatistic(budget, out.sensitivity,
+                                   std::span<double>(&out.noisy_total, 1), rng);
+  if (spec_.exec.include_group_counts) {
+    const std::span<const gdp::graph::EdgeCount> sums =
+        plan_.GroupDegreeSums(level);
+    out.true_group_counts.assign(sums.begin(), sums.end());
+    out.noisy_group_counts = out.true_group_counts;
+    out.group_noise_stddev =
+        DrawStatistic(budget, GroupCountSensitivity(plan_, level),
+                      out.noisy_group_counts, rng);
+  }
+  return out;
+}
+
+double CompiledDisclosure::DrawStatistic(const BudgetSpec& budget,
+                                         double sensitivity,
+                                         std::span<double> values,
+                                         gdp::common::Rng& rng) const {
+  if (sensitivity == 0.0) {
+    // Edgeless graph: nothing to protect, release exactly (and Δ = 0
+    // cannot calibrate a mechanism).
+    return 0.0;
+  }
+  const gdp::dp::NumericMechanism& mechanism = mech_cache_.Get(
+      budget.noise, budget.phase2_epsilon(), budget.delta, sensitivity);
+  AddChunkedNoise(mechanism, values, spec_.exec.noise_chunk_grain, rng,
+                  pool_.get());
+  return mechanism.NoiseStddev();
 }
 
 const gdp::hier::HierarchyIndex& CompiledDisclosure::index() const {
@@ -317,8 +366,6 @@ std::vector<QueryResult> CompiledDisclosure::Answer(
   ValidateQueries(queries);
   const std::span<const gdp::graph::EdgeCount> sums =
       plan_.GroupDegreeSums(level);
-  const auto count_sensitivity =
-      static_cast<double>(plan_.CountSensitivity(level));
   std::vector<QueryResult> results;
   results.reserve(queries.size());
   for (const QuerySpec& q : queries) {
@@ -326,12 +373,11 @@ std::vector<QueryResult> CompiledDisclosure::Answer(
     r.query_name = QueryName(q);
     switch (q.kind) {
       case QuerySpec::Kind::kAssociationCount:
-        r.sensitivity = count_sensitivity;
+        r.sensitivity = static_cast<double>(plan_.CountSensitivity(level));
         r.truth = {static_cast<double>(plan_.num_edges())};
         break;
       case QuerySpec::Kind::kGroupCount:
-        r.sensitivity =
-            count_sensitivity == 0.0 ? 0.0 : plan_.VectorSensitivity(level);
+        r.sensitivity = GroupCountSensitivity(plan_, level);
         r.truth.assign(sums.begin(), sums.end());
         break;
       case QuerySpec::Kind::kDegreeHistogram: {
@@ -351,14 +397,7 @@ std::vector<QueryResult> CompiledDisclosure::Answer(
       }
     }
     r.noisy = r.truth;
-    if (r.sensitivity != 0.0) {
-      const gdp::dp::NumericMechanism& mechanism =
-          mech_cache_.Get(budget.noise, budget.phase2_epsilon(), budget.delta,
-                          r.sensitivity);
-      r.noise_stddev = mechanism.NoiseStddev();
-      AddChunkedNoise(mechanism, r.noisy, spec_.exec.noise_chunk_grain, rng,
-                      pool_.get());
-    }
+    r.noise_stddev = DrawStatistic(budget, r.sensitivity, r.noisy, rng);
     results.push_back(std::move(r));
   }
   return results;

@@ -82,9 +82,11 @@ struct BudgetSpec {
   }
 };
 
-// How work is executed and post-processed.  Fixed for the artifact's
-// lifetime; none of it is privacy-relevant (the grain is part of the output
-// contract, consistency/clamping are post-processing).
+// What a release publishes and how it is drawn.  Fixed for the artifact's
+// lifetime.  The thread count changes wall time only; the grain is part of
+// the output contract; consistency is post-processing.  The group counts
+// are a second mechanism per level, which the one-event charge does not
+// cover yet (see docs/ACCOUNTING.md).
 struct ExecSpec {
   // Worker threads of the artifact's release pool.  1 (default) runs every
   // release on the calling thread; any other value builds an owned
@@ -94,17 +96,15 @@ struct ExecSpec {
   // build) always runs on the calling thread.  Wall time only: the released
   // values are bit-identical at every thread count.
   int num_threads{1};
-  // Groups per chunk of a level's vector noise draw (GroupDpEngine's one
-  // draw order).  Part of the output contract: one RNG substream per chunk,
-  // so changing it changes the released values; thread count never does.
+  // Groups per chunk of a vector noise draw (AddChunkedNoise's one draw
+  // order).  Part of the output contract: one RNG substream per chunk, so
+  // changing it changes the released values; thread count never does.
   std::size_t noise_chunk_grain{8192};
   // Also release per-group noisy counts at every level.
   bool include_group_counts{true};
   // Post-process the release so parent counts equal their children's sums
   // (GLS tree consistency; requires include_group_counts).
   bool enforce_consistency{false};
-  // Post-processing: clamp noisy counts at 0.
-  bool clamp_nonnegative{false};
 };
 
 // Everything a compile/open needs: the one-time specs plus the opening
@@ -220,10 +220,16 @@ class CompiledDisclosure {
   ~CompiledDisclosure();
 
   // One multi-level release under `budget`, drawn from `rng`, with zero
-  // graph scans.  Validates the budget (InvalidBudgetError) before any noise
-  // is drawn.  No ledger is touched — budget accounting is the tenant
-  // handle's job.  Safe to call concurrently (each caller brings its own
-  // Rng).
+  // graph scans: the one release path.  Validates the budget
+  // (InvalidBudgetError) before any noise is drawn.  Level ℓ draws its total
+  // and then its group counts from the ℓ-th stream of
+  // rng.ForkStreams(num_levels); a vector wider than the grain draws chunk c
+  // from the c-th stream its level stream forks.  Every stream is forked
+  // before any work is dispatched, so the values are bit-identical at every
+  // thread count, and level ℓ depends on nothing but (rng state, ℓ, grain).
+  // A level whose Δℓ is 0 (edgeless graph) is released exactly.  No ledger
+  // is touched — budget accounting is the tenant handle's job.  Safe to call
+  // concurrently (each caller brings its own Rng).
   [[nodiscard]] MultiLevelRelease Release(const BudgetSpec& budget,
                                           gdp::common::Rng& rng) const;
 
@@ -246,8 +252,8 @@ class CompiledDisclosure {
   //                       member out of its bin and, per incident edge, one
   //                       neighbour between bins.  The one query that reads
   //                       the graph.
-  // Queries draw in list order from `rng`, each vector through
-  // AddChunkedNoise at the exec spec's grain, so {association_count,
+  // Queries draw in list order from `rng`, each through the same
+  // statistic draw a Release level makes, so {association_count,
   // group_counts} at ℓ equals the level-ℓ total and group counts Release
   // draws from the same level stream.  A query whose Δ is 0 (edgeless
   // graph) is released exactly.
@@ -300,6 +306,19 @@ class CompiledDisclosure {
   // `budget` against this artifact first.
   [[nodiscard]] MultiLevelRelease DrawRelease(const BudgetSpec& budget,
                                               gdp::common::Rng& rng) const;
+
+  // Level `level` of a release, drawn from its level stream: the total,
+  // then (with include_group_counts) the group vector.
+  [[nodiscard]] LevelRelease DrawLevel(const BudgetSpec& budget, int level,
+                                       gdp::common::Rng& rng) const;
+
+  // The one statistic draw: perturb `values` in place with the mechanism at
+  // (budget.noise, phase2_epsilon, delta, `sensitivity`) through
+  // AddChunkedNoise at the exec spec's grain, and return its σ.  At
+  // `sensitivity` 0 the values are released exactly (σ 0) and nothing is
+  // drawn.
+  double DrawStatistic(const BudgetSpec& budget, double sensitivity,
+                       std::span<double> values, gdp::common::Rng& rng) const;
 
   CompiledDisclosure(const gdp::graph::BipartiteGraph& graph, SessionSpec spec,
                      gdp::hier::GroupHierarchy hierarchy, ReleasePlan plan,

@@ -1,6 +1,5 @@
 #include "core/group_dp_engine.hpp"
 
-#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -130,95 +129,6 @@ const gdp::dp::NumericMechanism& MechanismCache::Get(NoiseKind kind,
 std::size_t MechanismCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return cache_.size();
-}
-
-GroupDpEngine::GroupDpEngine(ReleaseConfig config)
-    : GroupDpEngine(config, nullptr) {}
-
-GroupDpEngine::GroupDpEngine(ReleaseConfig config, MechanismCache* shared_cache)
-    : config_(config), shared_cache_(shared_cache) {
-  // Validate eagerly so a bad config fails at construction, not mid-release.
-  (void)gdp::dp::Epsilon(config_.epsilon_g);
-  (void)gdp::dp::Delta(config_.delta);
-  if (config_.noise_chunk_grain == 0) {
-    throw std::invalid_argument(
-        "GroupDpEngine: noise_chunk_grain must be > 0");
-  }
-}
-
-double GroupDpEngine::NoiseStddevFor(double sensitivity) const {
-  return cache()
-      .Get(config_.noise, config_.epsilon_g, config_.delta, sensitivity)
-      .NoiseStddev();
-}
-
-MultiLevelRelease GroupDpEngine::Release(const ReleasePlan& plan,
-                                         gdp::common::Rng& rng,
-                                         gdp::common::ThreadPool* pool) const {
-  const auto n = static_cast<std::size_t>(plan.num_levels());
-  // One stream per level, forked in level order before any draw: level ℓ's
-  // noise depends only on (rng state, ℓ, grain), never on who draws it.
-  std::vector<gdp::common::Rng> streams = rng.ForkStreams(n);
-  std::vector<LevelRelease> levels(n);
-  // One chunk per level.  Each level's noise chunks nest on the same pool;
-  // caller participation in ParallelForChunked makes the nesting
-  // deadlock-free.
-  gdp::common::ForEachChunk(
-      pool, n, 1, [&](std::size_t i, std::size_t, std::size_t) {
-        levels[i] = DrawLevel(plan, static_cast<int>(i), streams[i], pool);
-      });
-  return MultiLevelRelease(std::move(levels));
-}
-
-LevelRelease GroupDpEngine::DrawLevel(const ReleasePlan& plan, int level_index,
-                                      gdp::common::Rng& rng,
-                                      gdp::common::ThreadPool* pool) const {
-  LevelRelease out;
-  out.level = level_index;
-  out.true_total = static_cast<double>(plan.num_edges());
-  out.sensitivity = static_cast<double>(plan.CountSensitivity(level_index));
-
-  const std::span<const gdp::graph::EdgeCount> sums =
-      plan.GroupDegreeSums(level_index);
-
-  if (out.sensitivity == 0.0) {
-    // Edgeless graph: nothing to protect, release exactly (and Δℓ = 0
-    // cannot calibrate a mechanism).
-    out.noisy_total = out.true_total;
-    if (config_.include_group_counts) {
-      out.true_group_counts.assign(sums.size(), 0.0);
-      out.noisy_group_counts.assign(sums.size(), 0.0);
-    }
-    return out;
-  }
-
-  const auto& scalar_mechanism = cache().Get(
-      config_.noise, config_.epsilon_g, config_.delta, out.sensitivity);
-  out.noise_stddev = scalar_mechanism.NoiseStddev();
-  out.noisy_total = scalar_mechanism.AddNoise(out.true_total, rng);
-
-  if (config_.include_group_counts) {
-    out.true_group_counts.assign(sums.begin(), sums.end());
-    // Per-group vector: one group's change moves its own entry by up to Δℓ
-    // and opposite-side entries by up to Δℓ in total, so calibrate with the
-    // sqrt(2)·Δℓ L2 bound (see group_sensitivity.hpp).
-    const auto& vector_mechanism =
-        cache().Get(config_.noise, config_.epsilon_g, config_.delta,
-                    plan.VectorSensitivity(level_index));
-    out.group_noise_stddev = vector_mechanism.NoiseStddev();
-
-    out.noisy_group_counts = out.true_group_counts;
-    AddChunkedNoise(vector_mechanism, out.noisy_group_counts,
-                    config_.noise_chunk_grain, rng, pool);
-  }
-
-  if (config_.clamp_nonnegative) {
-    out.noisy_total = std::max(0.0, out.noisy_total);
-    for (double& c : out.noisy_group_counts) {
-      c = std::max(0.0, c);
-    }
-  }
-  return out;
 }
 
 }  // namespace gdp::core

@@ -1,21 +1,20 @@
-// Phase 2 of the paper's pipeline: group-DP noise injection.
+// Phase 2 of the paper's pipeline: the noise building blocks.
 //
-// For each hierarchy level ℓ the engine computes the group-level sensitivity
-// Δℓ (max incident-edge count over level-ℓ groups) and perturbs the
-// association-count statistics with noise calibrated to (εg, δ, Δℓ).  By the
-// Gaussian/Laplace mechanism guarantee, each level's release satisfies
-// εg-group-DP with respect to level-ℓ group adjacency.
-//
-// ONE RELEASE PATH, ONE DRAW ORDER: GroupDpEngine::Release consumes a
-// ReleasePlan (every level's statistics from one node sweep, see
-// release_plan.hpp) and draws in the same order with or without a
-// ThreadPool, so the output is a function of (rng state, grain) alone.
+// The paper perturbs each hierarchy level's association counts with noise
+// calibrated to (εg, δ, Δℓ), where Δℓ is the level's group sensitivity (max
+// incident-edge count over level-ℓ groups).  This header holds the pieces
+// that draw: the noise kinds, the calibrated mechanism factory, the
+// accounting event a charge claims, the one chunked vector draw and the
+// calibration cache.  CompiledDisclosure::Release is the one release path
+// that composes them (level streams, then chunk streams), and Answer draws
+// every query through the same level-statistic draw.
 //
 // SENSITIVITY CAVEAT (documented honestly): following the paper, Δℓ is
 // computed from the dataset's own hierarchy, i.e. it is a *local* rather
-// than worst-case-global sensitivity.  The hierarchy itself was produced by
-// the DP Exponential Mechanism in Phase 1, which is the paper's argument for
-// treating the level structure as safe metadata.
+// than worst-case-global sensitivity, and every published σ discloses it.
+// The hierarchy itself was produced by the DP Exponential Mechanism in
+// Phase 1, which is the paper's argument for treating the level structure
+// as safe metadata; docs/ACCOUNTING.md states what that does not cover.
 #pragma once
 
 #include <map>
@@ -25,8 +24,6 @@
 #include <tuple>
 
 #include "common/rng.hpp"
-#include "core/release.hpp"
-#include "core/release_plan.hpp"
 #include "dp/mechanism.hpp"
 #include "dp/privacy_accountant.hpp"
 #include "dp/privacy_params.hpp"
@@ -52,26 +49,7 @@ enum class NoiseKind {
 
 [[nodiscard]] const char* NoiseKindName(NoiseKind kind) noexcept;
 
-struct ReleaseConfig {
-  // Per-level Phase-2 privacy budget εg (the paper's swept parameter).
-  double epsilon_g{0.999};
-  // Gaussian failure probability δ (the paper leaves it unstated; see
-  // DESIGN.md "Substitutions").
-  double delta{1e-5};
-  NoiseKind noise{NoiseKind::kGaussian};
-  // Also release per-group noisy counts at every level.
-  bool include_group_counts{true};
-  // Post-processing: clamp noisy counts at 0 (counts cannot be negative).
-  // Off by default to match the paper's raw-RER measurements.
-  bool clamp_nonnegative{false};
-  // Groups per chunk of a level's per-group vector noise draw.  Part of the
-  // output's reproducibility contract: a level with more groups than this
-  // forks one RNG substream per chunk, so changing the grain re-splits the
-  // stream and changes the released values — thread count never does.
-  std::size_t noise_chunk_grain{8192};
-};
-
-// Factory shared by the engine and the baselines: a calibrated scalar
+// Factory shared by the release path and the baselines: a calibrated scalar
 // mechanism for the given noise kind.
 [[nodiscard]] std::unique_ptr<gdp::dp::NumericMechanism> MakeMechanism(
     NoiseKind kind, double epsilon, double delta, double sensitivity);
@@ -94,13 +72,13 @@ struct ReleaseConfig {
                                                         double delta,
                                                         int parallel_width = 1);
 
-// Perturb `values` in place with `mechanism` in the engine's one vector draw
-// order: at most `grain` values draw straight from `rng`; more fork one
-// substream per chunk of `grain` values, in chunk order before any draw, and
-// chunk c draws from the c-th.  The layout depends only on (values.size(),
+// Perturb `values` in place with `mechanism` in the one vector draw order:
+// at most `grain` values draw straight from `rng`; more fork one substream
+// per chunk of `grain` values, in chunk order before any draw, and chunk c
+// draws from the c-th.  The layout depends only on (values.size(),
 // grain), so chunks run inline without a pool and across `pool` with one,
-// bit-identically.  A level's group counts and every query of an Answer
-// draw through it.
+// bit-identically.  Every statistic a release or an Answer publishes draws
+// through it.
 void AddChunkedNoise(const gdp::dp::NumericMechanism& mechanism,
                      std::span<double> values, std::size_t grain,
                      gdp::common::Rng& rng, gdp::common::ThreadPool* pool);
@@ -123,65 +101,6 @@ class MechanismCache {
   using Key = std::tuple<int, double, double, double>;
   mutable std::mutex mutex_;
   std::map<Key, std::unique_ptr<gdp::dp::NumericMechanism>> cache_;
-};
-
-class GroupDpEngine {
- public:
-  explicit GroupDpEngine(ReleaseConfig config);
-
-  // Engine sharing a caller-owned MechanismCache.  A DisclosureSession
-  // constructs one engine per release (the ReleaseConfig changes with every
-  // BudgetSpec) but keeps ONE cache for its whole lifetime, so re-releasing
-  // at an already-seen (kind, ε, δ, Δ) skips calibration entirely.  The
-  // cache must outlive the engine.
-  GroupDpEngine(ReleaseConfig config, MechanismCache* shared_cache);
-
-  // The engine owns a mechanism cache (and a mutex): non-copyable by design.
-  GroupDpEngine(const GroupDpEngine&) = delete;
-  GroupDpEngine& operator=(const GroupDpEngine&) = delete;
-
-  // Release every level of the plan with the configured εg per level (the
-  // paper's scheme: each level carries its own εg-group-DP guarantee under
-  // its own adjacency relation).  Level ℓ draws from the ℓ-th stream of
-  // rng.ForkStreams(plan.num_levels()); a level with more than
-  // noise_chunk_grain groups draws chunk c of its vector noise from the c-th
-  // stream its level stream forks.  Every stream is forked before any work
-  // is dispatched, so levels and chunks run inline without a pool and across
-  // `pool` with one, bit-identically for every pool size; and level ℓ's
-  // noise depends on nothing but (rng state, ℓ, grain), so drawing one level
-  // equals slicing the full release.  A level whose sensitivity is zero
-  // (edgeless graph) is released exactly: there are no associations to
-  // protect.
-  [[nodiscard]] MultiLevelRelease Release(
-      const ReleasePlan& plan, gdp::common::Rng& rng,
-      gdp::common::ThreadPool* pool = nullptr) const;
-
-  [[nodiscard]] const ReleaseConfig& config() const noexcept { return config_; }
-
-  // Noise σ the engine will use for a level with sensitivity Δ (exposed for
-  // expected-error analysis and tests).  Served from the mechanism cache.
-  [[nodiscard]] double NoiseStddevFor(double sensitivity) const;
-
-  // Number of distinct calibrations memoized so far (tests assert repeat
-  // releases hit the cache instead of re-deriving).
-  [[nodiscard]] std::size_t MechanismCacheSize() const {
-    return cache().size();
-  }
-
- private:
-  // Level `level_index` of Release, drawn from its own level stream.
-  [[nodiscard]] LevelRelease DrawLevel(const ReleasePlan& plan, int level_index,
-                                       gdp::common::Rng& level_rng,
-                                       gdp::common::ThreadPool* pool) const;
-
-  // The shared cache when one was given, else the owned one.
-  [[nodiscard]] MechanismCache& cache() const noexcept {
-    return shared_cache_ != nullptr ? *shared_cache_ : owned_cache_;
-  }
-
-  ReleaseConfig config_;
-  mutable MechanismCache owned_cache_;
-  MechanismCache* shared_cache_{nullptr};
 };
 
 }  // namespace gdp::core

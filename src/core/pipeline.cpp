@@ -9,11 +9,11 @@ DisclosureResult RunDisclosure(const gdp::graph::BipartiteGraph& graph,
   // Open-release-close: Phase 1 + plan once, one release, ledger out.
   // Open validates the cheap knobs (fraction, ε, consistency flags) before
   // Phase 1 touches the graph.
-  // Phase 2: one (ε, δ) mechanism per level; within a level the scalar and
-  // the group vector are charged sequentially by the engine's construction,
-  // but across levels each level protects a *different* adjacency relation —
-  // the per-level guarantee is εg-group-DP at that level's granularity
-  // (matching the paper's statement), so the ledger records the max.
+  // Phase 2: the release is charged as ONE (ε, δ) event spanning every
+  // level: each level protects a *different* adjacency relation (the paper's
+  // per-level reading), so the ledger records the max over levels.  Within
+  // a level the scalar total and the group vector are two mechanisms under
+  // that one event (see docs/ACCOUNTING.md).
   DisclosureSession session = DisclosureSession::Open(graph, spec, rng);
   MultiLevelRelease release = session.Release(
       spec.budget, rng, "phase2: per-level noise (max over levels)");

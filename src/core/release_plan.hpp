@@ -6,7 +6,7 @@
 // VectorSensitivity), i.e. O(levels · V) per release.  A plan performs ONE node
 // scan — the singleton-level group degree sums, which are just the node
 // degrees — and rolls sums up the hierarchy through the finer levels' parent
-// pointers, O(V + total groups) overall.  Everything the engine consumes per
+// pointers, O(V + total groups) overall.  Everything a release consumes per
 // level is then a cached lookup:
 //
 //   GroupDegreeSums(ℓ)   — the true per-group association counts,
@@ -22,7 +22,7 @@
 // equal core/group_sensitivity's direct scans, and a snapshot-adopted plan is
 // bit-identical to a freshly built one (release_plan_test / snapshot_test
 // assert this).  Plans are immutable after Build and safe to share across
-// threads (GroupDpEngine::Release reads one from every pool worker).
+// threads (CompiledDisclosure::Release reads one from every pool worker).
 #pragma once
 
 #include <cstdint>

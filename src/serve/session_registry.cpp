@@ -32,7 +32,8 @@ std::string SessionRegistry::Fingerprint(const gdp::core::SessionSpec& spec,
      << ";grain=" << e.noise_chunk_grain
      << ";gc=" << (e.include_group_counts ? 1 : 0)
      << ";cons=" << (e.enforce_consistency ? 1 : 0)
-     << ";clamp=" << (e.clamp_nonnegative ? 1 : 0) << ";seed=" << compile_seed;
+     // A fixed field: GDPSNAP01 snapshots and GDPWAL01 open records store it.
+     << ";clamp=0;seed=" << compile_seed;
   return os.str();
 }
 

@@ -707,6 +707,19 @@ TEST(CliDispatchTest, ClientAnswerIsParsedBeforeDialing) {
   EXPECT_NE(what.find("bad query 'bogus'"), std::string::npos) << what;
 }
 
+TEST(CliDispatchTest, ClientAnswerRefusesAFieldPastTheQueryShape) {
+  // Nothing listens on port 1: a field after assoc, after group or after
+  // degree[:side[:MAX]] is refused before the connect.
+  for (const std::string token :
+       {"assoc:junk", "group:junk", "degree:left:5:junk", "assoc:"}) {
+    const std::string what =
+        FlagError({"client", "--connect", "127.0.0.1:1", "--tenant", "t",
+                   "--answer", "group," + token});
+    EXPECT_NE(what.find("unexpected field"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+  }
+}
+
 TEST(CliDispatchTest, DiscloseNamesTheFlagOfANonNumericValue) {
   const std::string what = DiscloseFlagError({"--depth", "abc"});
   EXPECT_NE(what.find("--depth"), std::string::npos) << what;
@@ -849,6 +862,39 @@ TEST_F(CliWalTest, NonPositiveEpsilonRefusesTheRequestFileBeforeAnyCharge) {
     const std::string image((std::istreambuf_iterator<char>(wal)),
                             std::istreambuf_iterator<char>());
     EXPECT_TRUE(gdp::serve::AuditWal::Replay(image).records.empty());
+  }
+}
+
+TEST_F(CliWalTest, OutOfRangeBudgetRefusesTheRequestFileBeforeAnyCharge) {
+  // A delta of 1 or more and an epsilon_g of 1e9 or more are budgets the
+  // service refuses: the file is refused when it is read, naming the row,
+  // before alice's charge or bob's open reaches the log.
+  for (const std::string bad_row : {"bob 0.4 1.5", "bob 1e9"}) {
+    std::remove(wal_path_.c_str());
+    {
+      std::ofstream tenants(tenants_path_);
+      tenants << "alice 4.0 0.01 2\nbob 4.0 0.01 1\n";
+      std::ofstream requests(requests_path_);
+      requests << "alice 0.5\n" << bad_row << "\nalice 0.3\n";
+    }
+    std::ostringstream out;
+    try {
+      (void)Dispatch({"serve", "--graph", graph_path_, "--tenants",
+                      tenants_path_, "--requests", requests_path_, "--depth",
+                      "5", "--seed", "7", "--wal", wal_path_},
+                     out);
+      ADD_FAILURE() << "serve accepted the row '" << bad_row << "'";
+    } catch (const gdp::common::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+    std::ifstream wal(wal_path_, std::ios::binary);
+    if (wal) {
+      const std::string image((std::istreambuf_iterator<char>(wal)),
+                              std::istreambuf_iterator<char>());
+      EXPECT_TRUE(gdp::serve::AuditWal::Replay(image).records.empty())
+          << bad_row;
+    }
   }
 }
 

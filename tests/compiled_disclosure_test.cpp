@@ -219,6 +219,24 @@ TEST(CompiledDisclosureTest, CompileRefusesAThreadCountOutsideItsBound) {
   }
 }
 
+TEST(CompiledDisclosureTest, CompileAndAdoptRefuseAZeroGrain) {
+  // A grain of 0 cannot chunk a vector draw: both ways to build an artifact
+  // refuse it before Phase 1 draws.
+  const BipartiteGraph g = TestGraph();
+  SessionSpec spec = SmallSpec();
+  Rng rng(7);
+  const auto compiled = CompiledDisclosure::Compile(g, spec, rng);
+  spec.exec.noise_chunk_grain = 0;
+  Rng refused(7);
+  EXPECT_THROW((void)CompiledDisclosure::Compile(g, spec, refused),
+               std::invalid_argument);
+  EXPECT_EQ(refused(), Rng(7)()) << "Phase 1 drew";
+  EXPECT_THROW((void)CompiledDisclosure::FromPrecompiled(
+                   g, spec, compiled->hierarchy(), compiled->plan(),
+                   compiled->phase1_epsilon_spent()),
+               std::invalid_argument);
+}
+
 TEST(CompiledDisclosureTest, ConcurrentDrilldownBuildsIndexExactlyOnce) {
   // The lazy HierarchyIndex is materialised under std::call_once: N threads
   // hitting a cold index concurrently must all observe one fully-built

@@ -5,10 +5,10 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "core/group_dp_engine.hpp"
 #include "core/metrics.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -36,12 +36,8 @@ GroupHierarchy TestHierarchy(const BipartiteGraph& g, int depth = 5) {
 
 MultiLevelRelease NoisyRelease(const BipartiteGraph& g, const GroupHierarchy& h,
                                std::uint64_t seed, double eps = 0.999) {
-  ReleaseConfig cfg;
-  cfg.epsilon_g = eps;
-  cfg.include_group_counts = true;
-  const GroupDpEngine engine(cfg);
   Rng rng(seed);
-  return engine.Release(ReleasePlan::Build(g, h), rng);
+  return ArtifactFor(g, h)->Release(Phase2Budget(eps), rng);
 }
 
 TEST(ConsistencyTest, RawReleaseIsInconsistent) {
@@ -123,11 +119,11 @@ TEST(ConsistencyTest, ScalarTotalsAreLeftUntouched) {
 TEST(ConsistencyTest, RejectsReleaseWithoutGroupCounts) {
   const BipartiteGraph g = TestGraph();
   const GroupHierarchy h = TestHierarchy(g);
-  ReleaseConfig cfg;
-  cfg.include_group_counts = false;
-  const GroupDpEngine engine(cfg);
+  ExecSpec exec;
+  exec.include_group_counts = false;
   Rng rng(13);
-  const MultiLevelRelease bare = engine.Release(ReleasePlan::Build(g, h), rng);
+  const MultiLevelRelease bare =
+      ArtifactFor(g, h, exec)->Release(Phase2Budget(0.999), rng);
   EXPECT_THROW((void)EnforceHierarchicalConsistency(h, bare),
                std::invalid_argument);
   EXPECT_THROW((void)IsHierarchicallyConsistent(h, bare), std::invalid_argument);

@@ -5,10 +5,9 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "core/group_dp_engine.hpp"
-#include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -31,9 +30,9 @@ Fixture MakeFixture() {
   const gdp::hier::Specializer spec(cfg);
   Rng srng(5);
   auto hierarchy = spec.BuildHierarchy(g, srng).hierarchy;
-  const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(7);
-  auto release = engine.Release(ReleasePlan::Build(g, hierarchy), rng);
+  auto release =
+      ArtifactFor(g, hierarchy)->Release(Phase2Budget(0.999), rng);
   return Fixture{std::move(g), std::move(hierarchy), std::move(release)};
 }
 
@@ -92,12 +91,11 @@ TEST(DrillDownTest, ValidatesLevelRange) {
 TEST(DrillDownTest, RejectsReleaseWithoutGroupCounts) {
   const Fixture f = MakeFixture();
   const gdp::hier::HierarchyIndex index(f.hierarchy);
-  ReleaseConfig cfg;
-  cfg.include_group_counts = false;
-  const GroupDpEngine engine(cfg);
+  ExecSpec exec;
+  exec.include_group_counts = false;
   Rng rng(11);
-  const MultiLevelRelease bare =
-      engine.Release(ReleasePlan::Build(f.graph, f.hierarchy), rng);
+  const MultiLevelRelease bare = ArtifactFor(f.graph, f.hierarchy, exec)
+                                     ->Release(Phase2Budget(0.999), rng);
   EXPECT_THROW((void)DrillDown(bare, index, Side::kLeft, 0, 4, 0),
                std::invalid_argument);
 }
@@ -112,35 +110,38 @@ TEST(DrillDownTest, StrippedReleaseYieldsZeroTruth) {
   }
 }
 
-// A per-level budget (one ε per level, e.g. from PlanLevelBudgets) releases
-// each level through an engine of its own at that level's ε.
-MultiLevelRelease ReleaseWithPerLevelBudgets(const ReleasePlan& plan,
+// A per-level budget (one ε per level, e.g. from PlanLevelBudgets) takes
+// each level from a release of its own at that level's ε.
+MultiLevelRelease ReleaseWithPerLevelBudgets(const CompiledDisclosure& artifact,
                                              const std::vector<double>& budgets,
                                              std::uint64_t seed) {
   std::vector<LevelRelease> levels;
-  for (int lvl = 0; lvl < plan.num_levels(); ++lvl) {
-    ReleaseConfig cfg;
-    cfg.epsilon_g = budgets.at(static_cast<std::size_t>(lvl));
-    cfg.include_group_counts = false;
-    const GroupDpEngine engine(cfg);
+  for (int lvl = 0; lvl < artifact.plan().num_levels(); ++lvl) {
     Rng rng(seed);
-    levels.push_back(engine.Release(plan, rng).level(lvl));
+    levels.push_back(
+        artifact.Release(Phase2Budget(budgets.at(static_cast<std::size_t>(lvl))),
+                         rng)
+            .level(lvl));
   }
   return MultiLevelRelease(std::move(levels));
 }
 
+std::shared_ptr<const CompiledDisclosure> TotalsArtifact(const Fixture& f) {
+  ExecSpec exec;
+  exec.include_group_counts = false;
+  return ArtifactFor(f.graph, f.hierarchy, exec);
+}
+
 TEST(PerLevelBudgetTest, PerLevelEpsilonsChangeNoiseScales) {
   const Fixture f = MakeFixture();
-  const ReleasePlan plan = ReleasePlan::Build(f.graph, f.hierarchy);
-  ReleaseConfig cfg;
-  cfg.include_group_counts = false;
-  const GroupDpEngine engine(cfg);
+  const auto artifact = TotalsArtifact(f);
   // Increasing epsilon per level: noise scale relative to the uniform
   // release must shrink at generously-budgeted levels.
   const std::vector<double> budgets{0.1, 0.2, 0.4, 0.8, 1.6};
-  const MultiLevelRelease planned = ReleaseWithPerLevelBudgets(plan, budgets, 13);
+  const MultiLevelRelease planned =
+      ReleaseWithPerLevelBudgets(*artifact, budgets, 13);
   Rng rng2(13);
-  const MultiLevelRelease uniform = engine.Release(plan, rng2);
+  const MultiLevelRelease uniform = artifact->Release(Phase2Budget(0.999), rng2);
   // Level 0 budget (0.1) < uniform (0.999): more noise.
   EXPECT_GT(planned.level(0).noise_stddev, uniform.level(0).noise_stddev);
   // Level 4 budget (1.6) > uniform: less noise.
@@ -152,12 +153,13 @@ TEST(PerLevelBudgetTest, LevelNoiseDependsOnlyOnItsOwnStream) {
   // released at ε differs from the same level at ε' only by its noise
   // scale: the standardized Gaussian draw is the same sample.
   const Fixture f = MakeFixture();
-  const ReleasePlan plan = ReleasePlan::Build(f.graph, f.hierarchy);
+  const auto artifact = TotalsArtifact(f);
   const std::vector<double> budgets{0.1, 0.2, 0.4, 0.8, 1.6};
-  const MultiLevelRelease planned = ReleaseWithPerLevelBudgets(plan, budgets, 17);
+  const MultiLevelRelease planned =
+      ReleaseWithPerLevelBudgets(*artifact, budgets, 17);
   const MultiLevelRelease uniform = ReleaseWithPerLevelBudgets(
-      plan, std::vector<double>(budgets.size(), 0.999), 17);
-  for (int lvl = 0; lvl < plan.num_levels(); ++lvl) {
+      *artifact, std::vector<double>(budgets.size(), 0.999), 17);
+  for (int lvl = 0; lvl < planned.num_levels(); ++lvl) {
     const LevelRelease& a = planned.level(lvl);
     const LevelRelease& b = uniform.level(lvl);
     const double za = (a.noisy_total - a.true_total) / a.noise_stddev;

@@ -9,10 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "core/group_dp_engine.hpp"
-#include "core/pipeline.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp {
 namespace {
@@ -30,15 +29,15 @@ BipartiteGraph Dblp200th() {
 // Mean RER of the count release at one level over `trials` noise draws.
 double MeanRer(const BipartiteGraph& g, const hier::GroupHierarchy& h, int level,
                double eps, int trials, std::uint64_t seed) {
-  core::ReleaseConfig cfg;
-  cfg.epsilon_g = eps;
-  cfg.include_group_counts = false;
-  const core::GroupDpEngine engine(cfg);
-  const core::ReleasePlan plan = core::ReleasePlan::Build(g, h);
+  core::ExecSpec exec;
+  exec.include_group_counts = false;
+  const auto artifact = core::ArtifactFor(g, h, exec);
   Rng rng(seed);
   double total = 0.0;
   for (int t = 0; t < trials; ++t) {
-    total += engine.Release(plan, rng).level(level).TotalRer();
+    total += artifact->Release(core::Phase2Budget(eps), rng)
+                 .level(level)
+                 .TotalRer();
   }
   return total / trials;
 }

@@ -7,9 +7,9 @@
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "dp/gaussian.hpp"
-#include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -70,35 +70,27 @@ TEST(MakeMechanismTest, GaussianAutoUpgradesAboveEpsilonOne) {
   EXPECT_GT(m->NoiseStddev(), 0.0);
 }
 
-TEST(GroupDpEngineTest, ConfigValidatedAtConstruction) {
-  ReleaseConfig bad;
-  bad.epsilon_g = 0.0;
-  EXPECT_THROW(GroupDpEngine{bad}, std::invalid_argument);
-  bad = ReleaseConfig{};
-  bad.delta = 1.0;
-  EXPECT_THROW(GroupDpEngine{bad}, std::invalid_argument);
-  bad = ReleaseConfig{};
-  bad.noise_chunk_grain = 0;
-  EXPECT_THROW(GroupDpEngine{bad}, std::invalid_argument);
-}
-
-TEST(GroupDpEngineTest, NoiseStddevMatchesClassicGaussianFormula) {
-  ReleaseConfig cfg;
-  cfg.epsilon_g = 0.999;
-  cfg.delta = 1e-5;
-  const GroupDpEngine engine(cfg);
-  const double delta_sigma = gdp::dp::ClassicGaussianSigma(
-      gdp::dp::Epsilon(0.999), gdp::dp::Delta(1e-5), gdp::dp::L2Sensitivity(500.0));
-  EXPECT_NEAR(engine.NoiseStddevFor(500.0), delta_sigma, 1e-9);
-}
-
-TEST(GroupDpEngineTest, ReleaseLevelRecordsSensitivityAndTruth) {
+TEST(ReleaseDrawTest, NoiseStddevMatchesClassicGaussianFormula) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
-  const GroupDpEngine engine(ReleaseConfig{});
+  Rng rng(11);
+  const MultiLevelRelease r =
+      ArtifactFor(g, h)->Release(Phase2Budget(0.999), rng);
+  for (const auto& lvl : r.levels()) {
+    const double sigma = gdp::dp::ClassicGaussianSigma(
+        gdp::dp::Epsilon(0.999), gdp::dp::Delta(1e-5),
+        gdp::dp::L2Sensitivity(lvl.sensitivity));
+    EXPECT_NEAR(lvl.noise_stddev, sigma, 1e-9 * sigma)
+        << "level " << lvl.level;
+  }
+}
+
+TEST(ReleaseDrawTest, ReleaseLevelRecordsSensitivityAndTruth) {
+  const BipartiteGraph g = TestGraph();
+  const auto h = TestHierarchy(g);
   Rng rng(11);
   const LevelRelease lr =
-      engine.Release(ReleasePlan::Build(g, h), rng).level(2);
+      ArtifactFor(g, h)->Release(Phase2Budget(0.999), rng).level(2);
   EXPECT_EQ(lr.level, 2);
   EXPECT_DOUBLE_EQ(lr.true_total, static_cast<double>(g.num_edges()));
   EXPECT_DOUBLE_EQ(lr.sensitivity,
@@ -107,130 +99,104 @@ TEST(GroupDpEngineTest, ReleaseLevelRecordsSensitivityAndTruth) {
   EXPECT_NE(lr.noisy_total, lr.true_total);
 }
 
-TEST(GroupDpEngineTest, GroupCountsIncludedByDefault) {
+TEST(ReleaseDrawTest, GroupCountsIncludedByDefault) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
-  const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(13);
   const LevelRelease lr =
-      engine.Release(ReleasePlan::Build(g, h), rng).level(3);
+      ArtifactFor(g, h)->Release(Phase2Budget(0.999), rng).level(3);
   EXPECT_EQ(lr.true_group_counts.size(), h.level(3).num_groups());
   EXPECT_EQ(lr.noisy_group_counts.size(), h.level(3).num_groups());
 }
 
-TEST(GroupDpEngineTest, GroupCountsOmittedWhenDisabled) {
+TEST(ReleaseDrawTest, GroupCountsOmittedWhenDisabled) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
-  ReleaseConfig cfg;
-  cfg.include_group_counts = false;
-  const GroupDpEngine engine(cfg);
+  ExecSpec exec;
+  exec.include_group_counts = false;
   Rng rng(13);
   const LevelRelease lr =
-      engine.Release(ReleasePlan::Build(g, h), rng).level(3);
+      ArtifactFor(g, h, exec)->Release(Phase2Budget(0.999), rng).level(3);
   EXPECT_TRUE(lr.true_group_counts.empty());
   EXPECT_TRUE(lr.noisy_group_counts.empty());
+  EXPECT_EQ(lr.group_noise_stddev, 0.0);
 }
 
-TEST(GroupDpEngineTest, CoarserLevelsGetMoreNoise) {
+TEST(ReleaseDrawTest, CoarserLevelsGetMoreNoise) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g, 5);
-  const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(17);
-  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
+  const MultiLevelRelease r =
+      ArtifactFor(g, h)->Release(Phase2Budget(0.999), rng);
   for (int lvl = 1; lvl < r.num_levels(); ++lvl) {
     EXPECT_GE(r.level(lvl).noise_stddev, r.level(lvl - 1).noise_stddev)
         << "level " << lvl;
   }
 }
 
-TEST(GroupDpEngineTest, SmallerEpsilonMeansMoreNoise) {
-  ReleaseConfig strict;
-  strict.epsilon_g = 0.1;
-  ReleaseConfig loose;
-  loose.epsilon_g = 0.999;
-  const GroupDpEngine e_strict(strict);
-  const GroupDpEngine e_loose(loose);
-  EXPECT_GT(e_strict.NoiseStddevFor(1000.0), e_loose.NoiseStddevFor(1000.0));
+TEST(ReleaseDrawTest, SmallerEpsilonMeansMoreNoise) {
+  const BipartiteGraph g = TestGraph();
+  const auto h = TestHierarchy(g);
+  const auto artifact = ArtifactFor(g, h);
+  Rng rng(19);
+  const LevelRelease strict =
+      artifact->Release(Phase2Budget(0.1), rng).level(2);
+  const LevelRelease loose =
+      artifact->Release(Phase2Budget(0.999), rng).level(2);
+  EXPECT_GT(strict.noise_stddev, loose.noise_stddev);
+  EXPECT_GT(strict.group_noise_stddev, loose.group_noise_stddev);
 }
 
-TEST(GroupDpEngineTest, EdgelessGraphReleasedExactly) {
+TEST(ReleaseDrawTest, EdgelessGraphReleasedExactly) {
   // Δℓ = 0 at every level: nothing to protect, and a Δ = 0 mechanism cannot
   // be calibrated, so every level is released exactly.
   const BipartiteGraph g(2, 2, {});
   const auto h = EdgelessHierarchy();
-  const GroupDpEngine engine(ReleaseConfig{});
   Rng rng(23);
-  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
+  const MultiLevelRelease r =
+      ArtifactFor(g, h)->Release(Phase2Budget(0.999), rng);
   ASSERT_EQ(r.num_levels(), h.num_levels());
   for (const auto& lvl : r.levels()) {
     EXPECT_EQ(lvl.sensitivity, 0.0);
     EXPECT_EQ(lvl.noise_stddev, 0.0);
+    EXPECT_EQ(lvl.group_noise_stddev, 0.0);
     EXPECT_EQ(lvl.noisy_total, 0.0);
     for (const double c : lvl.noisy_group_counts) {
       EXPECT_EQ(c, 0.0);
     }
     EXPECT_EQ(lvl.noisy_group_counts.size(), lvl.true_group_counts.size());
   }
+  // The level streams were forked, and nothing else was drawn.
+  Rng expected(23);
+  (void)expected.ForkStreams(2);
+  EXPECT_EQ(rng(), expected());
 }
 
-TEST(GroupDpEngineTest, RepeatReleasesAreServedFromTheMechanismCache) {
+TEST(ReleaseDrawTest, ReleaseAllIsDeterministicUnderSeed) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
-  const ReleasePlan plan = ReleasePlan::Build(g, h);
-  const GroupDpEngine engine(ReleaseConfig{});
-  Rng rng(47);
-  EXPECT_EQ(engine.MechanismCacheSize(), 0u);
-  (void)engine.Release(plan, rng);
-  const std::size_t after_first = engine.MechanismCacheSize();
-  EXPECT_GT(after_first, 0u);
-  // A repeat release re-uses every calibration: pure cache hits.
-  (void)engine.Release(plan, rng);
-  EXPECT_EQ(engine.MechanismCacheSize(), after_first);
-}
-
-TEST(GroupDpEngineTest, ClampNonNegativeEliminatesNegativeCounts) {
-  const BipartiteGraph g = TestGraph();
-  const auto h = TestHierarchy(g, 5);
-  ReleaseConfig cfg;
-  cfg.epsilon_g = 0.1;  // big noise: negatives certain without clamping
-  cfg.clamp_nonnegative = true;
-  const GroupDpEngine engine(cfg);
-  Rng rng(29);
-  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
-  for (const auto& lvl : r.levels()) {
-    EXPECT_GE(lvl.noisy_total, 0.0);
-    for (const double c : lvl.noisy_group_counts) {
-      EXPECT_GE(c, 0.0);
-    }
-  }
-}
-
-TEST(GroupDpEngineTest, ReleaseAllIsDeterministicUnderSeed) {
-  const BipartiteGraph g = TestGraph();
-  const auto h = TestHierarchy(g);
-  const ReleasePlan plan = ReleasePlan::Build(g, h);
-  const GroupDpEngine engine(ReleaseConfig{});
+  const auto artifact = ArtifactFor(g, h);
   Rng r1(31);
   Rng r2(31);
-  const MultiLevelRelease a = engine.Release(plan, r1);
-  const MultiLevelRelease b = engine.Release(plan, r2);
+  const MultiLevelRelease a = artifact->Release(Phase2Budget(0.999), r1);
+  const MultiLevelRelease b = artifact->Release(Phase2Budget(0.999), r2);
   for (int lvl = 0; lvl < a.num_levels(); ++lvl) {
     EXPECT_DOUBLE_EQ(a.level(lvl).noisy_total, b.level(lvl).noisy_total);
   }
 }
 
-TEST(GroupDpEngineTest, EmpiricalNoiseMatchesReportedStddev) {
+TEST(ReleaseDrawTest, EmpiricalNoiseMatchesReportedStddev) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
-  ReleaseConfig cfg;
-  cfg.include_group_counts = false;
-  const GroupDpEngine engine(cfg);
-  const ReleasePlan plan = ReleasePlan::Build(g, h);
+  ExecSpec exec;
+  exec.include_group_counts = false;
+  const auto artifact = ArtifactFor(g, h, exec);
   Rng rng(37);
   gdp::common::RunningStats s;
   double reported = 0.0;
   for (int t = 0; t < 4000; ++t) {
-    const LevelRelease lr = engine.Release(plan, rng).level(2);
+    const LevelRelease lr =
+        artifact->Release(Phase2Budget(0.999), rng).level(2);
     s.Add(lr.noisy_total - lr.true_total);
     reported = lr.noise_stddev;
   }
@@ -239,16 +205,14 @@ TEST(GroupDpEngineTest, EmpiricalNoiseMatchesReportedStddev) {
 }
 
 // Parameterised sweep: every noise kind must produce a well-formed release.
-class EngineNoiseKindTest : public ::testing::TestWithParam<NoiseKind> {};
+class ReleaseDrawKindTest : public ::testing::TestWithParam<NoiseKind> {};
 
-TEST_P(EngineNoiseKindTest, ReleasesAllLevels) {
+TEST_P(ReleaseDrawKindTest, ReleasesAllLevels) {
   const BipartiteGraph g = TestGraph();
   const auto h = TestHierarchy(g);
-  ReleaseConfig cfg;
-  cfg.noise = GetParam();
-  const GroupDpEngine engine(cfg);
   Rng rng(41);
-  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
+  const MultiLevelRelease r =
+      ArtifactFor(g, h)->Release(Phase2Budget(0.999, GetParam()), rng);
   EXPECT_EQ(r.num_levels(), h.num_levels());
   for (const auto& lvl : r.levels()) {
     EXPECT_TRUE(std::isfinite(lvl.noisy_total));
@@ -257,7 +221,7 @@ TEST_P(EngineNoiseKindTest, ReleasesAllLevels) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllKinds, EngineNoiseKindTest,
+    AllKinds, ReleaseDrawKindTest,
     ::testing::Values(NoiseKind::kGaussian, NoiseKind::kAnalyticGaussian,
                       NoiseKind::kLaplace, NoiseKind::kDiscreteGaussian,
                       NoiseKind::kGeometric),

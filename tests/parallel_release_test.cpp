@@ -1,20 +1,17 @@
-// Determinism guarantees of GroupDpEngine's one release path:
-//  - the output depends only on (seed, grain): no pool and pools of 1, 2 and
-//    8 threads release the same bits, through the engine and through a
-//    compiled artifact's own pool,
+// Determinism guarantees of the one release path, CompiledDisclosure::Release:
+//  - the output depends only on (seed, grain): an artifact on 1 (no pool), 2
+//    and 8 threads releases the same bits,
 //  - the draw order is the documented one (per-level streams, then per-chunk
-//    substreams), pinned by a checked-in golden release for every NoiseKind,
+//    substreams): every NoiseKind's release equals the hand-written oracle
+//    of release_oracle.hpp, and a checked-in golden release pins the bits,
 //  - the mechanism cache never perturbs results.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/compiled_disclosure.hpp"
 #include "core/group_dp_engine.hpp"
 #include "core/release_io.hpp"
@@ -22,6 +19,7 @@
 #include "core/session.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -66,47 +64,46 @@ void ExpectBitIdentical(const MultiLevelRelease& a, const MultiLevelRelease& b,
   }
 }
 
-// The same seed released with no pool, then on pools of 1, 2 and 8 threads.
+// The same seed released by artifacts on 1 (no pool), 2 and 8 threads.
 std::vector<MultiLevelRelease> ReleaseAtEveryThreadCount(
-    const GroupDpEngine& engine, const ReleasePlan& plan, std::uint64_t seed) {
+    const BipartiteGraph& g, const GroupHierarchy& h, ExecSpec exec,
+    std::uint64_t seed) {
   std::vector<MultiLevelRelease> out;
-  Rng inline_rng(seed);
-  out.push_back(engine.Release(plan, inline_rng));
   for (const int threads : {1, 2, 8}) {
-    gdp::common::ThreadPool pool(threads);
+    exec.num_threads = threads;
     Rng rng(seed);
-    out.push_back(engine.Release(plan, rng, &pool));
+    out.push_back(ArtifactFor(g, h, exec)->Release(Phase2Budget(0.999), rng));
   }
   return out;
 }
 
 void ExpectInvariantAcrossThreadCounts(const std::vector<MultiLevelRelease>& r) {
-  const char* const names[] = {"no pool", "1 thread", "2 threads", "8 threads"};
+  const char* const names[] = {"1 thread", "2 threads", "8 threads"};
   for (std::size_t i = 1; i < r.size(); ++i) {
-    ExpectBitIdentical(r[0], r[i], std::string(names[i]) + " vs no pool:");
+    ExpectBitIdentical(r[0], r[i], std::string(names[i]) + " vs 1 thread:");
   }
 }
 
 TEST(ParallelReleaseTest, OutputInvariantAcrossThreadCounts) {
   const BipartiteGraph g = TestGraph();
-  const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g, 5));
-  const GroupDpEngine engine{ReleaseConfig{}};
-  ExpectInvariantAcrossThreadCounts(ReleaseAtEveryThreadCount(engine, plan, 71));
+  ExpectInvariantAcrossThreadCounts(
+      ReleaseAtEveryThreadCount(g, TestHierarchy(g, 5), ExecSpec{}, 71));
 }
 
 TEST(ParallelReleaseTest, SeedDeterministicAndSeedSensitive) {
   const BipartiteGraph g = TestGraph();
-  const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g));
-  const GroupDpEngine engine{ReleaseConfig{}};
-  gdp::common::ThreadPool pool(4);
+  ExecSpec exec;
+  exec.num_threads = 4;
+  const auto artifact = ArtifactFor(g, TestHierarchy(g), exec);
+  const BudgetSpec budget = Phase2Budget(0.999);
   Rng a1(73);
   Rng a2(73);
-  ExpectBitIdentical(engine.Release(plan, a1, &pool),
-                     engine.Release(plan, a2, &pool));
+  ExpectBitIdentical(artifact->Release(budget, a1),
+                     artifact->Release(budget, a2));
   Rng b(79);
-  const MultiLevelRelease other = engine.Release(plan, b, &pool);
+  const MultiLevelRelease other = artifact->Release(budget, b);
   Rng a3(73);
-  const MultiLevelRelease base = engine.Release(plan, a3, &pool);
+  const MultiLevelRelease base = artifact->Release(budget, a3);
   bool any_differs = false;
   for (int lvl = 0; lvl < base.num_levels(); ++lvl) {
     any_differs |= base.level(lvl).noisy_total != other.level(lvl).noisy_total;
@@ -117,28 +114,30 @@ TEST(ParallelReleaseTest, SeedDeterministicAndSeedSensitive) {
 TEST(ParallelReleaseTest, SharedPlanAndPoolReuse) {
   const BipartiteGraph g = TestGraph();
   const GroupHierarchy h = TestHierarchy(g);
-  const GroupDpEngine engine{ReleaseConfig{}};
-  gdp::common::ThreadPool pool(3);
-  const ReleasePlan plan = ReleasePlan::Build(g, h);
+  ExecSpec exec;
+  exec.num_threads = 3;
+  const auto artifact = ArtifactFor(g, h, exec);
+  const BudgetSpec budget = Phase2Budget(0.999);
   Rng r1(83);
   Rng r2(83);
-  // Same pool twice, same seed: identical output; and identical to a
-  // release from a second build of the plan.
-  ExpectBitIdentical(engine.Release(plan, r1, &pool),
-                     engine.Release(plan, r2, &pool));
+  // Same artifact (plan and pool) twice, same seed: identical output; and
+  // identical to a release from a second artifact with its own plan.
+  ExpectBitIdentical(artifact->Release(budget, r1),
+                     artifact->Release(budget, r2));
   Rng r3(83);
   Rng r4(83);
-  ExpectBitIdentical(engine.Release(plan, r3, &pool),
-                     engine.Release(ReleasePlan::Build(g, h), r4, &pool));
+  ExpectBitIdentical(artifact->Release(budget, r3),
+                     ArtifactFor(g, h, exec)->Release(budget, r4));
 }
 
 TEST(ParallelReleaseTest, WellFormedRelease) {
   const BipartiteGraph g = TestGraph();
   const GroupHierarchy h = TestHierarchy(g);
-  const GroupDpEngine engine{ReleaseConfig{}};
-  gdp::common::ThreadPool pool(0);
+  ExecSpec exec;
+  exec.num_threads = 0;  // the hardware concurrency
   Rng rng(89);
-  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng, &pool);
+  const MultiLevelRelease r =
+      ArtifactFor(g, h, exec)->Release(Phase2Budget(0.999), rng);
   ASSERT_EQ(r.num_levels(), h.num_levels());
   for (int lvl = 0; lvl < r.num_levels(); ++lvl) {
     EXPECT_EQ(r.level(lvl).level, lvl);
@@ -191,12 +190,10 @@ TEST(ParallelReleaseTest, CompiledReleasesIdenticalAcrossThreadCounts) {
 
 TEST(WithinLevelParallelTest, ChunkedNoiseBitIdenticalAcross1_2_8Threads) {
   const BipartiteGraph g = TestGraph();
-  const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g, 5));
-  ReleaseConfig cfg;
-  cfg.noise_chunk_grain = 16;
-  const GroupDpEngine engine(cfg);
+  ExecSpec exec;
+  exec.noise_chunk_grain = 16;
   ExpectInvariantAcrossThreadCounts(
-      ReleaseAtEveryThreadCount(engine, plan, 101));
+      ReleaseAtEveryThreadCount(g, TestHierarchy(g, 5), exec, 101));
 }
 
 TEST(WithinLevelParallelTest, GrainIsPartOfTheOutputContract) {
@@ -204,18 +201,18 @@ TEST(WithinLevelParallelTest, GrainIsPartOfTheOutputContract) {
   // the released group counts must change.  (Thread count never does —
   // pinned above.)
   const BipartiteGraph g = TestGraph();
-  const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g));
-  ReleaseConfig coarse_cfg;
-  coarse_cfg.noise_chunk_grain = 32;
-  ReleaseConfig fine_cfg;
-  fine_cfg.noise_chunk_grain = 16;
-  const GroupDpEngine coarse(coarse_cfg);
-  const GroupDpEngine fine(fine_cfg);
-  gdp::common::ThreadPool pool(4);
+  const GroupHierarchy h = TestHierarchy(g);
+  ExecSpec coarse;
+  coarse.noise_chunk_grain = 32;
+  coarse.num_threads = 4;
+  ExecSpec fine = coarse;
+  fine.noise_chunk_grain = 16;
   Rng r1(103);
   Rng r2(103);
-  const MultiLevelRelease a = coarse.Release(plan, r1, &pool);
-  const MultiLevelRelease b = fine.Release(plan, r2, &pool);
+  const MultiLevelRelease a =
+      ArtifactFor(g, h, coarse)->Release(Phase2Budget(0.999), r1);
+  const MultiLevelRelease b =
+      ArtifactFor(g, h, fine)->Release(Phase2Budget(0.999), r2);
   bool any_differs = false;
   for (int lvl = 0; lvl < a.num_levels(); ++lvl) {
     any_differs |=
@@ -225,85 +222,71 @@ TEST(WithinLevelParallelTest, GrainIsPartOfTheOutputContract) {
 }
 
 TEST(WithinLevelParallelTest, DrawOrderIsLevelStreamsThenChunkStreams) {
-  // The documented draw order, reproduced by hand: level ℓ draws its total
-  // and then its vector from the ℓ-th forked stream, the vector as one span
-  // draw; a level wider than the grain draws chunk c as one span draw from
-  // the c-th stream its level stream forks.
+  // Every kind's release, with and without group counts, on 1 and 8
+  // threads, equals the hand-written oracle: level ℓ draws its total and
+  // then its vector from the ℓ-th forked stream; a level wider than the
+  // grain draws chunk c from the c-th stream its level stream forks.
   const BipartiteGraph g = TestGraph();
-  const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g));
-  ReleaseConfig cfg;
-  cfg.noise_chunk_grain = 16;
-  const GroupDpEngine engine(cfg);
-  Rng rng(107);
-  const MultiLevelRelease release = engine.Release(plan, rng);
-
-  Rng oracle(107);
-  std::vector<Rng> level_streams =
-      oracle.ForkStreams(static_cast<std::size_t>(plan.num_levels()));
-  for (int lvl = 0; lvl < plan.num_levels(); ++lvl) {
-    Rng& stream = level_streams[static_cast<std::size_t>(lvl)];
-    const LevelRelease& got = release.level(lvl);
-    const auto scalar =
-        MakeMechanism(cfg.noise, cfg.epsilon_g, cfg.delta,
-                      static_cast<double>(plan.CountSensitivity(lvl)));
-    EXPECT_EQ(got.noisy_total, scalar->AddNoise(got.true_total, stream))
-        << "level " << lvl;
-    const auto vec = MakeMechanism(cfg.noise, cfg.epsilon_g, cfg.delta,
-                                   plan.VectorSensitivity(lvl));
-    const std::size_t grain = cfg.noise_chunk_grain;
-    std::vector<double> expected = got.true_group_counts;
-    const std::span<double> noisy(expected);
-    if (noisy.size() > grain) {
-      // One span draw per chunk, chunk c from its level stream's c-th fork.
-      std::vector<Rng> chunk_streams =
-          stream.ForkStreams((noisy.size() + grain - 1) / grain);
-      for (std::size_t c = 0; c < chunk_streams.size(); ++c) {
-        const std::size_t begin = c * grain;
-        vec->AddNoise(
-            noisy.subspan(begin, std::min(grain, noisy.size() - begin)),
-            chunk_streams[c]);
-      }
-    } else {
-      vec->AddNoise(noisy, stream);
-    }
-    EXPECT_EQ(got.noisy_group_counts, expected) << "level " << lvl;
-  }
-  EXPECT_GT(plan.GroupDegreeSums(0).size(), 2 * cfg.noise_chunk_grain)
+  const GroupHierarchy h = TestHierarchy(g);
+  const ReleasePlan plan = ReleasePlan::Build(g, h);
+  ASSERT_GT(plan.GroupDegreeSums(0).size(), 2u * 16u)
       << "level 0 must really chunk";
+  for (const NoiseKind kind :
+       {NoiseKind::kGaussian, NoiseKind::kAnalyticGaussian, NoiseKind::kLaplace,
+        NoiseKind::kDiscreteGaussian, NoiseKind::kGeometric}) {
+    for (const bool group_counts : {true, false}) {
+      for (const int threads : {1, 8}) {
+        ExecSpec exec;
+        exec.noise_chunk_grain = 16;
+        exec.include_group_counts = group_counts;
+        exec.num_threads = threads;
+        Rng rng(107);
+        const MultiLevelRelease got =
+            ArtifactFor(g, h, exec)->Release(Phase2Budget(0.9, kind), rng);
+        OracleSpec oracle;
+        oracle.noise = kind;
+        oracle.epsilon = 0.9;
+        oracle.include_group_counts = group_counts;
+        oracle.grain = 16;
+        Rng oracle_rng(107);
+        ExpectBitIdentical(
+            OracleRelease(plan, oracle, oracle_rng), got,
+            std::string(NoiseKindName(kind)) +
+                (group_counts ? ", group counts, " : ", totals, ") +
+                std::to_string(threads) + " threads:");
+      }
+    }
+  }
 }
 
 // ---- Golden release fixture ----
 //
 // A small seeded graph and hierarchy, released at a fixed seed with grain 16
 // (level 0's 128 groups split into 8 chunks) for every NoiseKind, plus one
-// variant without group counts and with clamping.  The expected releases are
-// checked in as gdp-release v1 files (17 significant digits, which
-// round-trips every double), so any change to the draw order, a mechanism's
-// sampler or its calibration shows up here.  To regenerate after a
-// deliberate change, run this test with GDP_UPDATE_GOLDEN=1 and review the
-// diff of tests/data/.
+// variant of totals only at ε 0.1.  The expected releases are checked in as
+// gdp-release v1 files (17 significant digits, which round-trips every
+// double), so any change to the draw order, a mechanism's sampler or its
+// calibration shows up here.  To regenerate after a deliberate change, run
+// this test with GDP_UPDATE_GOLDEN=1 and review the diff of tests/data/.
 
 struct GoldenCase {
   std::string name;
-  ReleaseConfig config;
+  BudgetSpec budget;
+  ExecSpec exec;
 };
 
 std::vector<GoldenCase> GoldenCases() {
+  ExecSpec exec;
+  exec.noise_chunk_grain = 16;
   std::vector<GoldenCase> cases;
   for (const NoiseKind kind :
        {NoiseKind::kGaussian, NoiseKind::kAnalyticGaussian, NoiseKind::kLaplace,
         NoiseKind::kDiscreteGaussian, NoiseKind::kGeometric}) {
-    ReleaseConfig cfg;
-    cfg.noise = kind;
-    cfg.noise_chunk_grain = 16;
-    cases.push_back({NoiseKindName(kind), cfg});
+    cases.push_back({NoiseKindName(kind), Phase2Budget(0.999, kind), exec});
   }
-  ReleaseConfig bare;
-  bare.epsilon_g = 0.1;  // big noise, so the clamp really bites
-  bare.include_group_counts = false;
-  bare.clamp_nonnegative = true;
-  bare.noise_chunk_grain = 16;
-  cases.push_back({"gaussian_totals_clamped", bare});
+  ExecSpec totals = exec;
+  totals.include_group_counts = false;
+  cases.push_back({"gaussian_totals", Phase2Budget(0.1), totals});
   return cases;
 }
 
@@ -313,23 +296,26 @@ std::string GoldenPath(const std::string& name) {
 
 TEST(GoldenReleaseTest, MatchesCheckedInFixtureForEveryNoiseKind) {
   const BipartiteGraph g = TestGraph();
-  const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g));
-  ASSERT_GT(plan.GroupDegreeSums(0).size(), 2u * 16u);
+  const GroupHierarchy h = TestHierarchy(g);
+  ASSERT_GT(h.level(0).num_groups(), 2u * 16u);
   const bool update = std::getenv("GDP_UPDATE_GOLDEN") != nullptr;
-  gdp::common::ThreadPool pool(8);
   for (const GoldenCase& golden : GoldenCases()) {
-    const GroupDpEngine engine(golden.config);
     Rng rng(2017);
-    const MultiLevelRelease release = engine.Release(plan, rng);
+    const MultiLevelRelease release =
+        ArtifactFor(g, h, golden.exec)->Release(golden.budget, rng);
     if (update) {
       WriteReleaseFile(release, GoldenPath(golden.name));
       continue;
     }
     const MultiLevelRelease expected = ReadReleaseFile(GoldenPath(golden.name));
     ExpectBitIdentical(expected, release, golden.name);
+    ExecSpec pooled = golden.exec;
+    pooled.num_threads = 8;
     Rng pooled_rng(2017);
-    ExpectBitIdentical(expected, engine.Release(plan, pooled_rng, &pool),
-                       golden.name + " (8-thread pool)");
+    ExpectBitIdentical(expected,
+                       ArtifactFor(g, h, pooled)->Release(golden.budget,
+                                                          pooled_rng),
+                       golden.name + " (8 threads)");
   }
   if (update) {
     GTEST_SKIP() << "golden releases rewritten under " << GDP_TEST_DATA_DIR;
@@ -348,26 +334,27 @@ TEST(MechanismCacheTest, MemoizesByCalibrationKey) {
 }
 
 TEST(MechanismCacheTest, CachedStddevMatchesFreshMechanism) {
-  const GroupDpEngine engine{ReleaseConfig{}};
+  MechanismCache cache;
   const auto fresh = MakeMechanism(NoiseKind::kGaussian, 0.999, 1e-5, 500.0);
-  EXPECT_EQ(engine.NoiseStddevFor(500.0), fresh->NoiseStddev());
+  EXPECT_EQ(cache.Get(NoiseKind::kGaussian, 0.999, 1e-5, 500.0).NoiseStddev(),
+            fresh->NoiseStddev());
   // Second lookup hits the cache and must agree exactly.
-  EXPECT_EQ(engine.NoiseStddevFor(500.0), fresh->NoiseStddev());
+  EXPECT_EQ(cache.Get(NoiseKind::kGaussian, 0.999, 1e-5, 500.0).NoiseStddev(),
+            fresh->NoiseStddev());
 }
 
 TEST(MechanismCacheTest, WarmCacheDoesNotChangeResults) {
   const BipartiteGraph g = TestGraph();
-  const ReleasePlan plan = ReleasePlan::Build(g, TestHierarchy(g));
-  const GroupDpEngine warm{ReleaseConfig{}};
+  const GroupHierarchy h = TestHierarchy(g);
+  const auto warm = ArtifactFor(g, h);
   {
     Rng warmup(61);
-    (void)warm.Release(plan, warmup);  // populate the cache
+    (void)warm->Release(Phase2Budget(0.999), warmup);  // populate the cache
   }
-  const GroupDpEngine cold{ReleaseConfig{}};
   Rng warm_rng(67);
   Rng cold_rng(67);
-  ExpectBitIdentical(warm.Release(plan, warm_rng),
-                     cold.Release(plan, cold_rng));
+  ExpectBitIdentical(warm->Release(Phase2Budget(0.999), warm_rng),
+                     ArtifactFor(g, h)->Release(Phase2Budget(0.999), cold_rng));
 }
 
 }  // namespace

@@ -249,7 +249,7 @@ TEST(ReleaseMutationTest, ReadReleaseSurvivesSeededMutants) {
   mutation_driver::TextCorpus corpus;
   for (const char* kind :
        {"gaussian", "analytic_gaussian", "discrete_gaussian", "laplace",
-        "geometric", "gaussian_totals_clamped"}) {
+        "geometric", "gaussian_totals"}) {
     std::ifstream in(std::string(GDP_TEST_DATA_DIR) + "/golden_release_" +
                      kind + ".tsv");
     ASSERT_TRUE(in) << kind;

@@ -1,7 +1,7 @@
 // Release-level noise conformance: for every NoiseKind, the noise a whole
 // release adds to each level's total and to each level's group vector has
 // the σ that level reports.  The mechanism tests check each sampler alone;
-// this suite checks what GroupDpEngine::Release publishes, through its
+// this suite checks what CompiledDisclosure::Release publishes, through its
 // level streams, chunk streams and span draws, at a grain small enough to
 // split level 0 into chunks.
 //
@@ -29,10 +29,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/group_dp_engine.hpp"
-#include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -44,14 +43,16 @@ constexpr int kReleases = 2000;
 constexpr std::size_t kGrain = 16;
 
 // The golden fixture's graph and hierarchy: 128 groups at level 0.
-ReleasePlan TestPlan() {
+gdp::graph::BipartiteGraph TestGraph() {
   Rng graph_rng(3);
-  const auto g = gdp::graph::GenerateUniformRandom(64, 64, 1000, graph_rng);
+  return gdp::graph::GenerateUniformRandom(64, 64, 1000, graph_rng);
+}
+
+gdp::hier::GroupHierarchy TestHierarchy(const gdp::graph::BipartiteGraph& g) {
   gdp::hier::SpecializationConfig cfg;
   cfg.depth = 4;
   Rng hier_rng(5);
-  return ReleasePlan::Build(
-      g, gdp::hier::Specializer(cfg).BuildHierarchy(g, hier_rng).hierarchy);
+  return gdp::hier::Specializer(cfg).BuildHierarchy(g, hier_rng).hierarchy;
 }
 
 // Wilson–Hilferty approximation of the chi-square quantile with `dof`
@@ -129,22 +130,22 @@ class ReleaseNoiseTest : public ::testing::TestWithParam<NoiseKind> {};
 
 TEST_P(ReleaseNoiseTest, EveryLevelsNoiseHasItsReportedSigma) {
   const NoiseKind kind = GetParam();
-  const ReleasePlan plan = TestPlan();
-  ASSERT_GT(plan.GroupDegreeSums(0).size(), 2 * kGrain)
+  const gdp::graph::BipartiteGraph g = TestGraph();
+  ExecSpec exec;
+  exec.noise_chunk_grain = kGrain;
+  const auto artifact = ArtifactFor(g, TestHierarchy(g), exec);
+  ASSERT_GT(artifact->plan().GroupDegreeSums(0).size(), 2 * kGrain)
       << "level 0 must split into chunks";
-  ReleaseConfig cfg;
-  cfg.noise = kind;
-  cfg.noise_chunk_grain = kGrain;
-  const GroupDpEngine engine(cfg);
+  const BudgetSpec budget = Phase2Budget(0.999, kind);
 
-  const auto levels = static_cast<std::size_t>(plan.num_levels());
+  const auto levels = static_cast<std::size_t>(artifact->plan().num_levels());
   std::vector<Tally> totals(levels);
   std::vector<Tally> groups(levels);
   Tally pooled_totals;
   Tally pooled_groups;
   Rng rng(4000 + static_cast<std::uint64_t>(kind));
   for (int r = 0; r < kReleases; ++r) {
-    const MultiLevelRelease release = engine.Release(plan, rng);
+    const MultiLevelRelease release = artifact->Release(budget, rng);
     for (std::size_t l = 0; l < levels; ++l) {
       const LevelRelease& lr = release.level(static_cast<int>(l));
       ASSERT_GT(lr.noise_stddev, 0.0) << "level " << l;

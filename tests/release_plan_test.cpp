@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/group_dp_engine.hpp"
 #include "core/group_sensitivity.hpp"
 #include "graph/generators.hpp"
 #include "hier/specialization.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -96,12 +96,13 @@ TEST(ReleasePlanTest, BuildPerformsExactlyOneNodeScan) {
 }
 
 TEST(ReleasePlanTest, PlannedReleaseAllScansTheGraphOnce) {
+  // The artifact's plan build is the one scan; a release adds none.
   const BipartiteGraph g = HandGraph();
   const GroupHierarchy h = HandHierarchy();
-  const GroupDpEngine engine{ReleaseConfig{}};
   Rng rng(7);
   const std::uint64_t before = Partition::DegreeSumScanCount();
-  const MultiLevelRelease r = engine.Release(ReleasePlan::Build(g, h), rng);
+  const MultiLevelRelease r =
+      ArtifactFor(g, h)->Release(Phase2Budget(0.999), rng);
   EXPECT_EQ(Partition::DegreeSumScanCount() - before, 1u);
   EXPECT_EQ(r.num_levels(), h.num_levels());
 }

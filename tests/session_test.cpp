@@ -15,6 +15,7 @@
 #include "core/release_plan.hpp"
 #include "graph/generators.hpp"
 #include "hier/navigation.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -57,9 +58,10 @@ void ExpectBitIdentical(const MultiLevelRelease& a, const MultiLevelRelease& b,
 }
 
 // The seed implementation of RunDisclosure, reproduced as the parity oracle:
-// specializer + plan + engine composed by hand, exactly as the pre-session
-// pipeline.cpp did, always without a pool.  The session/wrapper refactor must
-// stay bit-identical to THIS, not merely to itself — at every thread count.
+// specializer + plan composed by hand, exactly as the pre-session
+// pipeline.cpp did, then the hand-written draw of release_oracle.hpp.  The
+// session/wrapper refactor must stay bit-identical to THIS, not merely to
+// itself — at every thread count.
 MultiLevelRelease ManualOneShot(const BipartiteGraph& graph,
                                 const SessionSpec& config, Rng& rng) {
   const double eps_phase1 = config.budget.phase1_epsilon();
@@ -79,17 +81,14 @@ MultiLevelRelease ManualOneShot(const BipartiteGraph& graph,
   const gdp::hier::Specializer specializer(spec);
   const auto built = specializer.BuildHierarchy(graph, rng);
 
-  ReleaseConfig rel;
-  rel.epsilon_g = eps_phase2;
-  rel.delta = config.budget.delta;
-  rel.noise = config.budget.noise;
-  rel.include_group_counts = config.exec.include_group_counts;
-  rel.clamp_nonnegative = config.exec.clamp_nonnegative;
-  rel.noise_chunk_grain = config.exec.noise_chunk_grain;
-
-  const GroupDpEngine engine(rel);
+  OracleSpec draw;
+  draw.noise = config.budget.noise;
+  draw.epsilon = eps_phase2;
+  draw.delta = config.budget.delta;
+  draw.include_group_counts = config.exec.include_group_counts;
+  draw.grain = config.exec.noise_chunk_grain;
   MultiLevelRelease release =
-      engine.Release(ReleasePlan::Build(graph, built.hierarchy), rng);
+      OracleRelease(ReleasePlan::Build(graph, built.hierarchy), draw, rng);
   if (config.exec.enforce_consistency) {
     release = EnforceHierarchicalConsistency(built.hierarchy, release);
   }

@@ -11,6 +11,7 @@
 
 #include "answer_fixture.hpp"
 #include "core/metrics.hpp"
+#include "release_oracle.hpp"
 
 namespace gdp::core {
 namespace {
@@ -87,9 +88,9 @@ TEST(AnswerTest, SigmaFallsTowardFinerLevels) {
 }
 
 // One draw order: {association_count, group_counts} at level ℓ from the
-// level-ℓ stream is the level-ℓ total and group counts of a Release, also
-// when the level's groups split into several chunks and when a pool draws
-// them.
+// level-ℓ stream is the level-ℓ total and group counts of a Release, for
+// every noise kind, also when the level's groups split into several chunks
+// and when a pool draws them; and both are the hand-written oracle's draw.
 TEST(AnswerTest, AssocAndGroupEqualTheReleaseDrawOfTheLevelStream) {
   const BipartiteGraph g = RandomGraph();
   const std::vector<QuerySpec> queries{Of(QuerySpec::Kind::kAssociationCount),
@@ -98,11 +99,22 @@ TEST(AnswerTest, AssocAndGroupEqualTheReleaseDrawOfTheLevelStream) {
   for (const int threads : {1, 8}) {
     const auto compiled = CompileSmall(g, 4, threads, kGrain);
     ASSERT_GT(compiled->plan().GroupDegreeSums(0).size(), 4 * kGrain);
-    for (const NoiseKind kind : {NoiseKind::kGaussian, NoiseKind::kLaplace}) {
+    for (const NoiseKind kind :
+         {NoiseKind::kGaussian, NoiseKind::kAnalyticGaussian,
+          NoiseKind::kLaplace, NoiseKind::kDiscreteGaussian,
+          NoiseKind::kGeometric}) {
       BudgetSpec budget = kBudget;
       budget.noise = kind;
       Rng release_rng(2024);
       const MultiLevelRelease release = compiled->Release(budget, release_rng);
+      OracleSpec draw;
+      draw.noise = kind;
+      draw.epsilon = budget.phase2_epsilon();
+      draw.delta = budget.delta;
+      draw.grain = kGrain;
+      Rng oracle_rng(2024);
+      const MultiLevelRelease oracle =
+          OracleRelease(compiled->plan(), draw, oracle_rng);
       Rng fork_rng(2024);
       std::vector<Rng> streams = fork_rng.ForkStreams(
           static_cast<std::size_t>(compiled->hierarchy().num_levels()));
@@ -120,6 +132,9 @@ TEST(AnswerTest, AssocAndGroupEqualTheReleaseDrawOfTheLevelStream) {
         EXPECT_EQ(got[1].noisy, expected.noisy_group_counts) << where;
         EXPECT_EQ(got[1].truth, expected.true_group_counts) << where;
         EXPECT_EQ(got[1].noise_stddev, expected.group_noise_stddev) << where;
+        EXPECT_EQ(got[0].noisy[0], oracle.level(level).noisy_total) << where;
+        EXPECT_EQ(got[1].noisy, oracle.level(level).noisy_group_counts)
+            << where;
       }
     }
   }
